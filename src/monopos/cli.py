@@ -21,12 +21,10 @@ from .harness import available_checks, run_suite
 from .paths import (IntervalCache, interior_vertices, monophonic_closure,
                     monophonic_hull, monophonic_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (GraphSolver, ParameterReport, PathMode, SolverOptions,
-                      brute_force_position, max_position_set, parameter_suite)
+from .solvers import (GraphSolver, ParameterReport, PathMode, brute_force_position,
+                      parameter_suite)
 from . import families
 
-POSITION_NAMES = ("mp", "gp", "gp2", "imp", "igp")
-INVARIANT_NAMES = ("alpha", "omega", "alphaomega", "diss", "simplicial", "L", "rho", "hm")
 EXTRA_NAMES = ("cuts", "dh", "diam", "psi", "phi")
 
 
@@ -88,41 +86,17 @@ def _emit(doc, args, text_lines=None):
 def _cmd_compute(args) -> int:
     graphs = _read_graphs(args.path, args.input)
     wanted = [p.strip() for p in args.param.split(",") if p.strip()]
-    cap = args.cap
     for g in graphs:
         gid = emit_graph6(g)
-        reports: list[ParameterReport] = []
         if wanted == ["all"]:
-            suite = parameter_suite(g, node_limit=args.node_limit, oracle_cap=min(cap, 20),
-                                    rho_cap=min(cap, 16), longest_cap=min(cap, 30),
-                                    hull_cap=cap)
+            suite = parameter_suite(g, node_limit=args.node_limit, cap=args.cap)
             reports = [suite.reports[k] for k in sorted(suite.reports)]
             skipped = suite.skipped
         else:
+            solver = GraphSolver(g, node_limit=args.node_limit, lexmin=True, cap=args.cap)
+            reports = [_extra_report(g, name) if name in EXTRA_NAMES else solver.report(name)
+                       for name in wanted]
             skipped = {}
-            solver = GraphSolver(g, node_limit=args.node_limit, lexmin=True, cap=cap)
-            suite = None
-            for name in wanted:
-                if name in POSITION_NAMES or name == "hm":
-                    reports.append(solver.report(name))
-                elif name == "pos":
-                    mode = PathMode.from_string(args.mode)
-                    idx = solver.triple_index(mode)
-                    reports.append(max_position_set(idx, SolverOptions(
-                        require_independent=args.independent, node_limit=args.node_limit)))
-                elif name in INVARIANT_NAMES:
-                    if suite is None:
-                        suite = parameter_suite(g, node_limit=args.node_limit,
-                                                oracle_cap=min(cap, 20), rho_cap=min(cap, 16),
-                                                longest_cap=min(cap, 30), hull_cap=cap)
-                    if name in suite.reports:
-                        reports.append(suite.reports[name])
-                    else:
-                        skipped[name] = suite.skipped.get(name, "not computed")
-                elif name in EXTRA_NAMES:
-                    reports.append(_extra_report(g, name))
-                else:
-                    raise InputError(f"unknown parameter {name!r}")
         doc = {"graph6": gid, "n": g.n, "m": g.edge_count(),
                "parameters": [r.to_dict() for r in reports], "skipped": skipped}
         lines = [f"graph {gid} (n={g.n}, m={g.edge_count()})"]
@@ -268,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="graph6 or edge-list file, - for stdin")
     p.add_argument("--param", default="mp",
                    help="comma list from mp,gp,gp2,imp,igp,hm,alpha,omega,alphaomega,"
-                        "diss,simplicial,L,rho,cuts,dh,diam,psi,phi,pos or 'all'")
-    common(p)
+                        "diss,simplicial,L,rho,cuts,dh,diam,psi,phi or 'all'")
+    common(p, with_mode=False)
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("family", help="generate a named family instance with predictions")

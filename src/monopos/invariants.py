@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError
 from .graph import Graph, complement
@@ -31,15 +29,16 @@ ORACLE_CAP = 20
 # ---------------------------------------------------------------------------
 
 
-def distance_matrix(g: Graph) -> np.ndarray:
+def distance_matrix(g: Graph) -> list[list[int]]:
     """All-pairs BFS hop distances, ``DIST_INF`` across components."""
     n = g.n
-    dist = np.full((n, n), DIST_INF, dtype=np.int32)
+    dist = [[DIST_INF] * n for _ in range(n)]
     for s in range(n):
+        row = dist[s]
         seen = bit(s)
         frontier = seen
         d = 0
-        dist[s, s] = 0
+        row[s] = 0
         while frontier:
             grow = 0
             for v in iter_bits(frontier):
@@ -48,13 +47,12 @@ def distance_matrix(g: Graph) -> np.ndarray:
             seen |= frontier
             d += 1
             for v in iter_bits(frontier):
-                dist[s, v] = d
+                row[v] = d
     return dist
 
 
 def diameter(g: Graph) -> int:
-    d = distance_matrix(g)
-    m = int(d.max())
+    m = max(map(max, distance_matrix(g)))
     if m >= DIST_INF:
         raise InputError("diameter undefined for disconnected graph")
     return m
@@ -264,70 +262,19 @@ def independence_number(g: Graph) -> tuple[int, int]:
     return clique_number(complement(g))
 
 
-def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
-    """Largest set inducing a disjoint union of cliques, with lexmin witness."""
-    if g.n > cap:
-        raise CapExceeded(f"alpha_omega cap {cap} exceeded by order {g.n}")
+def _hereditary_max(g: Graph, addable) -> tuple[int, int]:
+    """Largest vertex set of a hereditary class, with lexmin witness.
+
+    ``addable(smask, v)`` reports whether v may join a member S of the
+    class (all of whose vertices are below v) and leave it in the class.
+    Vertices are decided in ascending order; the bound is the number of
+    undecided vertices.
+    """
     n = g.n
-    adj = g.adj
 
     def search(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         best = 0
         best_mask = 0
-
-        def rec(v: int, smask: int, comps: tuple[int, ...], size: int):
-            nonlocal best, best_mask
-            if size + (n - v) <= best:
-                return
-            if v == n:
-                if size > best:
-                    best, best_mask = size, smask
-                    if target is not None and best >= target:
-                        raise _Found
-                return
-            vb = bit(v)
-            if allowed & vb:
-                x = adj[v] & smask
-                ok = False
-                if x == 0:
-                    ok = True
-                    new_comps = comps + (vb,)
-                else:
-                    home = next(c for c in comps if c & x)
-                    if home == x:
-                        ok = True
-                        new_comps = tuple(c if c != home else c | vb for c in comps)
-                if ok:
-                    rec(v + 1, smask | vb, new_comps, size + 1)
-            if not forced & vb:
-                rec(v + 1, smask, comps, size)
-
-        try:
-            rec(0, 0, (), 0)
-        except _Found:
-            pass
-        return best, best_mask
-
-    size, _ = search(0, g.full(), None)
-
-    def feasible(forced: int, box: int) -> bool:
-        got, _ = search(forced, box, size)
-        return got >= size
-
-    return size, _lexmin(n, size, feasible)
-
-
-def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
-    """Largest set inducing maximum degree at most one, with lexmin witness."""
-    if g.n > cap:
-        raise CapExceeded(f"dissociation cap {cap} exceeded by order {g.n}")
-    n = g.n
-    adj = g.adj
-
-    def search(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        best = 0
-        best_mask = 0
-        sdeg = [0] * n
 
         def rec(v: int, smask: int, size: int):
             nonlocal best, best_mask
@@ -340,18 +287,8 @@ def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
                         raise _Found
                 return
             vb = bit(v)
-            if allowed & vb:
-                x = adj[v] & smask
-                cnt = x.bit_count()
-                feasible_here = cnt <= 1 and all(sdeg[u] == 0 for u in iter_bits(x))
-                if feasible_here:
-                    sdeg[v] = cnt
-                    for u in iter_bits(x):
-                        sdeg[u] += 1
-                    rec(v + 1, smask | vb, size + 1)
-                    for u in iter_bits(x):
-                        sdeg[u] -= 1
-                    sdeg[v] = 0
+            if allowed & vb and addable(smask, v):
+                rec(v + 1, smask | vb, size + 1)
             if not forced & vb:
                 rec(v + 1, smask, size)
 
@@ -368,6 +305,38 @@ def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
         return got >= size
 
     return size, _lexmin(n, size, feasible)
+
+
+def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
+    """Largest set inducing a disjoint union of cliques, with lexmin witness."""
+    if g.n > cap:
+        raise CapExceeded(f"alpha_omega cap {cap} exceeded by order {g.n}")
+    adj = g.adj
+
+    def addable(smask: int, v: int) -> bool:
+        # v must join no clique or all of exactly one: the closed
+        # S-neighbourhood of any of its members
+        x = adj[v] & smask
+        if not x:
+            return True
+        low = x & -x
+        return x == (adj[low.bit_length() - 1] & smask) | low
+
+    return _hereditary_max(g, addable)
+
+
+def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
+    """Largest set inducing maximum degree at most one, with lexmin witness."""
+    if g.n > cap:
+        raise CapExceeded(f"dissociation cap {cap} exceeded by order {g.n}")
+    adj = g.adj
+
+    def addable(smask: int, v: int) -> bool:
+        # at most one S-neighbour, and that one still isolated in S
+        x = adj[v] & smask
+        return not x or (x & (x - 1) == 0 and not adj[x.bit_length() - 1] & smask)
+
+    return _hereditary_max(g, addable)
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +653,7 @@ def preserves_distances_everywhere(g: Graph) -> bool:
         d = distance_matrix(sub)
         for i in range(sub.n):
             for j in range(i + 1, sub.n):
-                if d[i, j] != base[verts[i], verts[j]]:
+                if d[i][j] != base[verts[i]][verts[j]]:
                     return False
     return True
 

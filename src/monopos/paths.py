@@ -17,9 +17,7 @@ source row at a time and cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .bitset import bit, full_mask, iter_bits, to_tuple
+from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from .errors import BudgetExceeded, CapExceeded, InputError
 from .graph import Graph
 
@@ -103,43 +101,6 @@ def induced_paths(g: Graph, u: int, v: int, budget: int = DEFAULT_BUDGET):
     yield from dfs(u, bit(u))
 
 
-@dataclass(frozen=True)
-class InducedPathQuery:
-    """One enumeration request: endpoints, aggregation mode, node budget.
-
-    Modes: ``collect`` returns the union mask of vertices on induced
-    u,v-paths; ``count`` the number of such paths; ``hit`` whether the probe
-    vertex lies on at least one of them.
-    """
-
-    u: int
-    v: int
-    mode: str = "collect"
-    probe: int | None = None
-    budget: int = DEFAULT_BUDGET
-
-
-def enumerate_induced_paths(g: Graph, q: InducedPathQuery):
-    if q.mode not in ("collect", "count", "hit"):
-        raise InputError(f"unknown enumeration mode {q.mode!r}")
-    if q.budget <= 0:
-        raise InputError("budget must be positive")
-    if q.mode == "hit":
-        if q.probe is None:
-            raise InputError("hit mode needs a probe vertex")
-        for p in induced_paths(g, q.u, q.v, q.budget):
-            if q.probe in p:
-                return True
-        return False
-    if q.mode == "count":
-        return sum(1 for _ in induced_paths(g, q.u, q.v, q.budget))
-    acc = 0
-    for p in induced_paths(g, q.u, q.v, q.budget):
-        for w in p:
-            acc |= bit(w)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # intervals, closures, hulls
 # ---------------------------------------------------------------------------
@@ -159,10 +120,6 @@ class IntervalCache:
         self._rows: dict[int, list[int]] = {}
         self.expansions = 0
 
-    def _check(self, g: Graph):
-        if (g.n, g.adj) != self.fingerprint:
-            raise InputError("interval cache used with a different graph")
-
     def row(self, u: int, budget: int = DEFAULT_BUDGET) -> list[int]:
         if u not in self._rows:
             row, exp = interval_row(self._g, u, budget)
@@ -180,10 +137,18 @@ class IntervalCache:
         return got
 
 
+def cache_for(g: Graph, cache: IntervalCache | None) -> IntervalCache:
+    """``cache`` after checking that it was built for ``g``, or a new cache."""
+    if cache is None:
+        return IntervalCache(g)
+    if (g.n, g.adj) != cache.fingerprint:
+        raise InputError("interval cache used with a different graph")
+    return cache
+
+
 def monophonic_interval(g: Graph, u: int, v: int, cache: IntervalCache | None = None,
                         budget: int = DEFAULT_BUDGET) -> int:
-    cache = cache if cache is not None else IntervalCache(g)
-    cache._check(g)
+    cache = cache_for(g, cache)
     return cache.interval(u, v, budget)
 
 
@@ -192,8 +157,7 @@ def monophonic_closure(g: Graph, m: int, cache: IntervalCache | None = None,
     """Union of pairwise intervals over m; always contains m."""
     if m == 0:
         raise InputError("closure of the empty set is undefined")
-    cache = cache if cache is not None else IntervalCache(g)
-    cache._check(g)
+    cache = cache_for(g, cache)
     out = m
     verts = to_tuple(m)
     for i, u in enumerate(verts):
@@ -209,7 +173,7 @@ def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None,
 
     The iteration count is the smallest r with closure^r(m) == closure^(r+1)(m).
     """
-    cache = cache if cache is not None else IntervalCache(g)
+    cache = cache_for(g, cache)
     current = m
     r = 0
     while True:
@@ -225,7 +189,7 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None,
     """Members of m lying in the closure of the rest of m."""
     if m.bit_count() < 2:
         raise InputError("interior vertices need a set of size at least 2")
-    cache = cache if cache is not None else IntervalCache(g)
+    cache = cache_for(g, cache)
     out = 0
     for u in iter_bits(m):
         rest = m & ~bit(u)
@@ -337,13 +301,11 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
 ORACLE_PATH_CAP = 9
 
 
-def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
-    """K[u,v] recomputed the slow way: list all simple paths, keep the
-    chordless ones.  Exists purely to cross-check the pruned enumeration."""
-    if g.n > cap:
-        raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
+def _chordless_simple_paths(g: Graph, u: int, v: int) -> list[int]:
+    """Vertex masks of the u,v-paths found by listing every simple path and
+    keeping the chordless ones, with no use of the pruned enumeration."""
     adj = g.adj
-    acc = 0
+    found: list[int] = []
     path = [u]
 
     def chordless(p: list[int]) -> bool:
@@ -354,50 +316,32 @@ def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -
         return True
 
     def dfs(last: int, seen: int):
-        nonlocal acc
         for w in iter_bits(adj[last] & ~seen):
             path.append(w)
             if w == v:
                 if chordless(path):
-                    m = 0
-                    for x in path:
-                        m |= bit(x)
-                    acc |= m
+                    found.append(mask_of(path))
             else:
                 dfs(w, seen | bit(w))
             path.pop()
 
     dfs(u, bit(u))
-    if acc == 0:
-        acc = bit(u) | bit(v)
-    return acc
+    return found
+
+
+def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
+    """K[u,v] recomputed the slow way, through the simple-path filter.
+    Exists purely to cross-check the pruned enumeration."""
+    if g.n > cap:
+        raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
+    acc = 0
+    for m in _chordless_simple_paths(g, u, v):
+        acc |= m
+    return acc or bit(u) | bit(v)
 
 
 def count_induced_paths_oracle(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP + 1) -> int:
     """Number of induced u,v-paths via the simple-path filter."""
     if g.n > cap:
         raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
-    adj = g.adj
-    count = 0
-    path = [u]
-
-    def chordless(p: list[int]) -> bool:
-        for i in range(len(p)):
-            for j in range(i + 2, len(p)):
-                if adj[p[i]] & bit(p[j]):
-                    return False
-        return True
-
-    def dfs(last: int, seen: int):
-        nonlocal count
-        for w in iter_bits(adj[last] & ~seen):
-            path.append(w)
-            if w == v:
-                if chordless(path):
-                    count += 1
-            else:
-                dfs(w, seen | bit(w))
-            path.pop()
-
-    dfs(u, bit(u))
-    return count
+    return len(_chordless_simple_paths(g, u, v))

@@ -8,6 +8,8 @@ geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), and the
 length-two mode restricts geodesic witnesses to pairs at distance exactly
 two.  One branch-and-bound maximizer serves all modes; the independent
 variants add a neighborhood filter when a vertex is taken.
+``GraphSolver`` is the one front end: every parameter, position type or
+supporting invariant, is computed by name through its table.
 
 Node limits are hard failures.  The solver never degrades to a bound.
 """
@@ -20,11 +22,15 @@ from enum import Enum
 from itertools import combinations
 
 from .bitset import bit, iter_bits, to_tuple
-from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
+from .errors import CapExceeded, InputError, InternalCheckError, LimitError, NodeLimitExceeded
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
-from .invariants import DIST_INF, distance_matrix, simplicial_vertices
-from .paths import DEFAULT_BUDGET, IntervalCache, simple_path_interval
+from .invariants import (DIST_INF, ORACLE_CAP, _lexmin, alpha_omega_number, clique_number,
+                         dissociation_number, distance_matrix, independence_number,
+                         simplicial_vertices)
+from .paths import (DEFAULT_BUDGET, LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
+                    induced_path_partition, longest_induced_path_length, monophonic_hull,
+                    simple_path_interval)
 
 
 class PathMode(Enum):
@@ -90,7 +96,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
     witness = [[0] * n for _ in range(n)]
     expansions = 0
     if mode is PathMode.MONOPHONIC:
-        cache = cache if cache is not None else IntervalCache(g)
+        cache = cache_for(g, cache)
         before = cache.expansions
         for x in range(n):
             row = cache.row(x, budget)
@@ -101,17 +107,19 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
     else:
         dist = distance_matrix(g)
         for x in range(n):
+            dx = dist[x]
             for z in range(x + 1, n):
-                d = int(dist[x, z])
+                d = dx[z]
                 if d >= DIST_INF:
                     continue
                 if mode is PathMode.GEODESIC_LEN2:
                     if d == 2:
                         witness[x][z] = witness[z][x] = g.adj[x] & g.adj[z]
                     continue
+                dz = dist[z]
                 w = 0
                 for y in range(n):
-                    if y != x and y != z and int(dist[x, y]) + int(dist[y, z]) == d:
+                    if y != x and y != z and dx[y] + dz[y] == d:
                         w |= bit(y)
                 witness[x][z] = witness[z][x] = w
     return TripleIndex(g, mode, witness, expansions)
@@ -265,18 +273,11 @@ def max_position_set(idx: TripleIndex, opts: SolverOptions = SolverOptions()) ->
     value, found = search.run(0, allowed, None)
 
     if opts.lexmin_witness:
-        forced = 0
-        box = allowed
-        for v in range(g.n - 1, -1, -1):
-            if not box & bit(v) or forced & bit(v):
-                continue
-            got, _ = search.run(forced, box & ~bit(v), value)
-            if got >= value:
-                box &= ~bit(v)
-            else:
-                forced |= bit(v)
-        if forced.bit_count() != value:
-            raise InternalCheckError("position lexmin pass lost feasibility")
+        def feasible(forced: int, box: int) -> bool:
+            got, _ = search.run(forced, box, value)
+            return got >= value
+
+        forced = _lexmin(g.n, value, feasible, universe=allowed)
     else:
         forced = found
     ok, _ = is_position_set(idx, forced)
@@ -305,7 +306,13 @@ POSITION_PARAMS: dict[str, tuple[PathMode, bool]] = {
 
 
 class GraphSolver:
-    """Memoizing front end: one interval cache and one triple index per mode."""
+    """The one front end for every parameter in :data:`PARAMETERS`.
+
+    Reports are memoized, and one interval cache and one triple index per
+    mode are shared between them.  ``cap`` bounds every exact routine; an
+    invariant with a cap of its own gets the smaller of the two.  A limit
+    raises, so callers that want a partial bundle catch ``LimitError``.
+    """
 
     def __init__(self, g: Graph, node_limit: int = 20_000_000, lexmin: bool = False,
                  cap: int = SOLVER_CAP):
@@ -323,21 +330,55 @@ class GraphSolver:
         return self._indexes[mode]
 
     def report(self, name: str) -> ParameterReport:
-        if name == "hm":
-            if name not in self._reports:
-                self._reports[name] = hull_number(self.g, self.cache, cap=self.cap)
-            return self._reports[name]
-        if name not in POSITION_PARAMS:
-            raise InputError(f"unknown position parameter {name!r}")
         if name not in self._reports:
-            mode, independent = POSITION_PARAMS[name]
-            opts = SolverOptions(require_independent=independent, node_limit=self.node_limit,
-                                 lexmin_witness=self.lexmin)
-            self._reports[name] = max_position_set(self.triple_index(mode), opts)
+            if name not in PARAMETERS:
+                raise InputError(f"unknown parameter {name!r}")
+            self._reports[name] = PARAMETERS[name](self, name)
         return self._reports[name]
 
     def value(self, name: str) -> int:
         return self.report(name).value
+
+
+def _position(s: GraphSolver, name: str) -> ParameterReport:
+    mode, independent = POSITION_PARAMS[name]
+    opts = SolverOptions(require_independent=independent, node_limit=s.node_limit,
+                         lexmin_witness=s.lexmin)
+    return max_position_set(s.triple_index(mode), opts)
+
+
+def _invariant(method: str, fn):
+    """Report builder for ``fn(g, cap) -> (value, witness mask)``."""
+    def compute(s: GraphSolver, name: str) -> ParameterReport:
+        t0 = time.perf_counter()
+        value, mask = fn(s.g, s.cap)
+        ms = (time.perf_counter() - t0) * 1000.0
+        return ParameterReport(emit_graph6(s.g), name, value, to_tuple(mask), method, 0, ms)
+    return compute
+
+
+def _simplicial(g: Graph, cap: int) -> tuple[int, int]:
+    mask = simplicial_vertices(g)
+    return mask.bit_count(), mask
+
+
+#: Parameter name -> report builder, in the order parameter_suite computes
+#: them.  Names are resolved at call time, so the layer tracer sees each call.
+PARAMETERS = {
+    "omega": _invariant("branch_and_bound", lambda g, cap: clique_number(g)),
+    "alpha": _invariant("branch_and_bound", lambda g, cap: independence_number(g)),
+    "alphaomega": _invariant("branch_and_bound",
+                             lambda g, cap: alpha_omega_number(g, min(cap, ORACLE_CAP))),
+    "diss": _invariant("branch_and_bound",
+                       lambda g, cap: dissociation_number(g, min(cap, ORACLE_CAP))),
+    "simplicial": _invariant("closed_form", _simplicial),
+    "L": _invariant("branch_and_bound", lambda g, cap: (
+        longest_induced_path_length(g, min(cap, LONGEST_PATH_CAP)), 0)),
+    "rho": _invariant("oracle", lambda g, cap: (
+        induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
+    **{name: _position for name in POSITION_PARAMS},
+    "hm": lambda s, name: hull_number(s.g, s.cache, cap=s.cap),
+}
 
 
 BRUTE_FORCE_CAP = 12
@@ -376,7 +417,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
         dist = distance_matrix(g)
         for x in range(n):
             for z in range(x + 1, n):
-                d = int(dist[x, z])
+                d = dist[x][z]
                 if d >= DIST_INF:
                     continue
                 if mode is PathMode.GEODESIC_LEN2:
@@ -384,7 +425,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
                 else:
                     w = 0
                     for y in range(n):
-                        if y != x and y != z and int(dist[x, y]) + int(dist[y, z]) == d:
+                        if y != x and y != z and dist[x][y] + dist[y][z] == d:
                             w |= bit(y)
                 if w:
                     constraints.append((bit(x) | bit(z), w))
@@ -432,11 +473,11 @@ def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_
     minimum hull set never does that.
     """
     t0 = time.perf_counter()
+    cache = cache_for(g, cache)
     if not g.is_connected():
         raise InputError("hull_number requires a connected graph")
     if g.n > cap:
         raise CapExceeded(f"hull cap {cap} exceeded by order {g.n}")
-    cache = cache if cache is not None else IntervalCache(g)
     n = g.n
     before = cache.expansions
 
@@ -455,22 +496,9 @@ def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_
     if n == 1:
         return finish(1, 0)
 
-    def hull_of(mask: int) -> int:
-        current = mask
-        while True:
-            nxt = current
-            verts = to_tuple(current)
-            for i, u in enumerate(verts):
-                row = cache.row(u)
-                for v in verts[i + 1:]:
-                    nxt |= row[v]
-            if nxt == current:
-                return current
-            current = nxt
-
     seed = simplicial_vertices(g)
     tested = 0
-    if seed.bit_count() >= 2 and hull_of(seed) == g.full():
+    if seed.bit_count() >= 2 and monophonic_hull(g, seed, cache)[0] == g.full():
         return finish(seed, 1)
 
     idx = build_triple_index(g, PathMode.MONOPHONIC, cache)
@@ -497,7 +525,7 @@ def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_
             ok, _ = is_position_set(idx, mask)
             if not ok:
                 continue
-            if hull_of(mask) == g.full():
+            if monophonic_hull(g, mask, cache)[0] == g.full():
                 return finish(mask, tested)
     raise InternalCheckError("no hull set found up to the full vertex set")
 
@@ -513,8 +541,6 @@ def hull_number_oracle(g: Graph, cap: int = 12) -> int:
         return 1
     cache = IntervalCache(g)
     full = g.full()
-    from .paths import monophonic_hull
-
     for size in range(2, g.n + 1):
         for combo in combinations(range(g.n), size):
             mask = 0
@@ -543,60 +569,19 @@ class SuiteResult:
 
 
 def parameter_suite(g: Graph, node_limit: int = 20_000_000,
-                    oracle_cap: int = 20, rho_cap: int = 16,
-                    longest_cap: int = 30, hull_cap: int = SOLVER_CAP) -> SuiteResult:
-    """Compute mp, gp, gp2, imp, igp, hull number and the supporting
-    invariants in one bundle.  Parameters over their cap are reported as
-    skipped, never silently dropped."""
-    from .errors import LimitError
-    from .invariants import (alpha_omega_number, clique_number, dissociation_number,
-                             independence_number)
-    from .paths import induced_path_partition, longest_induced_path_length
-
-    gid = emit_graph6(g)
+                    cap: int = SOLVER_CAP) -> SuiteResult:
+    """Every parameter in :data:`PARAMETERS`, with lexmin witnesses, from one
+    :class:`GraphSolver`.  Parameters over their cap, and hm on a
+    disconnected graph, are reported as skipped, never silently dropped."""
+    solver = GraphSolver(g, node_limit, lexmin=True, cap=cap)
     reports: dict[str, ParameterReport] = {}
     skipped: dict[str, str] = {}
-    cache = IntervalCache(g)
-
-    def wrap(name: str, fn, method: str):
-        t0 = time.perf_counter()
+    for name in PARAMETERS:
+        if name == "hm" and not g.is_connected():
+            skipped[name] = "hull number undefined for disconnected graphs"
+            continue
         try:
-            value, witness = fn()
+            reports[name] = solver.report(name)
         except LimitError as exc:
             skipped[name] = str(exc)
-            return
-        ms = (time.perf_counter() - t0) * 1000.0
-        reports[name] = ParameterReport(gid, name, value, witness, method, 0, ms)
-
-    wrap("omega", lambda: _pair(clique_number(g)), "branch_and_bound")
-    wrap("alpha", lambda: _pair(independence_number(g)), "branch_and_bound")
-    wrap("alphaomega", lambda: _pair(alpha_omega_number(g, oracle_cap)), "branch_and_bound")
-    wrap("diss", lambda: _pair(dissociation_number(g, oracle_cap)), "branch_and_bound")
-    wrap("simplicial", lambda: _pair((simplicial_vertices(g).bit_count(), simplicial_vertices(g))), "closed_form")
-    wrap("L", lambda: (longest_induced_path_length(g, longest_cap), ()), "branch_and_bound")
-    wrap("rho", lambda: (induced_path_partition(g, rho_cap)[0], ()), "oracle")
-
-    for mode, independent in ((PathMode.MONOPHONIC, False), (PathMode.GEODESIC, False),
-                              (PathMode.GEODESIC_LEN2, False), (PathMode.MONOPHONIC, True),
-                              (PathMode.GEODESIC, True)):
-        name = parameter_name(mode, independent)
-        try:
-            idx = build_triple_index(g, mode, cache)
-            reports[name] = max_position_set(idx, SolverOptions(require_independent=independent,
-                                                                node_limit=node_limit))
-        except LimitError as exc:
-            skipped[name] = str(exc)
-
-    if g.is_connected():
-        try:
-            reports["hm"] = hull_number(g, cache, hull_cap)
-        except LimitError as exc:
-            skipped["hm"] = str(exc)
-    else:
-        skipped["hm"] = "hull number undefined for disconnected graphs"
     return SuiteResult(reports, skipped)
-
-
-def _pair(result: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-    value, mask = result
-    return value, to_tuple(mask)

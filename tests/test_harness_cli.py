@@ -193,3 +193,42 @@ def test_cli_verify_strict_flag(capsys):
     code, _, _ = run_cli(capsys, "verify", "--check", "cages-mp", "--profile", "quick",
                          "--strict")
     assert code == 0
+
+
+def test_cli_compute_all_honours_cap(tmp_path, capsys):
+    # a 70-vertex tree; a star keeps every position search small (on a
+    # random tree the searches run for minutes)
+    from monopos.families import star_graph
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "star70.g6"
+    path.write_text(emit_graph6(star_graph(69)) + "\n")
+    code, out, _ = run_cli(capsys, "compute", str(path), "--param", "all", "--cap", "100",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    values = {p["parameter"]: p["value"] for p in doc["parameters"]}
+    assert {"mp", "gp", "gp2", "imp", "igp"} <= set(values)
+    code, out, _ = run_cli(capsys, "compute", str(path), "--param", "mp", "--cap", "100",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"][0]["value"] == values["mp"] == 69
+
+
+def test_cli_named_parameter_over_cap_exits_3(tmp_path, capsys):
+    from monopos.graph import path_graph
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "p17.g6"
+    path.write_text(emit_graph6(path_graph(17)) + "\n")
+    code, _, err = run_cli(capsys, "compute", str(path), "--param", "rho")
+    assert code == 3 and "cap 16" in err
+
+
+def test_readme_library_example(capsys):
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "3 6"

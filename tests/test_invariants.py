@@ -1,6 +1,5 @@
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -24,9 +23,9 @@ from monopos.invariants import (DIST_INF, alpha_omega_number, bipartition, block
 
 def test_distance_examples():
     d = distance_matrix(cycle_graph(6))
-    assert d[0, 3] == 3 and d[0, 1] == 1 and d[0, 0] == 0
+    assert d[0][3] == 3 and d[0][1] == 1 and d[0][0] == 0
     dk = distance_matrix(complete_graph(4))
-    assert (dk + np.eye(4, dtype=int) == 1).all()
+    assert all(dk[i][j] + (i == j) == 1 for i in range(4) for j in range(4))
     from monopos.families import petersen_graph
 
     assert diameter(petersen_graph()) == 2
@@ -35,19 +34,19 @@ def test_distance_examples():
 def test_distance_disconnected_sentinel():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     d = distance_matrix(g)
-    assert d[0, 2] == DIST_INF and d[0, 1] == 1
+    assert d[0][2] == DIST_INF and d[0][1] == 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=2, max_n=9))
 def test_distance_symmetry_triangle(g):
     d = distance_matrix(g)
-    assert (d == d.T).all()
     n = g.n
+    assert all(d[i][j] == d[j][i] for i in range(n) for j in range(n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                assert d[i, j] <= int(d[i, k]) + int(d[k, j])
+                assert d[i][j] <= d[i][k] + d[k][j]
 
 
 # -- articulation ------------------------------------------------------------

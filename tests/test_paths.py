@@ -6,8 +6,7 @@ from monopos.bitset import bit, full_mask, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
 from monopos.graph import Graph, complete_graph, cycle_graph, path_graph
 from monopos.invariants import distance_matrix
-from monopos.paths import (InducedPathQuery, IntervalCache,
-                           count_induced_paths_oracle, enumerate_induced_paths,
+from monopos.paths import (IntervalCache, count_induced_paths_oracle,
                            induced_path_partition, induced_paths, interior_vertices,
                            interval_row, longest_induced_path_length, monophonic_closure,
                            monophonic_hull, monophonic_interval, simple_path_interval)
@@ -17,6 +16,8 @@ def test_adjacent_pair_on_cycle_has_only_the_edge():
     c5 = cycle_graph(5)
     assert list(induced_paths(c5, 0, 1)) == [(0, 1)]
     assert monophonic_interval(c5, 0, 1) == mask_of([0, 1])
+    with pytest.raises(InputError):
+        list(induced_paths(c5, 2, 2))
 
 
 def test_nonadjacent_pair_on_cycle_gets_both_arcs():
@@ -58,11 +59,11 @@ def test_geodesics_are_monophonic(g):
     cache = IntervalCache(g)
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if d[u, v] >= g.n:
+            if d[u][v] >= g.n:
                 continue
             k = cache.interval(u, v)
             for y in range(g.n):
-                if int(d[u, y]) + int(d[y, v]) == int(d[u, v]):
+                if d[u][y] + d[y][v] == d[u][v]:
                     assert k & bit(y)
 
 
@@ -202,26 +203,18 @@ def test_budget_exhaustion_is_loud():
         list(induced_paths(g, 0, 15, budget=10))
 
 
-def test_enumerate_modes():
-    c5 = cycle_graph(5)
-    assert enumerate_induced_paths(c5, InducedPathQuery(0, 2, "count")) == 2
-    assert enumerate_induced_paths(c5, InducedPathQuery(0, 2, "collect")) == full_mask(5)
-    assert enumerate_induced_paths(c5, InducedPathQuery(0, 2, "hit", probe=4)) is True
-    assert enumerate_induced_paths(c5, InducedPathQuery(0, 1, "hit", probe=3)) is False
-    with pytest.raises(InputError):
-        enumerate_induced_paths(c5, InducedPathQuery(0, 2, "bogus"))
-    with pytest.raises(InputError):
-        enumerate_induced_paths(c5, InducedPathQuery(0, 2, "hit"))
-    with pytest.raises(InputError):
-        list(induced_paths(c5, 2, 2))
-
-
 def test_interval_cache_guards():
     c5, c6 = cycle_graph(5), cycle_graph(6)
     cache = IntervalCache(c5)
     cache.interval(0, 2)
     with pytest.raises(InputError):
         monophonic_interval(c6, 0, 2, cache)
+    from monopos.solvers import PathMode, build_triple_index, hull_number
+
+    with pytest.raises(InputError):
+        build_triple_index(complete_graph(6), PathMode.MONOPHONIC, IntervalCache(path_graph(6)))
+    with pytest.raises(InputError):
+        hull_number(path_graph(5), IntervalCache(c6))
 
 
 def test_deterministic_enumeration_order():

@@ -174,7 +174,7 @@ def test_parameter_suite_bundle():
 
 def test_parameter_suite_flags_caps():
     g = complete_graph(22)
-    suite = parameter_suite(g, oracle_cap=20)
+    suite = parameter_suite(g)
     assert "alphaomega" in suite.skipped and "diss" in suite.skipped
     assert suite.reports["mp"].value == 22
 
