@@ -34,8 +34,3 @@ def iter_bits(mask: int):
 
 def to_tuple(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
-
-
-def lowest_bit(mask: int) -> int:
-    """Position of the lowest set bit. Mask must be nonzero."""
-    return (mask & -mask).bit_length() - 1

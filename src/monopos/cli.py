@@ -14,51 +14,49 @@ import sys
 from pathlib import Path
 
 from .bitset import mask_of, to_tuple
-from .errors import EXIT_INTERNAL, InputError, InternalCheckError, MonoposError
-from .graph import Graph, parse_edgelist
+from .errors import EXIT_INTERNAL, CapExceeded, InputError, InternalCheckError, MonoposError
+from .graph import SOLVER_CAP, Graph, parse_edgelist
 from .graph6 import emit_graph6, parse_graph6
 from .harness import available_checks, run_suite
+from .invariants import (bipartition, cut_vertices, diameter, is_distance_hereditary,
+                         phi_separated, psi_uniform, split_partition)
 from .paths import (IntervalCache, interior_vertices, monophonic_closure,
                     monophonic_hull, monophonic_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (GraphSolver, ParameterReport, PathMode, brute_force_position,
-                      parameter_suite)
+from .solvers import (BRUTE_FORCE_CAP, NODE_LIMIT, GraphSolver, PathMode, _invariant,
+                      brute_force_position, parameter_suite)
 from . import families
 
-EXTRA_NAMES = ("cuts", "dh", "diam", "psi", "phi")
+
+def _cuts(g: Graph, cap: int) -> tuple[int, int]:
+    mask = cut_vertices(g)
+    return mask.bit_count(), mask
 
 
-def _extra_report(g: Graph, name: str) -> ParameterReport:
-    import time as _time
+def _psi(g: Graph, cap: int) -> tuple[int, int]:
+    bp, odd = bipartition(g)
+    if bp is None:
+        raise InputError(f"graph is not bipartite (odd cycle {odd})")
+    return psi_uniform(g, bp)
 
-    from .invariants import (bipartition, cut_vertices, diameter, is_distance_hereditary,
-                             phi_separated, psi_uniform, split_partition)
 
-    t0 = _time.perf_counter()
-    witness: tuple[int, ...] = ()
-    if name == "cuts":
-        mask = cut_vertices(g)
-        value, witness = mask.bit_count(), to_tuple(mask)
-    elif name == "dh":
-        value = int(is_distance_hereditary(g))
-    elif name == "diam":
-        value = diameter(g)
-    elif name == "psi":
-        bp, odd = bipartition(g)
-        if bp is None:
-            raise InputError(f"graph is not bipartite (odd cycle {odd})")
-        value, mask = psi_uniform(g, bp)
-        witness = to_tuple(mask)
-    elif name == "phi":
-        sp = split_partition(g)
-        if sp is None:
-            raise InputError("graph is not a split graph")
-        value, mask = phi_separated(g, sp)
-        witness = to_tuple(mask)
-    else:
-        raise InputError(f"unknown parameter {name!r}")
-    ms = (_time.perf_counter() - t0) * 1000.0
-    return ParameterReport(emit_graph6(g), name, value, witness, "closed_form", 0, ms)
+def _phi(g: Graph, cap: int) -> tuple[int, int]:
+    sp = split_partition(g)
+    if sp is None:
+        raise InputError("graph is not a split graph")
+    return phi_separated(g, sp)
+
+
+#: Closed-form names that ``compute`` accepts besides :data:`solvers.PARAMETERS`.
+CLOSED_FORMS = {
+    name: _invariant("closed_form", fn) for name, fn in (
+        ("cuts", _cuts),
+        ("dh", lambda g, cap: (int(is_distance_hereditary(g)), 0)),
+        ("diam", lambda g, cap: (diameter(g), 0)),
+        ("psi", _psi),
+        ("phi", _phi),
+    )
+}
 
 
 def _read_graphs(path: str, input_format: str) -> list[Graph]:
@@ -94,8 +92,8 @@ def _cmd_compute(args) -> int:
             skipped = suite.skipped
         else:
             solver = GraphSolver(g, node_limit=args.node_limit, lexmin=True, cap=args.cap)
-            reports = [_extra_report(g, name) if name in EXTRA_NAMES else solver.report(name)
-                       for name in wanted]
+            reports = [CLOSED_FORMS[name](solver, name) if name in CLOSED_FORMS
+                       else solver.report(name) for name in wanted]
             skipped = {}
         doc = {"graph6": gid, "n": g.n, "m": g.edge_count(),
                "parameters": [r.to_dict() for r in reports], "skipped": skipped}
@@ -163,7 +161,7 @@ def _cmd_reduce(args) -> int:
     inst = reduce_clique_to_mp(graphs[0], args.k)
     doc = {"product": emit_graph6(inst.product), "k_prime": inst.k_prime}
     if not args.no_verify:
-        doc.update(verify_reduction(inst, node_limit=args.node_limit).to_dict())
+        doc.update(verify_reduction(inst, node_limit=args.node_limit, cap=args.cap).to_dict())
     lines = [doc["product"], f"k' = {doc['k_prime']}"]
     if not args.no_verify:
         lines.append(f"omega(source) = {doc['omega_source']}, mp(product) = {doc['mp_product']}")
@@ -176,11 +174,10 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_oracle(args) -> int:
     graphs = _read_graphs(args.path, args.input)
+    cap = min(args.cap, BRUTE_FORCE_CAP)
     for g in graphs:
-        if g.n > min(args.cap, 12):
-            from .errors import CapExceeded
-
-            raise CapExceeded(f"oracle cap {min(args.cap, 12)} exceeded by order {g.n}")
+        if g.n > cap:
+            raise CapExceeded(f"oracle cap {cap} exceeded by order {g.n}")
         rep = brute_force_position(g, PathMode.from_string(args.mode), args.independent)
         _emit(rep.to_dict(), args,
               [f"{rep.parameter}({emit_graph6(g)}) = {rep.value}  witness {list(rep.witness)} [oracle]"])
@@ -228,22 +225,26 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Exact monophonic/general position toolkit")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=True):
+    def common(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
         p.add_argument("--input", choices=("auto", "g6", "edges"), default="auto")
-        p.add_argument("--node-limit", type=int, default=20_000_000)
-        p.add_argument("--cap", type=int, default=64,
-                       help="order cap for the exact solvers (default 64)")
-        if with_mode:
-            p.add_argument("--mode", choices=("mono", "geo", "geo2"), default="mono")
-            p.add_argument("--independent", action="store_true")
+
+    def cap(p):
+        p.add_argument("--cap", type=int, default=SOLVER_CAP,
+                       help=f"order cap for the exact solvers (default {SOLVER_CAP})")
+
+    def node_limit(p):
+        p.add_argument("--node-limit", type=int, default=NODE_LIMIT,
+                       help=f"branch-and-bound node limit (default {NODE_LIMIT})")
 
     p = sub.add_parser("compute", help="exact parameters of input graphs")
     p.add_argument("path", help="graph6 or edge-list file, - for stdin")
     p.add_argument("--param", default="mp",
                    help="comma list from mp,gp,gp2,imp,igp,hm,alpha,omega,alphaomega,"
                         "diss,simplicial,L,rho,cuts,dh,diam,psi,phi or 'all'")
-    common(p, with_mode=False)
+    common(p)
+    cap(p)
+    node_limit(p)
     p.set_defaults(fn=_cmd_compute)
 
     p = sub.add_parser("family", help="generate a named family instance with predictions")
@@ -269,12 +270,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("k", type=int)
     p.add_argument("--no-verify", action="store_true")
-    common(p, with_mode=False)
+    common(p)
+    cap(p)
+    node_limit(p)
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("oracle", help="brute-force position number (small graphs)")
     p.add_argument("path")
     common(p)
+    cap(p)
+    p.add_argument("--mode", choices=("mono", "geo", "geo2"), default="mono")
+    p.add_argument("--independent", action="store_true")
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("paths", help="intervals, closures, hulls, interior vertices")
@@ -283,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--closure", type=lambda s: [int(x) for x in s.split(",")])
     p.add_argument("--hull", type=lambda s: [int(x) for x in s.split(",")])
     p.add_argument("--interior", type=lambda s: [int(x) for x in s.split(",")])
-    common(p, with_mode=False)
+    common(p)
     p.set_defaults(fn=_cmd_paths)
     return ap
 

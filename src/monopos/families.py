@@ -23,7 +23,7 @@ from .invariants import (alpha_omega_number, bipartition, clique_number,
                          deficiency_witness, diameter, independence_number,
                          is_block_graph, leaves, phi_separated, psi_uniform,
                          simplicial_vertices, split_partition, SplitPartition)
-from .solvers import PathMode, build_triple_index, max_position_set
+from .solvers import GraphSolver
 
 
 @dataclass(frozen=True)
@@ -512,11 +512,6 @@ def generate(spec: FamilySpec) -> tuple[Graph, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _mp_of(g: Graph) -> int:
-    idx = build_triple_index(g, PathMode.MONOPHONIC)
-    return max_position_set(idx).value
-
-
 def predict_block_graph(g: Graph) -> list[PredictedValue]:
     """Block graphs: mp and gp both equal the number of simplicial vertices."""
     if not g.is_connected() or not is_block_graph(g):
@@ -610,7 +605,7 @@ def predict_corona(g: Graph, h: Graph) -> list[PredictedValue]:
     if not g.is_connected():
         raise InputError("corona prediction needs a connected first factor")
     why = f"corona with base order {g.n}"
-    out = [PredictedValue("mp", g.n * _mp_of(h), "corona-product", why)]
+    out = [PredictedValue("mp", g.n * GraphSolver(h).value("mp"), "corona-product", why)]
     try:
         aw, _ = alpha_omega_number(h)
         out.append(PredictedValue("gp", g.n * aw, "corona-product-gp", why))
@@ -622,7 +617,7 @@ def predict_corona(g: Graph, h: Graph) -> list[PredictedValue]:
 def predict_join(g: Graph, h: Graph) -> list[PredictedValue]:
     og, _ = clique_number(g)
     oh, _ = clique_number(h)
-    mp_val = max(og + oh, _mp_of(g), _mp_of(h))
+    mp_val = max(og + oh, GraphSolver(g).value("mp"), GraphSolver(h).value("mp"))
     out = [PredictedValue("mp", mp_val, "join-max", "join of the two factors")]
     try:
         ag, _ = alpha_omega_number(g)

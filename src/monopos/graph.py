@@ -19,9 +19,9 @@ SOLVER_CAP = 64
 
 
 class Graph:
-    __slots__ = ("n", "adj", "labels")
+    __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...], labels: tuple[str, ...] | None = None):
+    def __init__(self, n: int, adj: tuple[int, ...]):
         if not 1 <= n <= MAX_VERTICES:
             raise InputError(f"graph order {n} outside supported range 1..{MAX_VERTICES}")
         if len(adj) != n:
@@ -38,12 +38,11 @@ class Graph:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = tuple(adj)
-        self.labels = labels
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -52,7 +51,7 @@ class Graph:
                 raise InputError(f"loop at vertex {u}")
             adj[u] |= bit(v)
             adj[v] |= bit(u)
-        return cls(n, tuple(adj), labels)
+        return cls(n, tuple(adj))
 
     # -- elementary queries ---------------------------------------------------
 

@@ -33,9 +33,9 @@ from .invariants import (alpha_omega_number, clique_number, cut_vertices,
 from .paths import (induced_path_partition, interval_row,
                     longest_induced_path_length, simple_path_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (GraphSolver, PathMode, SolverOptions, brute_force_position,
-                      build_triple_index, hull_number, hull_number_oracle,
-                      is_position_set, max_position_set)
+from .solvers import (POSITION_PARAMS, GraphSolver, PathMode, SolverOptions,
+                      brute_force_position, hull_number_oracle, is_position_set,
+                      max_position_set)
 from . import families as fam
 
 
@@ -218,12 +218,7 @@ def _check_solver_oracle(rng: random.Random, scale: float):
     graphs += [fam.random_unicyclic(rng.randint(4, 9), rng) for _ in range(_count(scale, 15))]
     for g in graphs:
         solver = GraphSolver(g, lexmin=True)
-        for name in ("mp", "gp", "gp2", "imp", "igp"):
-            mode, independent = {"mp": (PathMode.MONOPHONIC, False),
-                                 "gp": (PathMode.GEODESIC, False),
-                                 "gp2": (PathMode.GEODESIC_LEN2, False),
-                                 "imp": (PathMode.MONOPHONIC, True),
-                                 "igp": (PathMode.GEODESIC, True)}[name]
+        for name, (mode, independent) in POSITION_PARAMS.items():
             want = brute_force_position(g, mode, independent)
             got = solver.report(name)
             if got.value != want.value or got.witness != want.witness:
@@ -520,8 +515,9 @@ def _check_structure(rng: random.Random, scale: float):
     count = _count(scale, 200)
     for _ in range(count):
         g = fam.random_connected_graph(rng.randint(2, 7), rng)
-        idx = build_triple_index(g, PathMode.MONOPHONIC)
-        best = GraphSolver(g).value("mp")
+        s = GraphSolver(g)
+        idx = s.triple_index(PathMode.MONOPHONIC)
+        best = s.value("mp")
         for m in range(1 << g.n):
             if m.bit_count() != best:
                 continue
@@ -763,12 +759,12 @@ def _check_split(rng: random.Random, scale: float):
         g = fam.random_split_graph(rng.randint(3, 16), rng)
         sp = split_partition(g)
         phi, witness = phi_separated(g, sp)
-        mp = GraphSolver(g).value("mp")
+        s = GraphSolver(g)
+        mp = s.value("mp")
         if phi != mp:
             _fail(failures, g, phi=phi, mp=mp)
             continue
-        idx = build_triple_index(g, PathMode.MONOPHONIC)
-        ok, _ = is_position_set(idx, witness)
+        ok, _ = is_position_set(s.triple_index(PathMode.MONOPHONIC), witness)
         if not ok or witness.bit_count() != phi:
             _fail(failures, g, reason="separated witness is not a position optimum",
                   witness=to_tuple(witness))
@@ -929,14 +925,15 @@ def _check_hull(rng: random.Random, scale: float):
     for _ in range(trees):
         t = fam.random_tree(rng.randint(2, 12), rng)
         instances += 1
-        rep = hull_number(t)
+        rep = GraphSolver(t).report("hm")
         want = leaves(t).bit_count()
         if rep.value != want:
             _fail(failures, t, hm=rep.value, leaf_count=want)
     for _ in range(_count(scale, 60)):
         g = fam.random_connected_graph(rng.randint(2, 9), rng)
         instances += 1
-        rep = hull_number(g)
+        s = GraphSolver(g)
+        rep = s.report("hm")
         if rep.value != hull_number_oracle(g):
             _fail(failures, g, hm=rep.value, oracle=hull_number_oracle(g))
             continue
@@ -944,13 +941,12 @@ def _check_hull(rng: random.Random, scale: float):
         if witness & simplicial_vertices(g) != simplicial_vertices(g):
             _fail(failures, g, reason="hull witness misses a simplicial vertex",
                   witness=list(rep.witness))
-        idx = build_triple_index(g, PathMode.MONOPHONIC)
-        ok, _ = is_position_set(idx, witness)
+        ok, _ = is_position_set(s.triple_index(PathMode.MONOPHONIC), witness)
         if not ok:
             _fail(failures, g, reason="hull witness is not in position",
                   witness=list(rep.witness))
-        if rep.value > GraphSolver(g).value("mp"):
-            _fail(failures, g, hm=rep.value, mp=GraphSolver(g).value("mp"))
+        if rep.value > s.value("mp"):
+            _fail(failures, g, hm=rep.value, mp=s.value("mp"))
     return instances, failures, {"tree_instances": trees}
 
 
@@ -966,8 +962,8 @@ def _check_hull_realization(rng: random.Random, scale: float):
                     continue
                 g = fam.g_abl(a, b, length)
                 count += 1
-                hm = hull_number(g).value
-                mp = GraphSolver(g).value("mp")
+                s = GraphSolver(g)
+                hm, mp = s.value("hm"), s.value("mp")
                 if (hm, mp) != (a, b):
                     _fail(failures, g, a=a, b=b, length=length, hm=hm, mp=mp)
                 else:

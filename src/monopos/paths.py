@@ -21,7 +21,8 @@ from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from .errors import BudgetExceeded, CapExceeded, InputError
 from .graph import Graph
 
-#: Default node-expansion budget for one enumeration (one source or pair).
+#: Node-expansion budget for one enumeration: one interval row, the paths of
+#: one pair, or one longest-induced-path search.
 DEFAULT_BUDGET = 10_000_000
 
 LONGEST_PATH_CAP = 30
@@ -120,18 +121,18 @@ class IntervalCache:
         self._rows: dict[int, list[int]] = {}
         self.expansions = 0
 
-    def row(self, u: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+    def row(self, u: int) -> list[int]:
         if u not in self._rows:
-            row, exp = interval_row(self._g, u, budget)
+            row, exp = interval_row(self._g, u)
             self.expansions += exp
             self._rows[u] = row
         return self._rows[u]
 
-    def interval(self, u: int, v: int, budget: int = DEFAULT_BUDGET) -> int:
+    def interval(self, u: int, v: int) -> int:
         """K[u,v]; equals {u,v} when u and v sit in different components."""
         if u == v:
             raise InputError("interval endpoints must differ")
-        got = self.row(u, budget)[v]
+        got = self.row(u)[v]
         if got == 0:
             return bit(u) | bit(v)
         return got
@@ -146,14 +147,11 @@ def cache_for(g: Graph, cache: IntervalCache | None) -> IntervalCache:
     return cache
 
 
-def monophonic_interval(g: Graph, u: int, v: int, cache: IntervalCache | None = None,
-                        budget: int = DEFAULT_BUDGET) -> int:
-    cache = cache_for(g, cache)
-    return cache.interval(u, v, budget)
+def monophonic_interval(g: Graph, u: int, v: int, cache: IntervalCache | None = None) -> int:
+    return cache_for(g, cache).interval(u, v)
 
 
-def monophonic_closure(g: Graph, m: int, cache: IntervalCache | None = None,
-                       budget: int = DEFAULT_BUDGET) -> int:
+def monophonic_closure(g: Graph, m: int, cache: IntervalCache | None = None) -> int:
     """Union of pairwise intervals over m; always contains m."""
     if m == 0:
         raise InputError("closure of the empty set is undefined")
@@ -161,14 +159,13 @@ def monophonic_closure(g: Graph, m: int, cache: IntervalCache | None = None,
     out = m
     verts = to_tuple(m)
     for i, u in enumerate(verts):
-        row = cache.row(u, budget)
+        row = cache.row(u)
         for v in verts[i + 1:]:
             out |= row[v] if row[v] else bit(u) | bit(v)
     return out
 
 
-def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None,
-                    budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
+def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None) -> tuple[int, int]:
     """Iterate closure to its fixpoint; returns (hull, iterations).
 
     The iteration count is the smallest r with closure^r(m) == closure^(r+1)(m).
@@ -177,15 +174,14 @@ def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None,
     current = m
     r = 0
     while True:
-        nxt = monophonic_closure(g, current, cache, budget)
+        nxt = monophonic_closure(g, current, cache)
         if nxt == current:
             return current, r
         current = nxt
         r += 1
 
 
-def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None,
-                      budget: int = DEFAULT_BUDGET) -> int:
+def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None) -> int:
     """Members of m lying in the closure of the rest of m."""
     if m.bit_count() < 2:
         raise InputError("interior vertices need a set of size at least 2")
@@ -193,7 +189,7 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None,
     out = 0
     for u in iter_bits(m):
         rest = m & ~bit(u)
-        if rest.bit_count() >= 2 and monophonic_closure(g, rest, cache, budget) & bit(u):
+        if rest.bit_count() >= 2 and monophonic_closure(g, rest, cache) & bit(u):
             out |= bit(u)
     return out
 
@@ -203,8 +199,7 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None,
 # ---------------------------------------------------------------------------
 
 
-def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP,
-                                budget: int = DEFAULT_BUDGET) -> int:
+def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP) -> int:
     """Exact maximum length (edges) over all induced paths."""
     if g.n > cap:
         raise CapExceeded(f"longest induced path cap {cap} exceeded by order {g.n}")
@@ -221,8 +216,8 @@ def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP,
             ext ^= b
             w = b.bit_length() - 1
             expansions += 1
-            if expansions > budget:
-                raise BudgetExceeded(f"longest-path budget {budget} exhausted")
+            if expansions > DEFAULT_BUDGET:
+                raise BudgetExceeded(f"longest-path budget {DEFAULT_BUDGET} exhausted")
             if depth + 1 > best:
                 best = depth + 1
             dfs(w, depth + 1, child_base | b)

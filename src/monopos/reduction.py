@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graph import Graph, complete_graph, join
+from .graph import SOLVER_CAP, Graph, complete_graph, join
 from .graph6 import emit_graph6
 from .invariants import clique_number
-from .solvers import PathMode, SolverOptions, build_triple_index, max_position_set
+from .solvers import NODE_LIMIT, GraphSolver
 
 
 @dataclass(frozen=True)
@@ -72,15 +72,15 @@ class ReductionReport:
         }
 
 
-def verify_reduction(inst: ReductionInstance, node_limit: int = 20_000_000) -> ReductionReport:
+def verify_reduction(inst: ReductionInstance, node_limit: int = NODE_LIMIT,
+                     cap: int = SOLVER_CAP) -> ReductionReport:
     """Solve both sides exactly and compare the yes/no answers.
 
     Solver cap or node-limit failures propagate as limit errors; they are
     never folded into a verification verdict.
     """
     omega, _ = clique_number(inst.source)
-    idx = build_triple_index(inst.product, PathMode.MONOPHONIC)
-    mp = max_position_set(idx, SolverOptions(node_limit=node_limit)).value
+    mp = GraphSolver(inst.product, node_limit, cap=cap).value("mp")
     return ReductionReport(
         source_g6=emit_graph6(inst.source),
         product_g6=emit_graph6(inst.product),

@@ -21,14 +21,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .bitset import bit, iter_bits, to_tuple
+from .bitset import bit, iter_bits, mask_of, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError, NodeLimitExceeded
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
 from .invariants import (DIST_INF, ORACLE_CAP, _lexmin, alpha_omega_number, clique_number,
                          dissociation_number, distance_matrix, independence_number,
                          simplicial_vertices)
-from .paths import (DEFAULT_BUDGET, LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
+from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
                     induced_path_partition, longest_induced_path_length, monophonic_hull,
                     simple_path_interval)
 
@@ -89,7 +89,7 @@ class TripleIndex:
 
 
 def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = None,
-                       budget: int = DEFAULT_BUDGET, cap: int = SOLVER_CAP) -> TripleIndex:
+                       cap: int = SOLVER_CAP) -> TripleIndex:
     if g.n > cap:
         raise CapExceeded(f"triple index cap {cap} exceeded by order {g.n}")
     n = g.n
@@ -99,7 +99,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
         cache = cache_for(g, cache)
         before = cache.expansions
         for x in range(n):
-            row = cache.row(x, budget)
+            row = cache.row(x)
             for z in range(x + 1, n):
                 w = row[z] & ~(bit(x) | bit(z))
                 witness[x][z] = witness[z][x] = w
@@ -137,10 +137,15 @@ def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int
     return True, None
 
 
+#: Default branch-and-bound node limit of one position search, for every
+#: entry point (library, ``parameter_suite``, the reduction and the CLI).
+NODE_LIMIT = 20_000_000
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     require_independent: bool = False
-    node_limit: int = 20_000_000
+    node_limit: int = NODE_LIMIT
     allowed: int | None = None
     #: With False, skip the lexmin witness pass and report the first optimum
     #: found (still verified); value-only callers use this to save work.
@@ -314,7 +319,7 @@ class GraphSolver:
     raises, so callers that want a partial bundle catch ``LimitError``.
     """
 
-    def __init__(self, g: Graph, node_limit: int = 20_000_000, lexmin: bool = False,
+    def __init__(self, g: Graph, node_limit: int = NODE_LIMIT, lexmin: bool = False,
                  cap: int = SOLVER_CAP):
         self.g = g
         self.node_limit = node_limit
@@ -463,14 +468,16 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
 HULL_SET_BUDGET = 2_000_000
 
 
-def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_CAP,
-                set_budget: int = HULL_SET_BUDGET) -> ParameterReport:
+def hull_number(g: Graph, cache: IntervalCache | None = None,
+                cap: int = SOLVER_CAP) -> ParameterReport:
     """Smallest set whose monophonic hull is the whole vertex set.
 
     Every hull set contains every simplicial vertex, so the search starts
-    from that seed and grows by cardinality; candidate sets that put one
-    member strictly inside an interval of two others are skipped, since a
-    minimum hull set never does that.
+    from that seed and grows by cardinality.  A minimum hull set S holds no
+    vertex v of hull(S - v), so it holds no vertex of hull(seed) outside the
+    seed: candidates are the vertices outside hull(seed).  Combinations of
+    the candidates come in lexicographic order, so the witness is the
+    lexicographically first minimum hull set.
     """
     t0 = time.perf_counter()
     cache = cache_for(g, cache)
@@ -478,7 +485,7 @@ def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_
         raise InputError("hull_number requires a connected graph")
     if g.n > cap:
         raise CapExceeded(f"hull cap {cap} exceeded by order {g.n}")
-    n = g.n
+    full = g.full()
     before = cache.expansions
 
     def finish(mask: int, tested: int) -> ParameterReport:
@@ -493,39 +500,19 @@ def hull_number(g: Graph, cache: IntervalCache | None = None, cap: int = SOLVER_
             ms=ms,
         )
 
-    if n == 1:
-        return finish(1, 0)
-
     seed = simplicial_vertices(g)
-    tested = 0
-    if seed.bit_count() >= 2 and monophonic_hull(g, seed, cache)[0] == g.full():
+    closed = monophonic_hull(g, seed, cache)[0] if seed else 0
+    if closed == full:
         return finish(seed, 1)
-
-    idx = build_triple_index(g, PathMode.MONOPHONIC, cache)
-    others = [v for v in range(n) if not seed & bit(v)]
-    blocked = 0
-    seed_list = to_tuple(seed)
-    for i, a in enumerate(seed_list):
-        for b in seed_list[i + 1:]:
-            blocked |= idx.witness[a][b]
-    others = [v for v in others if not blocked & bit(v)]
-
-    start = max(2, seed.bit_count())
-    for size in range(start, n + 1):
-        extra = size - seed.bit_count()
-        if extra < 0 or extra > len(others):
-            continue
+    others = [v for v in range(g.n) if not closed & bit(v)]
+    tested = 0
+    for extra in range(max(0, 2 - seed.bit_count()), len(others) + 1):
         for combo in combinations(others, extra):
             tested += 1
-            if tested > set_budget:
-                raise CapExceeded(f"hull search budget {set_budget} exhausted")
-            mask = seed
-            for v in combo:
-                mask |= bit(v)
-            ok, _ = is_position_set(idx, mask)
-            if not ok:
-                continue
-            if monophonic_hull(g, mask, cache)[0] == g.full():
+            if tested > HULL_SET_BUDGET:
+                raise CapExceeded(f"hull search budget {HULL_SET_BUDGET} exhausted")
+            mask = seed | mask_of(combo)
+            if monophonic_hull(g, mask, cache)[0] == full:
                 return finish(mask, tested)
     raise InternalCheckError("no hull set found up to the full vertex set")
 
@@ -568,7 +555,7 @@ class SuiteResult:
         return self.reports[name].value
 
 
-def parameter_suite(g: Graph, node_limit: int = 20_000_000,
+def parameter_suite(g: Graph, node_limit: int = NODE_LIMIT,
                     cap: int = SOLVER_CAP) -> SuiteResult:
     """Every parameter in :data:`PARAMETERS`, with lexmin witnesses, from one
     :class:`GraphSolver`.  Parameters over their cap, and hm on a

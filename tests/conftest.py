@@ -24,3 +24,42 @@ def random_connected(rng, n, p=None):
     from monopos.families import random_connected_graph
 
     return random_connected_graph(n, rng, p)
+
+
+def _canonical(adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Smallest adjacency tuple over relabellings that keep vertices sorted by
+    degree and neighbour degrees; equal exactly for isomorphic graphs."""
+    from itertools import permutations, product
+
+    n = len(adj)
+    nbrs = [[u for u in range(n) if adj[v] >> u & 1] for v in range(n)]
+    key = [(len(nb), tuple(sorted(len(nbrs[u]) for u in nb))) for nb in nbrs]
+    groups = [[v for v in range(n) if key[v] == k] for k in sorted(set(key))]
+    best = None
+    for parts in product(*(permutations(grp) for grp in groups)):
+        order = [v for part in parts for v in part]
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        form = tuple(sum(1 << pos[u] for u in nbrs[v]) for v in order)
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def connected_graphs(max_n: int):
+    """One graph per isomorphism class of connected graphs on 1..max_n vertices,
+    grown a vertex at a time from every class one vertex smaller."""
+    level = [(0,)]
+    for n in range(1, max_n + 1):
+        if n > 1:
+            grown = {}
+            for adj in level:
+                for nb in range(1 << (n - 1)):
+                    new = tuple(a | (nb >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (nb,)
+                    grown.setdefault(_canonical(new), new)
+            level = list(grown.values())
+        for adj in level:
+            g = Graph(n, adj)
+            if g.is_connected():
+                yield g

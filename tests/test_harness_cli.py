@@ -156,6 +156,43 @@ def test_cli_reduce(tmp_path, capsys):
     assert doc["mp_product"] == 7
 
 
+def test_cli_reduce_honours_cap(tmp_path, capsys):
+    # 33 source vertices make a 66-vertex product, above the default cap 64
+    import random
+
+    from monopos.families import random_connected_graph
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "g33.g6"
+    path.write_text(emit_graph6(random_connected_graph(33, random.Random(5), 0.2)) + "\n")
+    code, _, err = run_cli(capsys, "reduce", str(path), "3")
+    assert code == 3 and "cap 64" in err
+    code, out, _ = run_cli(capsys, "reduce", str(path), "3", "--cap", "66", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["identity_holds"] and doc["answers_agree"]
+
+
+def test_cli_compute_closed_forms(tmp_path, capsys):
+    from monopos.graph import cycle_graph, path_graph
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "p4.g6"
+    path.write_text(emit_graph6(path_graph(4)) + "\n")
+    code, out, _ = run_cli(capsys, "compute", str(path), "--param", "cuts,dh,diam,psi,phi",
+                           "--format", "json")
+    assert code == 0
+    got = {p["parameter"]: (p["value"], p["witness"], p["method"])
+           for p in json.loads(out)["parameters"]}
+    assert got == {"cuts": (2, [1, 2], "closed_form"), "dh": (1, [], "closed_form"),
+                   "diam": (3, [], "closed_form"), "psi": (2, [0, 1], "closed_form"),
+                   "phi": (2, [0, 1], "closed_form")}
+    path = tmp_path / "c5.g6"
+    path.write_text(emit_graph6(cycle_graph(5)) + "\n")
+    code, _, err = run_cli(capsys, "compute", str(path), "--param", "psi")
+    assert code == 2 and "not bipartite" in err
+
+
 def test_cli_paths(tmp_path, capsys):
     from monopos.graph import cycle_graph
     from monopos.graph6 import emit_graph6

@@ -1,12 +1,16 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, random_connected
+from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import full_mask, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
 from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
+from monopos.graph6 import emit_graph6
 from monopos.invariants import cut_vertices, simplicial_vertices
+from monopos.paths import IntervalCache, monophonic_hull
 from monopos.solvers import (GraphSolver, PathMode, SolverOptions, brute_force_position,
                              build_triple_index, hull_number, hull_number_oracle,
                              is_position_set, max_position_set, parameter_suite)
@@ -160,6 +164,33 @@ def test_hull_witness_properties(rng):
         idx = build_triple_index(g, PathMode.MONOPHONIC)
         assert is_position_set(idx, witness)[0]
         assert rep.value <= GraphSolver(g).value("mp")
+
+
+def test_hull_witness_is_first_hull_set_in_lexicographic_order():
+    for g in connected_graphs(7):
+        cache = IntervalCache(g)
+        first = next(combo for k in range(1, g.n + 1) for combo in combinations(range(g.n), k)
+                     if monophonic_hull(g, mask_of(combo), cache)[0] == g.full())
+        assert hull_number(g, cache).witness == first, emit_graph6(g)
+
+
+def test_hull_search_builds_no_triple_index(monkeypatch):
+    import monopos.solvers as solvers
+
+    built = []
+    real = solvers.build_triple_index
+
+    def counting(g, mode, *args, **kwargs):
+        built.append(mode)
+        return real(g, mode, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "build_triple_index", counting)
+    g = cycle_graph(6)
+    assert GraphSolver(g).report("hm").value == 2 and built == []
+    s = GraphSolver(g)
+    s.report("mp")
+    s.report("hm")
+    assert built == [PathMode.MONOPHONIC]
 
 
 def test_parameter_suite_bundle():
