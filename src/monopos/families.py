@@ -6,14 +6,17 @@ per family so witnesses stay reproducible.
 
 Predictors return :class:`PredictedValue` records carrying the predicted
 parameter, the rule it came from and the applicability condition that was
-checked.  The verification harness compares every prediction against the
-exact solvers.
+checked.  :data:`FAMILIES` maps every family name to its builder and its
+predictor; ``generate`` (what ``monopos family`` prints) and the
+verification harness, which compares the predictions against the exact
+solvers, both read them from there.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .bitset import bit, iter_bits
 from .errors import CapExceeded, InputError
@@ -409,100 +412,59 @@ def random_cubic_graph(n: int, rng: random.Random) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+class Family(NamedTuple):
+    """One entry of :data:`FAMILIES`.
+
+    ``build(*factors, *params)`` makes the graph, with the spec's
+    ``random.Random`` appended when ``seeded``; ``predict(g, *factors,
+    *params)`` lists its closed forms and raises :class:`InputError` where
+    no rule applies.
+    """
+    arity: int | None  # integer parameters; None for one or more
+    build: Callable[..., Graph]
+    predict: Callable[..., list[PredictedValue]] | None = None
+    seeded: bool = False
+    factors: int = 0  # nested specs, built before the graph
+
+
+def _build(spec: FamilySpec) -> tuple[Graph, tuple[Graph, ...]]:
+    """The graph of a spec and the factor graphs it was built from."""
+    entry = FAMILIES.get(spec.family)
+    if entry is None:
+        raise InputError(f"unknown family {spec.family!r}")
+    p = spec.params
+    if len(spec.subspecs) != entry.factors or (not p if entry.arity is None
+                                               else len(p) != entry.arity):
+        count = "one or more" if entry.arity is None else entry.arity
+        raise InputError(f"family {spec.family!r} expects {count} integer parameter(s)"
+                         f" and {entry.factors} nested spec(s)")
+    factors = tuple(_build(s)[0] for s in spec.subspecs)
+    extra = (random.Random(spec.seed if spec.seed is not None else 0),) if entry.seeded else ()
+    return entry.build(*factors, *p, *extra), factors
+
+
+def _predictions(spec: FamilySpec, g: Graph, factors: tuple[Graph, ...]) -> list[PredictedValue]:
+    entry = FAMILIES.get(spec.family)
+    if entry is None or entry.predict is None:
+        raise InputError(f"no closed form for family {spec.family!r}")
+    return entry.predict(g, *factors, *spec.params)
+
+
 def generate(spec: FamilySpec) -> tuple[Graph, dict]:
     """Build the graph for a family spec and attach metadata with predictions."""
-    rng = random.Random(spec.seed if spec.seed is not None else 0)
-    fam = spec.family
-    p = spec.params
-
-    def need(k: int):
-        if len(p) != k or len(spec.subspecs) != 0:
-            raise InputError(f"family {fam!r} expects {k} integer parameter(s)")
-
-    if fam == "path":
-        need(1)
-        g = path_graph(p[0])
-    elif fam == "cycle":
-        need(1)
-        g = cycle_graph(p[0])
-    elif fam == "complete":
-        need(1)
-        g = complete_graph(p[0])
-    elif fam == "complete_multipartite":
-        if not p:
-            raise InputError("complete_multipartite needs at least one part")
-        g = complete_multipartite(list(p))
-    elif fam == "star":
-        need(1)
-        g = star_graph(p[0])
-    elif fam == "caterpillar":
-        need(1)
-        g = caterpillar_graph(p[0])
-    elif fam == "random_tree":
-        need(1)
-        g = random_tree(p[0], rng)
-    elif fam == "random_block":
-        need(1)
-        g = random_block_graph(p[0], rng)
-    elif fam == "random_unicyclic":
-        need(1)
-        g = random_unicyclic(p[0], rng)
-    elif fam == "hypercube":
-        need(1)
-        g = hypercube(p[0])
-    elif fam == "grid":
-        need(2)
-        g = grid_graph(p[0], p[1])
-    elif fam == "half_wheel":
-        need(1)
-        g = half_wheel(p[0])
-    elif fam == "half_wheel_pendant":
-        need(2)
-        g = half_wheel_pendant(p[0], p[1])
-    elif fam == "wheel_pendant_W":
-        need(1)
-        g = wheel_pendant(p[0])
-    elif fam == "R_graph":
-        need(2)
-        g = r_graph(p[0], p[1])
-    elif fam == "P_graph":
-        need(2)
-        g = p_graph(p[0], p[1])
-    elif fam == "G_abl":
-        need(3)
-        g = g_abl(p[0], p[1], p[2])
-    elif fam == "petersen":
-        need(0)
-        g = petersen_graph()
-    elif fam == "heawood":
-        need(0)
-        g = heawood_graph()
-    elif fam == "mcgee":
-        need(0)
-        g = mcgee_graph()
-    elif fam == "random_split":
-        need(1)
-        g = random_split_graph(p[0], rng)
-    elif fam == "random_bipartite":
-        need(2)
-        g = random_bipartite_graph(p[0], p[1], rng)
-    elif fam in ("corona_of", "join_of"):
-        if len(spec.subspecs) != 2 or p:
-            raise InputError(f"family {fam!r} expects two nested specs")
-        g1, _ = generate(spec.subspecs[0])
-        g2, _ = generate(spec.subspecs[1])
-        g = corona(g1, g2) if fam == "corona_of" else join(g1, g2)
-    else:
-        raise InputError(f"unknown family {fam!r}")
-
+    g, factors = _build(spec)
+    try:
+        predictions = _predictions(spec, g, factors)
+    except (InputError, CapExceeded):
+        predictions = []
     meta = {
         "spec": spec.text(),
-        "family": fam,
-        "params": list(p),
+        "family": spec.family,
+        "params": list(spec.params),
         "seed": spec.seed,
         "order": g.n,
         "size": g.edge_count(),
-        "predictions": [pv.to_dict() for pv in predict_for_spec(spec, g)],
+        "predictions": [pv.to_dict() for pv in predictions],
     }
     return g, meta
 
@@ -602,8 +564,8 @@ def predict_unicyclic(g: Graph) -> PredictedValue:
 
 def predict_corona(g: Graph, h: Graph) -> list[PredictedValue]:
     """Corona: mp scales the factor count; gp scales the clique-union number."""
-    if not g.is_connected():
-        raise InputError("corona prediction needs a connected first factor")
+    if g.n < 2 or not g.is_connected():
+        raise InputError("corona prediction needs a connected first factor of order >= 2")
     why = f"corona with base order {g.n}"
     out = [PredictedValue("mp", g.n * GraphSolver(h).value("mp"), "corona-product", why)]
     try:
@@ -695,104 +657,126 @@ def predict_split(g: Graph) -> tuple[PredictedValue, bool]:
 
 
 def predict_realization(spec: FamilySpec) -> list[PredictedValue]:
-    """Predicted parameter tuples for the purpose-built families."""
-    fam, p = spec.family, spec.params
-    if fam == "half_wheel":
-        (r,) = p
-        if r < 4:
-            raise InputError("half_wheel values predicted for r >= 4 only")
-        return [PredictedValue("mp", 2, "half-wheel", f"r={r} >= 4"),
-                PredictedValue("gp", r, "half-wheel", f"r={r} >= 4")]
-    if fam == "half_wheel_pendant":
-        b, a = p
-        if a < 3 or b < a + 2:
-            raise InputError("half_wheel_pendant needs 3 <= a, b >= a+2")
-        return [PredictedValue("mp", a, "half-wheel-pendant", f"a={a}, b={b}"),
-                PredictedValue("gp", b, "half-wheel-pendant", f"a={a}, b={b}")]
-    if fam == "wheel_pendant_W":
-        (a,) = p
-        if a < 3:
-            raise InputError("wheel_pendant_W needs a >= 3")
-        return [PredictedValue("mp", a, "wheel-pendant", f"a={a}"),
-                PredictedValue("gp", a + 1, "wheel-pendant", f"a={a}")]
-    if fam == "R_graph":
-        r, s = p
-        out = []
-        if r >= 1 and s >= 1:
-            why = f"r={r} >= 1, s={s} >= 1"
-            out.append(PredictedValue("mp", r + s, "leafed-clique", why))
-            out.append(PredictedValue("igp", r + 1, "leafed-clique", why))
-        if s >= 2:
-            why = f"r={r} >= 0, s={s} >= 2"
-            out.append(PredictedValue("diss", r + 2, "leafed-clique", why))
-            out.append(PredictedValue("gp2", r + s, "leafed-clique", why))
-        if not out:
-            raise InputError("no predicted values for these R_graph parameters")
-        return out
-    if fam == "P_graph":
-        r, s = p
-        out = [PredictedValue("mp", r + 2, "apexed-cocktail", f"r={r} >= 0, s={s} >= 2")]
-        if r >= 1:
-            out.append(PredictedValue("igp", r + s, "apexed-cocktail", f"r={r} >= 1, s={s} >= 2"))
-        elif s >= 3:
-            # with no leaves the apex is itself available to the
-            # independent side, giving one more than the leafed formula
-            out.append(PredictedValue("igp", s + 1, "apexed-cocktail", "r=0, apex joins the set"))
-        else:
-            # P(0,2) degenerates to a 5-vertex path
-            out.append(PredictedValue("igp", 2, "apexed-cocktail", "r=0, s=2 (a path)"))
-        return out
-    if fam == "G_abl":
-        a, b, length = p
-        why = f"a={a}, b={b}, path length {length}"
-        return [PredictedValue("hm", a, "clique-with-tail", why),
-                PredictedValue("mp", b, "clique-with-tail", why)]
-    if fam == "petersen":
-        return [PredictedValue("mp", 3, "cage-value", "girth-5 cubic cage"),
-                PredictedValue("gp", 6, "cage-value", "girth-5 cubic cage")]
-    if fam == "heawood":
-        return [PredictedValue("mp", 3, "cage-value", "girth-6 cubic cage")]
-    if fam == "mcgee":
-        return [PredictedValue("mp", 2, "cage-value", "girth-7 cubic cage")]
-    raise InputError(f"no realization prediction for family {fam!r}")
-
-
-_REALIZATION_FAMILIES = {"half_wheel", "half_wheel_pendant", "wheel_pendant_W",
-                         "R_graph", "P_graph", "G_abl", "petersen", "heawood", "mcgee"}
+    """The closed forms of one family instance, as ``generate`` attaches
+    them; raises :class:`InputError` where no rule applies."""
+    return _predictions(spec, *_build(spec))
 
 
 def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
-    """Predictions attached to generated metadata; empty when no rule applies."""
-    fam = spec.family
+    """Predictions for the graph ``g`` built from ``spec``; empty when no rule applies."""
     try:
-        if fam in _REALIZATION_FAMILIES:
-            return predict_realization(spec)
-        if fam in ("path", "star", "caterpillar", "random_tree", "random_block"):
-            return predict_block_graph(g)
-        if fam == "complete":
-            return predict_block_graph(g)
-        if fam == "complete_multipartite":
-            return predict_multipartite(list(spec.params))
-        if fam == "cycle":
-            value = 3 if g.n == 3 else 2
-            return [PredictedValue("mp", value, "cycle-value", f"cycle of length {g.n}")]
-        if fam == "random_unicyclic":
-            return [predict_unicyclic(g)]
-        if fam == "random_split":
-            pv, _ = predict_split(g)
-            return [pv]
-        if fam == "random_bipartite":
-            return [predict_bipartite_complement(g)]
-        if fam == "corona_of":
-            g1, _ = generate(spec.subspecs[0])
-            g2, _ = generate(spec.subspecs[1])
-            if g1.n >= 2 and g.n <= 24:
-                return predict_corona(g1, g2)
-        if fam == "join_of":
-            g1, _ = generate(spec.subspecs[0])
-            g2, _ = generate(spec.subspecs[1])
-            if g.n <= 24:
-                return predict_join(g1, g2)
+        return _predictions(spec, g, tuple(_build(s)[0] for s in spec.subspecs))
     except (InputError, CapExceeded):
         return []
-    return []
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+def _block(g: Graph, *_) -> list[PredictedValue]:
+    return predict_block_graph(g)
+
+
+def _small_product(predict):
+    """A product's predictor solves both factors exactly, so it stops at 24 vertices."""
+    def values(g: Graph, first: Graph, second: Graph) -> list[PredictedValue]:
+        if g.n > 24:
+            raise InputError("no product prediction above 24 vertices")
+        return predict(first, second)
+    return values
+
+
+# The purpose-built families' closed forms read the parameters alone; their
+# builders have already rejected parameters outside the domain.
+
+
+def _half_wheel_values(_g: Graph, r: int) -> list[PredictedValue]:
+    if r < 4:
+        raise InputError("half_wheel values predicted for r >= 4 only")
+    return [PredictedValue("mp", 2, "half-wheel", f"r={r} >= 4"),
+            PredictedValue("gp", r, "half-wheel", f"r={r} >= 4")]
+
+
+def _half_wheel_pendant_values(_g: Graph, b: int, a: int) -> list[PredictedValue]:
+    return [PredictedValue("mp", a, "half-wheel-pendant", f"a={a}, b={b}"),
+            PredictedValue("gp", b, "half-wheel-pendant", f"a={a}, b={b}")]
+
+
+def _wheel_pendant_values(_g: Graph, a: int) -> list[PredictedValue]:
+    return [PredictedValue("mp", a, "wheel-pendant", f"a={a}"),
+            PredictedValue("gp", a + 1, "wheel-pendant", f"a={a}")]
+
+
+def _r_graph_values(_g: Graph, r: int, s: int) -> list[PredictedValue]:
+    # R(0, s) is the clique K_{s+1}: every vertex set is in position and
+    # the independent sets are single vertices
+    top = r + s if r else s + 1
+    why = f"r={r} >= 1, s={s} >= 1" if r else f"r=0, s={s}: the clique K{s + 1}"
+    out = [PredictedValue("mp", top, "leafed-clique", why),
+           PredictedValue("igp", r + 1, "leafed-clique", why)]
+    if s >= 2:
+        why = f"r={r} >= 0, s={s} >= 2"
+        out.append(PredictedValue("diss", r + 2, "leafed-clique", why))
+    if s >= 2 or r == 0:
+        out.append(PredictedValue("gp2", top, "leafed-clique", why))
+    return out
+
+
+def _p_graph_values(_g: Graph, r: int, s: int) -> list[PredictedValue]:
+    out = [PredictedValue("mp", r + 2, "apexed-cocktail", f"r={r} >= 0, s={s} >= 2")]
+    if r >= 1:
+        out.append(PredictedValue("igp", r + s, "apexed-cocktail", f"r={r} >= 1, s={s} >= 2"))
+    elif s >= 3:
+        # with no leaves the apex is itself available to the
+        # independent side, giving one more than the leafed formula
+        out.append(PredictedValue("igp", s + 1, "apexed-cocktail", "r=0, apex joins the set"))
+    else:
+        # P(0,2) degenerates to a 5-vertex path
+        out.append(PredictedValue("igp", 2, "apexed-cocktail", "r=0, s=2 (a path)"))
+    return out
+
+
+def _g_abl_values(_g: Graph, a: int, b: int, length: int) -> list[PredictedValue]:
+    why = f"a={a}, b={b}, path length {length}"
+    return [PredictedValue("hm", a, "clique-with-tail", why),
+            PredictedValue("mp", b, "clique-with-tail", why)]
+
+
+def _cage_values(girth: int, **values: int):
+    why = f"girth-{girth} cubic cage"
+    return lambda _g: [PredictedValue(name, v, "cage-value", why) for name, v in values.items()]
+
+
+#: Every family a spec can name: parameter count, builder, predictor.
+FAMILIES: dict[str, Family] = {
+    "path": Family(1, path_graph, _block),
+    "cycle": Family(1, cycle_graph, lambda g, _: [predict_unicyclic(g)]),
+    "complete": Family(1, complete_graph, _block),
+    "complete_multipartite": Family(None, lambda *parts: complete_multipartite(list(parts)),
+                                    lambda _g, *parts: predict_multipartite(list(parts))),
+    "star": Family(1, star_graph, _block),
+    "caterpillar": Family(1, caterpillar_graph, _block),
+    "grid": Family(2, grid_graph),
+    "hypercube": Family(1, hypercube),
+    "half_wheel": Family(1, half_wheel, _half_wheel_values),
+    "half_wheel_pendant": Family(2, half_wheel_pendant, _half_wheel_pendant_values),
+    "wheel_pendant_W": Family(1, wheel_pendant, _wheel_pendant_values),
+    "R_graph": Family(2, r_graph, _r_graph_values),
+    "P_graph": Family(2, p_graph, _p_graph_values),
+    "G_abl": Family(3, g_abl, _g_abl_values),
+    "petersen": Family(0, petersen_graph, _cage_values(5, mp=3, gp=6)),
+    "heawood": Family(0, heawood_graph, _cage_values(6, mp=3)),
+    "mcgee": Family(0, mcgee_graph, _cage_values(7, mp=2)),
+    "random_tree": Family(1, random_tree, _block, seeded=True),
+    "random_block": Family(1, random_block_graph, _block, seeded=True),
+    "random_unicyclic": Family(1, random_unicyclic, lambda g, _: [predict_unicyclic(g)],
+                               seeded=True),
+    "random_split": Family(1, random_split_graph, lambda g, _: [predict_split(g)[0]],
+                           seeded=True),
+    "random_bipartite": Family(2, random_bipartite_graph,
+                               lambda g, *_: [predict_bipartite_complement(g)], seeded=True),
+    "corona_of": Family(0, corona, _small_product(predict_corona), factors=2),
+    "join_of": Family(0, join, _small_product(predict_join), factors=2),
+}

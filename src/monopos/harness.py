@@ -26,7 +26,7 @@ from .errors import InputError, LimitError
 from .graph import (Graph, add_pendant, complement, complete_graph, complete_multipartite,
                     corona, cycle_graph, disjoint_union, join, path_graph)
 from .graph6 import emit_graph6, parse_graph6
-from .invariants import (alpha_omega_number, clique_number, cut_vertices,
+from .invariants import (clique_number, cut_vertices,
                          dissociation_number, has_triangle, independence_number,
                          is_block_graph, is_distance_hereditary, leaves, phi_separated,
                          simplicial_vertices, split_partition)
@@ -123,6 +123,16 @@ def _fail(failures: list[dict], g: Graph | None, **ctx):
     if g is not None:
         entry["graph6"] = emit_graph6(g)
     failures.append(entry)
+
+
+def _predicted(predictions: list[fam.PredictedValue]) -> dict[str, int]:
+    return {pv.parameter: pv.value for pv in predictions}
+
+
+def _realization(text: str) -> tuple[Graph, dict[str, int]]:
+    """A family instance and the closed forms ``monopos family`` prints for it."""
+    spec = fam.parse_family_spec(text)
+    return fam.generate(spec)[0], _predicted(fam.predict_realization(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +313,10 @@ def _check_block(rng: random.Random, scale: float):
         if not is_block_graph(g):
             _fail(failures, g, reason="corpus graph not a block graph")
             continue
-        want = simplicial_vertices(g).bit_count()
+        want = _predicted(fam.predict_block_graph(g))
         s = GraphSolver(g)
-        if s.value("mp") != want or s.value("gp") != want:
-            _fail(failures, g, mp=s.value("mp"), gp=s.value("gp"), simplicial=want)
+        if s.value("mp") != want["mp"] or s.value("gp") != want["gp"]:
+            _fail(failures, g, mp=s.value("mp"), gp=s.value("gp"), simplicial=want["mp"])
     return len(graphs), failures, {}
 
 
@@ -321,9 +331,9 @@ def _check_multipartite(rng: random.Random, scale: float):
             t = rng.randint(1, 5)
             parts = sorted((rng.randint(1, 5) for _ in range(t)), reverse=True)
         g = complete_multipartite(parts)
-        want = max(parts[0], len(parts))
+        want = _predicted(fam.predict_multipartite(parts))
         s = GraphSolver(g)
-        if s.value("mp") != want or s.value("gp") != want:
+        if s.value("mp") != want["mp"] or s.value("gp") != want["gp"]:
             _fail(failures, g, parts=parts, mp=s.value("mp"), gp=s.value("gp"), want=want)
     return count, failures, {}
 
@@ -579,20 +589,16 @@ def _check_triangle_free(rng: random.Random, scale: float):
 def _check_cages(rng: random.Random, scale: float):
     failures: list[dict] = []
     notes = {}
-    for name, builder, want in (("petersen", fam.petersen_graph, 3),
-                                ("heawood", fam.heawood_graph, 3),
-                                ("mcgee", fam.mcgee_graph, 2)):
-        g = builder()
-        rep = GraphSolver(g, lexmin=True).report("mp")
-        notes[name] = {"value": rep.value, "witness": list(rep.witness)}
-        if rep.value != want:
-            _fail(failures, g, cage=name, got=rep.value, want=want)
-    g = fam.petersen_graph()
-    rep = GraphSolver(g, lexmin=True).report("gp")
-    notes["petersen_gp"] = {"value": rep.value, "witness": list(rep.witness)}
-    if rep.value != 6:
-        _fail(failures, g, cage="petersen", parameter="gp", got=rep.value, want=6)
-    return 4, failures, notes
+    for name in ("petersen", "heawood", "mcgee"):
+        g, want = _realization(name)
+        s = GraphSolver(g, lexmin=True)
+        for parameter, value in want.items():
+            rep = s.report(parameter)
+            key = name if parameter == "mp" else f"{name}_{parameter}"
+            notes[key] = {"value": rep.value, "witness": list(rep.witness)}
+            if rep.value != value:
+                _fail(failures, g, cage=name, parameter=parameter, got=rep.value, want=value)
+    return len(notes), failures, notes
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +633,7 @@ def _check_corona(rng: random.Random, scale: float):
         base = fam.random_connected_graph(rng.randint(2, 4), rng)
         inner = fam.random_graph(rng.randint(1, 3), rng)
         product = corona(base, inner)
-        want = base.n * GraphSolver(inner).value("mp")
+        want = _predicted(fam.predict_corona(base, inner))["mp"]
         got = GraphSolver(product).value("mp")
         if got != want:
             _fail(failures, product, base_g6=emit_graph6(base), inner_g6=emit_graph6(inner),
@@ -643,9 +649,7 @@ def _check_join(rng: random.Random, scale: float):
         g = fam.random_graph(rng.randint(1, 7), rng)
         h = fam.random_graph(rng.randint(1, 7), rng)
         product = join(g, h)
-        og, _ = clique_number(g)
-        oh, _ = clique_number(h)
-        want = max(og + oh, GraphSolver(g).value("mp"), GraphSolver(h).value("mp"))
+        want = _predicted(fam.predict_join(g, h))["mp"]
         got = GraphSolver(product).value("mp")
         if got != want:
             _fail(failures, product, g6=emit_graph6(g), h6=emit_graph6(h), got=got, want=want)
@@ -660,21 +664,16 @@ def _check_gp_products(rng: random.Random, scale: float):
     for _ in range(count):
         g = fam.random_graph(rng.randint(1, 6), rng)
         h = fam.random_graph(rng.randint(1, 6), rng)
-        og, _ = clique_number(g)
-        oh, _ = clique_number(h)
-        ag, _ = alpha_omega_number(g)
-        ah, _ = alpha_omega_number(h)
         product = join(g, h)
-        want = max(og + oh, ag, ah)
+        want = _predicted(fam.predict_join(g, h))["gp"]
         got = GraphSolver(product).value("gp")
         if got != want:
             _fail(failures, product, kind="join", got=got, want=want,
                   g6=emit_graph6(g), h6=emit_graph6(h))
         base = fam.random_connected_graph(rng.randint(2, 4), rng)
         inner = fam.random_graph(rng.randint(1, 3), rng)
-        ai, _ = alpha_omega_number(inner)
         product = corona(base, inner)
-        want = base.n * ai
+        want = _predicted(fam.predict_corona(base, inner))["gp"]
         got = GraphSolver(product).value("gp")
         if got != want:
             _fail(failures, product, kind="corona", got=got, want=want,
@@ -746,8 +745,9 @@ def _check_hypercube_complement(rng: random.Random, scale: float):
     for k in (3, 4):
         g = fam.hypercube(k)
         got = GraphSolver(complement(g)).value("mp")
-        if got != 2 ** (k - 1):
-            _fail(failures, g, k=k, got=got, want=2 ** (k - 1))
+        want = fam.predict_hypercube_complement(k).value
+        if got != want:
+            _fail(failures, g, k=k, got=got, want=want)
     return 2, failures, {}
 
 
@@ -852,31 +852,15 @@ def _check_igp_realization(rng: random.Random, scale: float):
                 _fail(failures, g, spec=spec, want=[a, b], got=list(got))
     # the constructions' own value formulas, verified over their domain
     formulas = []
-    for r in range(0, 4):
-        for s_par in range(1, 5):
-            g = fam.r_graph(r, s_par)
-            sv = GraphSolver(g)
-            want_mp = r + s_par if r >= 1 else s_par + 1
-            want_igp = r + 1
-            formulas.append({"family": "R", "r": r, "s": s_par,
-                             "mp": sv.value("mp"), "igp": sv.value("igp")})
-            if sv.value("mp") != want_mp or sv.value("igp") != want_igp:
-                _fail(failures, g, family="R", r=r, s=s_par,
-                      got=[sv.value("igp"), sv.value("mp")], want=[want_igp, want_mp])
-    for r in range(0, 4):
-        for s_par in range(2, 5):
-            g = fam.p_graph(r, s_par)
-            sv = GraphSolver(g)
-            want_mp = r + 2
-            if r >= 1:
-                want_igp = r + s_par
-            else:
-                want_igp = s_par + 1 if s_par >= 3 else 2
-            formulas.append({"family": "P", "r": r, "s": s_par,
-                             "mp": sv.value("mp"), "igp": sv.value("igp")})
-            if sv.value("mp") != want_mp or sv.value("igp") != want_igp:
-                _fail(failures, g, family="P", r=r, s=s_par,
-                      got=[sv.value("igp"), sv.value("mp")], want=[want_igp, want_mp])
+    for family, label, s_range in (("R_graph", "R", range(1, 5)), ("P_graph", "P", range(2, 5))):
+        for r in range(0, 4):
+            for s_par in s_range:
+                g, pred = _realization(f"{family}:{r},{s_par}")
+                sv = GraphSolver(g)
+                got, want = [sv.value("igp"), sv.value("mp")], [pred["igp"], pred["mp"]]
+                formulas.append({"family": label, "r": r, "s": s_par, "mp": got[1], "igp": got[0]})
+                if got != want:
+                    _fail(failures, g, family=label, r=r, s=s_par, got=got, want=want)
     notes = {"pairs": len(table),
              "leafless_apex_note": "P(0,s) is degenerate (independent position s+1 for "
                                    "s >= 3, a bare path at s = 2); the (a,2) pairs are "
@@ -899,15 +883,16 @@ def _check_diss_gp2(rng: random.Random, scale: float):
     corrected = []
     for a in range(2, 9):
         for b in range(a, 9):
-            g = fam.r_graph(a - 2, b - a + 2)
+            g, pred = _realization(f"R_graph:{a - 2},{b - a + 2}")
             count += 1
             diss, _ = dissociation_number(g)
             gp2 = GraphSolver(g).value("gp2")
             want_gp2 = b if a >= 3 else b + 1
             if a == 2:
                 corrected.append({"a": a, "b": b, "gp2": gp2})
-            if (diss, gp2) != (a, want_gp2):
-                _fail(failures, g, a=a, b=b, diss=diss, gp2=gp2, want_gp2=want_gp2)
+            if (diss, gp2) != (a, want_gp2) or (diss, gp2) != (pred["diss"], pred["gp2"]):
+                _fail(failures, g, a=a, b=b, diss=diss, gp2=gp2, want_gp2=want_gp2,
+                      predicted=pred)
             if not (a < b or a == b) or not diss <= gp2:
                 _fail(failures, g, a=a, b=b, reason="dissociation exceeds gp2")
     notes = {"corrected_row": corrected,

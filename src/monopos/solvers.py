@@ -27,7 +27,7 @@ from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
 from .invariants import (DIST_INF, ORACLE_CAP, _lexmin, alpha_omega_number, clique_number,
                          dissociation_number, distance_matrix, independence_number,
-                         simplicial_vertices)
+                         oracle_max_subset, simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
                     induced_path_partition, longest_induced_path_length, monophonic_hull,
                     simple_path_interval)
@@ -438,17 +438,13 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
         for u, v in g.edges():
             constraints.append((bit(u) | bit(v), g.full()))
 
-    best, best_mask = 0, 0
-    for s in range(1 << n):
-        if s.bit_count() <= best:
-            continue
-        ok = True
+    def admissible(s: int) -> bool:
         for pm, wm in constraints:
             if pm & s == pm and wm & s:
-                ok = False
-                break
-        if ok:
-            best, best_mask = s.bit_count(), s
+                return False
+        return True
+
+    best, best_mask = oracle_max_subset(g, admissible, cap)
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
         graph_id=emit_graph6(g),

@@ -1,29 +1,32 @@
 """The benchmark under ``perfbench/`` reaches into the package by name: its
 tracer wraps the functions in ``spans.BOUNDARIES`` and ``_PositionSearch.run``,
-and its gate calls ``build_triple_index`` and ``monophonic_hull``.  These
-tests fail when a refactor breaks one of those hooks."""
+its gate calls ``build_triple_index`` and ``monophonic_hull``, and its corpus
+is built by the family builders and checked against the family predictors.
+These tests fail when a refactor breaks one of those hooks."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from monopos.bitset import mask_of
 from monopos.graph import cycle_graph
+from monopos.graph6 import emit_graph6
 from monopos.paths import IntervalCache, monophonic_hull
 from monopos.solvers import PathMode, TripleIndex, _PositionSearch, build_triple_index
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_boundaries_resolve():
-    spans = _load_spans()
+    spans = _load("spans")
     for modname, attr, _ in spans.BOUNDARIES:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
     assert callable(_PositionSearch.run)
@@ -35,3 +38,20 @@ def test_gate_call_shapes():
     for mode in ("mono", "geo", "geo2"):
         assert isinstance(build_triple_index(g, PathMode.from_string(mode), cache), TripleIndex)
     assert monophonic_hull(g, mask_of([0, 2]), cache)[0] == g.full()
+
+
+def test_corpus_graphs_and_closed_forms_reproduce():
+    corpus = _load("corpus")
+    compared = 0
+    for workload in ("mono-rows", "geo-search", "suite-small"):
+        doc = json.loads((corpus.CORPUS / f"{workload}.json").read_text())
+        lines = (corpus.CORPUS / f"{workload}.g6").read_text().splitlines()
+        expected = json.loads((corpus.CORPUS / f"{workload}.expected.json").read_text())["values"]
+        for req, line, values in zip(doc["requests"], lines, expected, strict=True):
+            g = corpus.build_graph(req["spec"])
+            assert emit_graph6(g) == line, req["spec"]
+            for name, want in corpus.closed_forms(req["spec"], g).items():
+                if name in values:
+                    assert values[name] == want, (req["spec"], name)
+                    compared += 1
+    assert compared > 0

@@ -1,9 +1,9 @@
 import pytest
 
 from monopos.errors import InputError
-from monopos.graph import complete_graph, cycle_graph, path_graph
+from monopos.graph import complement, complete_graph, cycle_graph, path_graph
 from monopos.graph6 import emit_graph6
-from monopos.families import (caterpillar_graph, g_abl, generate,
+from monopos.families import (FAMILIES, caterpillar_graph, g_abl, generate,
                               half_wheel, half_wheel_pendant, hall_equality_condition,
                               heawood_graph, mcgee_graph, p_graph,
                               parse_family_spec, petersen_graph, predict_bipartite_complement,
@@ -260,3 +260,44 @@ def test_realization_predictions_match_solver():
                 assert dissociation_number(g)[0] == pred["value"], text
             else:
                 assert solver.value(name) == pred["value"], (text, name)
+
+
+# One small grid that names every family of the table.
+SWEEP = (
+    [f"path:{n}" for n in range(1, 7)] + [f"cycle:{n}" for n in range(3, 8)]
+    + [f"complete:{n}" for n in range(1, 6)] + [f"star:{k}" for k in range(1, 5)]
+    + [f"caterpillar:{k}" for k in range(2, 6)]
+    + ["complete_multipartite:" + p for p in ("1", "2", "1,1,1", "2,2", "3,2,2", "4,1")]
+    + ["grid:2,3", "grid:3,3", "hypercube:0", "hypercube:2", "hypercube:3"]
+    + [f"half_wheel:{r}" for r in range(2, 7)]
+    + ["half_wheel_pendant:5,3", "half_wheel_pendant:6,3", "half_wheel_pendant:7,4"]
+    + [f"wheel_pendant_W:{a}" for a in range(3, 6)]
+    + [f"R_graph:{r},{s}" for r in range(4) for s in range(1, 5)]
+    + [f"P_graph:{r},{s}" for r in range(4) for s in range(2, 5)]
+    + [f"G_abl:{a},{b},{k}" for a, b in ((2, 2), (2, 4), (3, 5), (4, 4)) for k in (1, 2)]
+    + ["petersen", "heawood", "mcgee"]
+    + [f"{name}:{n}:seed={k}" for name in ("random_tree", "random_block", "random_unicyclic",
+                                             "random_split") for n in (5, 9) for k in (1, 2)]
+    + [f"random_bipartite:{a},{b}:seed={k}" for a, b in ((2, 3), (4, 4)) for k in (1, 2)]
+    + ["corona_of:(cycle:4),(complete:1)", "corona_of:(path:3),(complete:2)",
+       "corona_of:(complete:1),(path:2)", "corona_of:(cycle:5),(cycle:5)",
+       "join_of:(cycle:4),(path:3)", "join_of:(complete:1),(complete:4)",
+       "join_of:(cycle:5),(cycle:5)", "join_of:(path:2),(corona_of:(path:2),(complete:1))"]
+)
+
+
+def test_family_table_predictions_match_solver():
+    assert {parse_family_spec(text).family for text in SWEEP} == set(FAMILIES)
+    checked = 0
+    for text in SWEEP:
+        g, meta = generate(parse_family_spec(text))
+        solver = GraphSolver(g)
+        for pred in meta["predictions"]:
+            name = pred["parameter"]
+            if name == "mp_complement":
+                got = GraphSolver(complement(g)).value("mp")
+            else:
+                got = solver.value(name)
+            assert got == pred["value"], (text, name)
+            checked += 1
+    assert checked >= 200

@@ -121,6 +121,14 @@ def test_cli_family_seed_determinism(capsys):
     assert json.loads(out1) == json.loads(out2)
 
 
+def test_cli_family_leafless_r_graph(capsys):
+    # R(0, s) is the clique K_{s+1}: mp and gp2 are s + 1 and igp is 1
+    code, out, _ = run_cli(capsys, "family", "R_graph:0,3", "--format", "json")
+    preds = {p["parameter"]: p["value"] for p in json.loads(out)["predictions"]}
+    assert code == 0
+    assert (preds["gp2"], preds["mp"], preds["igp"]) == (4, 4, 1)
+
+
 def test_cli_oracle(tmp_path, capsys):
     from monopos.graph import cycle_graph
     from monopos.graph6 import emit_graph6
