@@ -441,8 +441,8 @@ def _check_rho(rng: random.Random, scale: float):
         covered = 0
         for part in parts:
             covered |= mask_of(part)
-        if covered != g.full():
-            _fail(failures, g, reason="partition does not cover", parts=parts)
+        if covered != g.full() or sum(map(len, parts)) != g.n or len(parts) != rho:
+            _fail(failures, g, reason="parts are not rho disjoint sets covering V", parts=parts)
     return len(graphs), failures, {}
 
 

@@ -13,6 +13,11 @@ Every node of the search tree is itself an induced path from the source to
 its last vertex, so one traversal from u yields, for every endpoint w, the
 union of all induced u,w-paths.  Intervals are therefore computed one
 source row at a time and cached.
+
+``walk_induced_paths`` is the one enumeration that the longest induced path
+and the induced path partition read.  ``interval_row`` runs the same search
+with its own inline loop, because interval rows dominate the mp and hm
+cost and a generator in between slows them down (see its docstring).
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET) -> tuple[list[i
     Returns ``(row, expansions)``; ``row[w] == 0`` when w is unreachable
     from u (and ``row[u] == bit(u)``).  Iterative so that the 512-vertex
     fallback regime cannot hit the interpreter recursion limit.
+
+    This is the search of ``walk_induced_paths`` written out inline: read
+    through the generator, rows took 1.2-1.5x as long on the benchmark's
+    ``mono-rows`` graphs, where rows are over 95% of the time.  A test keeps
+    the two in step (same rows, one walk node per expansion).
     """
     adj = g.adj
     n = g.n
@@ -73,33 +83,27 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET) -> tuple[list[i
     return row, expansions
 
 
-def induced_paths(g: Graph, u: int, v: int, budget: int = DEFAULT_BUDGET):
-    """Yield every induced u,v-path as a vertex tuple, neighbors ascending."""
-    if u == v:
-        raise InputError("path endpoints must differ")
+def walk_induced_paths(g: Graph, u: int):
+    """Yield ``(last, mask, length)`` for every induced path of at least one
+    edge that starts at u, in ``interval_row``'s order: neighbors ascending,
+    depth first, each path before its extensions."""
     adj = g.adj
-    expansions = 0
-    path = [u]
-
-    def dfs(last: int, forb: int):
-        nonlocal expansions
-        ext = adj[last] & ~forb
-        child_base = forb | adj[last]
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            w = b.bit_length() - 1
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceeded(f"induced-path budget {budget} exhausted for pair ({u},{v})")
-            path.append(w)
-            if w == v:
-                yield tuple(path)
-            else:
-                yield from dfs(w, child_base | b)
-            path.pop()
-
-    yield from dfs(u, bit(u))
+    stack = [[u, bit(u), bit(u), adj[u]]]
+    while stack:
+        top = stack[-1]
+        ext = top[3]
+        if not ext:
+            stack.pop()
+            continue
+        b = ext & -ext
+        top[3] = ext ^ b
+        w = b.bit_length() - 1
+        mask = top[1] | b
+        yield w, mask, len(stack)
+        forb = top[2] | adj[top[0]] | b
+        nxt = adj[w] & ~forb
+        if nxt:
+            stack.append([w, mask, forb, nxt])
 
 
 # ---------------------------------------------------------------------------
@@ -203,65 +207,35 @@ def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP) -> int:
     """Exact maximum length (edges) over all induced paths."""
     if g.n > cap:
         raise CapExceeded(f"longest induced path cap {cap} exceeded by order {g.n}")
-    adj = g.adj
     best = 0
     expansions = 0
-
-    def dfs(last: int, depth: int, forb: int):
-        nonlocal best, expansions
-        ext = adj[last] & ~forb
-        child_base = forb | adj[last]
-        while ext:
-            b = ext & -ext
-            ext ^= b
-            w = b.bit_length() - 1
+    for u in range(g.n):
+        for _, _, length in walk_induced_paths(g, u):
             expansions += 1
             if expansions > DEFAULT_BUDGET:
                 raise BudgetExceeded(f"longest-path budget {DEFAULT_BUDGET} exhausted")
-            if depth + 1 > best:
-                best = depth + 1
-            dfs(w, depth + 1, child_base | b)
-
-    for u in range(g.n):
-        dfs(u, 0, bit(u))
+            if length > best:
+                best = length
     return best
-
-
-def _is_induced_path_mask(g: Graph, mask: int) -> bool:
-    k = mask.bit_count()
-    if k == 0:
-        return False
-    if k == 1:
-        return True
-    edges = 0
-    ends = 0
-    for v in iter_bits(mask):
-        d = (g.adj[v] & mask).bit_count()
-        if d > 2:
-            return False
-        if d == 1:
-            ends += 1
-        edges += d
-    if edges != 2 * (k - 1) or ends != 2:
-        return False
-    v = (mask & -mask).bit_length() - 1
-    return g.component_of(v, within=mask) == mask
 
 
 def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Minimum number of vertex-disjoint induced paths covering all vertices.
 
-    Enumerates every subset inducing a path, then runs a set-partition DP
-    over subset masks.  Exact, so explicitly capped.
+    Collects every subset inducing a path (each path once, walked from its
+    smaller end, plus the singletons), then runs a set-partition DP over
+    subset masks.  Exact, so explicitly capped.
     """
     if g.n > cap:
         raise CapExceeded(f"induced path partition cap {cap} exceeded by order {g.n}")
     n = g.n
     full = full_mask(n)
+    masks = [bit(u) for u in range(n)]
+    for u in range(n):
+        masks.extend(mask for last, mask, _ in walk_induced_paths(g, u) if u < last)
     paths_by_low: list[list[int]] = [[] for _ in range(n)]
-    for mask in range(1, full + 1):
-        if _is_induced_path_mask(g, mask):
-            paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
+    for mask in sorted(masks):
+        paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
 
     INF = n + 1
     dp = [INF] * (full + 1)

@@ -11,8 +11,9 @@ from pathlib import Path
 
 from monopos.bitset import mask_of
 from monopos.graph import cycle_graph
-from monopos.graph6 import emit_graph6
-from monopos.paths import IntervalCache, monophonic_hull
+from monopos.graph6 import emit_graph6, parse_graph6
+from monopos.paths import (IntervalCache, induced_path_partition, longest_induced_path_length,
+                           monophonic_hull)
 from monopos.solvers import PathMode, TripleIndex, _PositionSearch, build_triple_index
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -55,3 +56,19 @@ def test_corpus_graphs_and_closed_forms_reproduce():
                     assert values[name] == want, (req["spec"], name)
                     compared += 1
     assert compared > 0
+
+
+def test_suite_small_path_invariants_reproduce():
+    """rho and L of the small suite-small graphs, a fast stand-in for the
+    benchmark gate's comparison of the same values."""
+    corpus = _load("corpus")
+    lines = (corpus.CORPUS / "suite-small.g6").read_text().splitlines()
+    expected = json.loads((corpus.CORPUS / "suite-small.expected.json").read_text())["values"]
+    checked = 0
+    for line, values in zip(lines, expected, strict=True):
+        g = parse_graph6(line)
+        if g.n <= 13:
+            assert induced_path_partition(g)[0] == values["rho"], line
+            assert longest_induced_path_length(g) == values["L"], line
+            checked += 1
+    assert checked == 21

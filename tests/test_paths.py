@@ -1,29 +1,47 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, random_connected
-from monopos.bitset import bit, full_mask, mask_of, to_tuple
+from conftest import connected_graphs, graphs, random_connected
+from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
 from monopos.graph import Graph, complete_graph, cycle_graph, path_graph
 from monopos.invariants import distance_matrix
-from monopos.paths import (IntervalCache, count_induced_paths_oracle,
-                           induced_path_partition, induced_paths, interior_vertices,
-                           interval_row, longest_induced_path_length, monophonic_closure,
-                           monophonic_hull, monophonic_interval, simple_path_interval)
+from monopos.paths import (IntervalCache, _chordless_simple_paths, count_induced_paths_oracle,
+                           induced_path_partition, interior_vertices, interval_row,
+                           longest_induced_path_length, monophonic_closure, monophonic_hull,
+                           monophonic_interval, simple_path_interval, walk_induced_paths)
+
+
+def _paths_to(g, u, v):
+    return [mask for last, mask, _ in walk_induced_paths(g, u) if last == v]
+
+
+def _induces_path(g, mask):
+    """Connected, one edge fewer than vertices, and no vertex of degree
+    above two inside the set: a tree with two leaves at most."""
+    k = mask.bit_count()
+    degrees = [(g.adj[v] & mask).bit_count() for v in iter_bits(mask)]
+    low = (mask & -mask).bit_length() - 1
+    return (k > 0 and sum(degrees) == 2 * (k - 1) and max(degrees) <= 2
+            and g.component_of(low, within=mask) == mask)
 
 
 def test_adjacent_pair_on_cycle_has_only_the_edge():
     c5 = cycle_graph(5)
-    assert list(induced_paths(c5, 0, 1)) == [(0, 1)]
+    assert _paths_to(c5, 0, 1) == [mask_of([0, 1])]
     assert monophonic_interval(c5, 0, 1) == mask_of([0, 1])
     with pytest.raises(InputError):
-        list(induced_paths(c5, 2, 2))
+        monophonic_interval(c5, 2, 2)
 
 
 def test_nonadjacent_pair_on_cycle_gets_both_arcs():
     c5 = cycle_graph(5)
-    assert list(induced_paths(c5, 0, 2)) == [(0, 1, 2), (0, 4, 3, 2)]
+    assert _paths_to(c5, 0, 2) == [mask_of([0, 1, 2]), mask_of([0, 4, 3, 2])]
     assert monophonic_interval(c5, 0, 2) == full_mask(5)
+    # neighbors ascending, depth first, each path before its extensions
+    assert [(last, to_tuple(mask), length) for last, mask, length in walk_induced_paths(c5, 0)] == [
+        (1, (0, 1), 1), (2, (0, 1, 2), 2), (3, (0, 1, 2, 3), 3),
+        (4, (0, 4), 1), (3, (0, 3, 4), 2), (2, (0, 2, 3, 4), 3)]
 
 
 def test_path_chain_interval():
@@ -37,8 +55,25 @@ def test_petersen_counts_match_simple_path_oracle():
 
     g = petersen_graph()
     for u, v in ((0, 1), (0, 2), (0, 7), (3, 8)):
-        got = sum(1 for _ in induced_paths(g, u, v))
-        assert got == count_induced_paths_oracle(g, u, v)
+        assert len(_paths_to(g, u, v)) == count_induced_paths_oracle(g, u, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=8))
+def test_walk_matches_predicate_and_interval_rows(g):
+    walked = [bit(u) for u in range(g.n)]
+    for u in range(g.n):
+        row = [0] * g.n
+        row[u] = bit(u)
+        nodes = 0
+        for last, mask, length in walk_induced_paths(g, u):
+            assert mask.bit_count() == length + 1 and mask & bit(u) and mask & bit(last)
+            row[last] |= mask
+            nodes += 1
+            if u < last:
+                walked.append(mask)
+        assert (row, nodes) == interval_row(g, u)
+    assert sorted(walked) == [m for m in range(1, 1 << g.n) if _induces_path(g, m)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,12 +196,8 @@ def test_longest_induced_path():
 def test_longest_matches_bruteforce(rng):
     for _ in range(20):
         g = random_connected(rng, rng.randint(2, 7))
-        best = 0
-        for u in range(g.n):
-            for v in range(g.n):
-                if u != v:
-                    for p in induced_paths(g, u, v):
-                        best = max(best, len(p) - 1)
+        best = max(m.bit_count() - 1 for u in range(g.n) for v in range(g.n) if u != v
+                   for m in _chordless_simple_paths(g, u, v))
         assert longest_induced_path_length(g) == best
 
 
@@ -193,14 +224,40 @@ def test_partition_structure(rng):
         assert covered == g.full()
 
 
+def test_partition_is_minimum_over_induced_path_subsets():
+    from functools import lru_cache
+
+    checked = 0
+    for g in connected_graphs(6):
+        @lru_cache(maxsize=None)
+        def fewest(rest):
+            if not rest:
+                return 0
+            low = rest & -rest
+            best = g.n + 1
+            sub = rest
+            while sub:
+                if sub & low and _induces_path(g, sub):
+                    best = min(best, 1 + fewest(rest & ~sub))
+                sub = (sub - 1) & rest
+            return best
+
+        rho, parts = induced_path_partition(g)
+        assert rho == len(parts) == fewest(g.full())
+        masks = [mask_of(part) for part in parts]
+        assert sum(m.bit_count() for m in masks) == g.n
+        assert mask_of([v for part in parts for v in part]) == g.full()
+        assert all(_induces_path(g, m) for m in masks)
+        checked += 1
+    assert checked == 143
+
+
 def test_budget_exhaustion_is_loud():
     from monopos.families import hypercube
 
     g = hypercube(4)
     with pytest.raises(BudgetExceeded):
         interval_row(g, 0, budget=50)
-    with pytest.raises(BudgetExceeded):
-        list(induced_paths(g, 0, 15, budget=10))
 
 
 def test_interval_cache_guards():
@@ -215,10 +272,3 @@ def test_interval_cache_guards():
         build_triple_index(complete_graph(6), PathMode.MONOPHONIC, IntervalCache(path_graph(6)))
     with pytest.raises(InputError):
         hull_number(path_graph(5), IntervalCache(c6))
-
-
-def test_deterministic_enumeration_order():
-    g = cycle_graph(6)
-    first = list(induced_paths(g, 0, 3))
-    assert first == sorted(first)  # ascending-neighbor DFS emits sorted tuples
-    assert first == list(induced_paths(g, 0, 3))
