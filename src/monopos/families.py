@@ -562,32 +562,43 @@ def predict_unicyclic(g: Graph) -> PredictedValue:
     return PredictedValue("mp", lv, "unicyclic-cases", f"{r} branch vertices")
 
 
-def predict_corona(g: Graph, h: Graph) -> list[PredictedValue]:
-    """Corona: mp scales the factor count; gp scales the clique-union number."""
+def predict_corona(g: Graph, h: Graph,
+                   names: tuple[str, ...] = ("mp", "gp")) -> list[PredictedValue]:
+    """Corona: mp scales the factor count; gp scales the clique-union number.
+    Only the entries in ``names`` are computed."""
     if g.n < 2 or not g.is_connected():
         raise InputError("corona prediction needs a connected first factor of order >= 2")
     why = f"corona with base order {g.n}"
-    out = [PredictedValue("mp", g.n * GraphSolver(h).value("mp"), "corona-product", why)]
-    try:
-        aw, _ = alpha_omega_number(h)
-        out.append(PredictedValue("gp", g.n * aw, "corona-product-gp", why))
-    except CapExceeded:
-        pass
+    out = []
+    if "mp" in names:
+        out.append(PredictedValue("mp", g.n * GraphSolver(h).value("mp"), "corona-product", why))
+    if "gp" in names:
+        try:
+            aw, _ = alpha_omega_number(h)
+            out.append(PredictedValue("gp", g.n * aw, "corona-product-gp", why))
+        except CapExceeded:
+            pass
     return out
 
 
-def predict_join(g: Graph, h: Graph) -> list[PredictedValue]:
+def predict_join(g: Graph, h: Graph,
+                 names: tuple[str, ...] = ("mp", "gp")) -> list[PredictedValue]:
+    """Join: mp and gp are each the larger of the clique sum and the factor
+    values.  Only the entries in ``names`` are computed."""
     og, _ = clique_number(g)
     oh, _ = clique_number(h)
-    mp_val = max(og + oh, GraphSolver(g).value("mp"), GraphSolver(h).value("mp"))
-    out = [PredictedValue("mp", mp_val, "join-max", "join of the two factors")]
-    try:
-        ag, _ = alpha_omega_number(g)
-        ah, _ = alpha_omega_number(h)
-        out.append(PredictedValue("gp", max(og + oh, ag, ah), "join-max-gp",
-                                  "join of the two factors"))
-    except CapExceeded:
-        pass
+    out = []
+    if "mp" in names:
+        mp_val = max(og + oh, GraphSolver(g).value("mp"), GraphSolver(h).value("mp"))
+        out.append(PredictedValue("mp", mp_val, "join-max", "join of the two factors"))
+    if "gp" in names:
+        try:
+            ag, _ = alpha_omega_number(g)
+            ah, _ = alpha_omega_number(h)
+            out.append(PredictedValue("gp", max(og + oh, ag, ah), "join-max-gp",
+                                      "join of the two factors"))
+        except CapExceeded:
+            pass
     return out
 
 

@@ -633,7 +633,7 @@ def _check_corona(rng: random.Random, scale: float):
         base = fam.random_connected_graph(rng.randint(2, 4), rng)
         inner = fam.random_graph(rng.randint(1, 3), rng)
         product = corona(base, inner)
-        want = _predicted(fam.predict_corona(base, inner))["mp"]
+        want = _predicted(fam.predict_corona(base, inner, ("mp",)))["mp"]
         got = GraphSolver(product).value("mp")
         if got != want:
             _fail(failures, product, base_g6=emit_graph6(base), inner_g6=emit_graph6(inner),
@@ -649,7 +649,7 @@ def _check_join(rng: random.Random, scale: float):
         g = fam.random_graph(rng.randint(1, 7), rng)
         h = fam.random_graph(rng.randint(1, 7), rng)
         product = join(g, h)
-        want = _predicted(fam.predict_join(g, h))["mp"]
+        want = _predicted(fam.predict_join(g, h, ("mp",)))["mp"]
         got = GraphSolver(product).value("mp")
         if got != want:
             _fail(failures, product, g6=emit_graph6(g), h6=emit_graph6(h), got=got, want=want)
@@ -665,7 +665,7 @@ def _check_gp_products(rng: random.Random, scale: float):
         g = fam.random_graph(rng.randint(1, 6), rng)
         h = fam.random_graph(rng.randint(1, 6), rng)
         product = join(g, h)
-        want = _predicted(fam.predict_join(g, h))["gp"]
+        want = _predicted(fam.predict_join(g, h, ("gp",)))["gp"]
         got = GraphSolver(product).value("gp")
         if got != want:
             _fail(failures, product, kind="join", got=got, want=want,
@@ -673,7 +673,7 @@ def _check_gp_products(rng: random.Random, scale: float):
         base = fam.random_connected_graph(rng.randint(2, 4), rng)
         inner = fam.random_graph(rng.randint(1, 3), rng)
         product = corona(base, inner)
-        want = _predicted(fam.predict_corona(base, inner))["gp"]
+        want = _predicted(fam.predict_corona(base, inner, ("gp",)))["gp"]
         got = GraphSolver(product).value("gp")
         if got != want:
             _fail(failures, product, kind="corona", got=got, want=want,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bit, full_mask, iter_bits, to_tuple
+from .bitset import bit, full_mask, iter_bits
 from .errors import CapExceeded, InputError, InternalCheckError
 from .graph import Graph, complement
 
@@ -594,16 +594,6 @@ def phi_separated(g: Graph, sp: SplitPartition) -> tuple[int, int]:
     return a_val, a_wit
 
 
-def is_separated_subgraph(g: Graph, sp: SplitPartition, csub: int, isub: int) -> bool:
-    """Membership test for the separated-subgraph definition (used by oracles)."""
-    if csub & ~sp.clique or isub & ~sp.independent:
-        return False
-    cross = any(g.adj[v] & csub for v in iter_bits(isub))
-    if not cross:
-        return True
-    return isub.bit_count() == 1 and g.is_clique_mask(csub | isub)
-
-
 # ---------------------------------------------------------------------------
 # distance-hereditary recognition
 # ---------------------------------------------------------------------------
@@ -635,26 +625,6 @@ def is_distance_hereditary(g: Graph) -> bool:
         if found == -1:
             return False
         alive &= ~bit(found)
-    return True
-
-
-def preserves_distances_everywhere(g: Graph) -> bool:
-    """Definitional check over all connected induced subgraphs (small n only)."""
-    if g.n > 10:
-        raise CapExceeded("definitional distance-hereditary check capped at n=10")
-    base = distance_matrix(g)
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 2:
-            continue
-        sub = g.induced(mask)
-        if not sub.is_connected():
-            continue
-        verts = to_tuple(mask)
-        d = distance_matrix(sub)
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                if d[i][j] != base[verts[i]][verts[j]]:
-                    return False
     return True
 
 

@@ -223,13 +223,14 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
     """Minimum number of vertex-disjoint induced paths covering all vertices.
 
     Collects every subset inducing a path (each path once, walked from its
-    smaller end, plus the singletons), then runs a set-partition DP over
-    subset masks.  Exact, so explicitly capped.
+    smaller end, plus the singletons), then solves a set-partition DP top
+    down: a step removes one path through the lowest remaining vertex, so
+    only the masks reachable from V are ever solved.  Of two paths that tie,
+    the first in sorted mask order is taken.  Exact, so explicitly capped.
     """
     if g.n > cap:
         raise CapExceeded(f"induced path partition cap {cap} exceeded by order {g.n}")
     n = g.n
-    full = full_mask(n)
     masks = [bit(u) for u in range(n)]
     for u in range(n):
         masks.extend(mask for last, mask, _ in walk_induced_paths(g, u) if u < last)
@@ -237,30 +238,36 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
     for mask in sorted(masks):
         paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
 
-    INF = n + 1
-    dp = [INF] * (full + 1)
-    choice = [0] * (full + 1)
-    dp[0] = 0
-    for mask in range(1, full + 1):
-        low = (mask & -mask).bit_length() - 1
-        best = INF
-        pick = 0
-        for p in paths_by_low[low]:
-            if p & ~mask:
-                continue
-            c = dp[mask & ~p]
-            if c + 1 < best:
-                best = c + 1
-                pick = p
-        dp[mask] = best
-        choice[mask] = pick
+    memo = {0: 0}
+    mask = full_mask(n)
+    _fewest_paths(mask, paths_by_low, memo)
     parts = []
-    mask = full
     while mask:
-        p = choice[mask]
+        want = memo[mask] - 1
+        for p in paths_by_low[(mask & -mask).bit_length() - 1]:
+            if not p & ~mask and memo[mask & ~p] == want:
+                break
         parts.append(to_tuple(p))
         mask &= ~p
-    return dp[full], tuple(parts)
+    return len(parts), tuple(parts)
+
+
+def _fewest_paths(mask: int, paths_by_low: list[list[int]], memo: dict[int, int]) -> int:
+    """The partition DP's value at ``mask``, memoized in ``memo``.  A plain
+    function, not a closure calling itself: that would form a reference
+    cycle and keep the memo alive until the cyclic collector runs."""
+    best = mask.bit_count()  # the singletons bound every mask
+    for p in paths_by_low[(mask & -mask).bit_length() - 1]:
+        if p & ~mask:
+            continue
+        rest = mask & ~p
+        c = memo.get(rest)
+        if c is None:
+            c = _fewest_paths(rest, paths_by_low, memo)
+        if c + 1 < best:
+            best = c + 1
+    memo[mask] = best
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import strategies as st
@@ -47,19 +48,25 @@ def _canonical(adj: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def connected_graphs(max_n: int):
-    """One graph per isomorphism class of connected graphs on 1..max_n vertices,
+@lru_cache(maxsize=None)
+def _all_graphs(n: int) -> tuple[tuple[int, ...], ...]:
+    """One adjacency tuple per isomorphism class of graphs on n vertices,
     grown a vertex at a time from every class one vertex smaller."""
-    level = [(0,)]
+    if n == 1:
+        return ((0,),)
+    grown = {}
+    for adj in _all_graphs(n - 1):
+        for nb in range(1 << (n - 1)):
+            new = tuple(a | (nb >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (nb,)
+            grown.setdefault(_canonical(new), new)
+    return tuple(grown.values())
+
+
+def connected_graphs(max_n: int):
+    """One graph per isomorphism class of connected graphs on 1..max_n vertices.
+    The classes are cached, so later calls in one session cost little."""
     for n in range(1, max_n + 1):
-        if n > 1:
-            grown = {}
-            for adj in level:
-                for nb in range(1 << (n - 1)):
-                    new = tuple(a | (nb >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (nb,)
-                    grown.setdefault(_canonical(new), new)
-            level = list(grown.values())
-        for adj in level:
+        for adj in _all_graphs(n):
             g = Graph(n, adj)
             if g.is_connected():
                 yield g

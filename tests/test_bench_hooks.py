@@ -59,16 +59,16 @@ def test_corpus_graphs_and_closed_forms_reproduce():
 
 
 def test_suite_small_path_invariants_reproduce():
-    """rho and L of the small suite-small graphs, a fast stand-in for the
-    benchmark gate's comparison of the same values."""
+    """rho and L of every suite-small graph, up to the partition cap of 16
+    vertices: a fast stand-in for the benchmark gate's comparison of the
+    same values."""
     corpus = _load("corpus")
     lines = (corpus.CORPUS / "suite-small.g6").read_text().splitlines()
     expected = json.loads((corpus.CORPUS / "suite-small.expected.json").read_text())["values"]
     checked = 0
     for line, values in zip(lines, expected, strict=True):
         g = parse_graph6(line)
-        if g.n <= 13:
-            assert induced_path_partition(g)[0] == values["rho"], line
-            assert longest_induced_path_length(g) == values["L"], line
-            checked += 1
-    assert checked == 21
+        assert induced_path_partition(g)[0] == values["rho"], line
+        assert longest_induced_path_length(g) == values["L"], line
+        checked += 1
+    assert checked == 40

@@ -198,6 +198,26 @@ def test_predict_corona_and_join(rng):
     assert k1_join["mp"] == 5
 
 
+def test_product_predictors_compute_only_named_entries(monkeypatch):
+    import monopos.families as fam
+
+    def refuse(*_):
+        raise AssertionError("computed an entry that was not asked for")
+
+    g, h = cycle_graph(5), complete_graph(2)
+    both = {p.parameter: p.value for p in predict_join(g, h)}
+    both_corona = {p.parameter: p.value for p in predict_corona(g, h)}
+    monkeypatch.setattr(fam, "alpha_omega_number", refuse)
+    assert [(p.parameter, p.value) for p in predict_join(g, h, ("mp",))] == [("mp", both["mp"])]
+    assert ([(p.parameter, p.value) for p in predict_corona(g, h, ("mp",))]
+            == [("mp", both_corona["mp"])])
+    monkeypatch.undo()
+    monkeypatch.setattr(fam, "GraphSolver", refuse)
+    assert [(p.parameter, p.value) for p in predict_join(g, h, ("gp",))] == [("gp", both["gp"])]
+    assert ([(p.parameter, p.value) for p in predict_corona(g, h, ("gp",))]
+            == [("gp", both_corona["gp"])])
+
+
 def test_predict_complements():
     assert predict_hypercube_complement(3).value == 4
     assert predict_grid_complement(2, 2).value == 4

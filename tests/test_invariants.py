@@ -8,13 +8,12 @@ from monopos.bitset import bit, iter_bits, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, path_graph)
-from monopos.invariants import (DIST_INF, alpha_omega_number, bipartition, blocks,
-                                clique_number, cut_vertices, deficiency_witness, diameter,
-                                dissociation_number, distance_matrix, has_triangle,
+from monopos.invariants import (DIST_INF, SplitPartition, alpha_omega_number, bipartition,
+                                blocks, clique_number, cut_vertices, deficiency_witness,
+                                diameter, dissociation_number, distance_matrix, has_triangle,
                                 independence_number, is_block_graph, is_distance_hereditary,
-                                is_separated_subgraph, leaves, max_bipartite_matching,
-                                max_degree_le_one, oracle_max_subset, phi_separated,
-                                preserves_distances_everywhere, psi_uniform,
+                                leaves, max_bipartite_matching, max_degree_le_one,
+                                oracle_max_subset, phi_separated, psi_uniform,
                                 simplicial_vertices, split_partition, unions_of_cliques)
 
 
@@ -350,6 +349,16 @@ def test_phi_examples():
     assert val == 3 and wit.bit_count() == 3
 
 
+def is_separated_subgraph(g: Graph, sp: SplitPartition, csub: int, isub: int) -> bool:
+    """Membership test for the separated-subgraph definition."""
+    if csub & ~sp.clique or isub & ~sp.independent:
+        return False
+    cross = any(g.adj[v] & csub for v in iter_bits(isub))
+    if not cross:
+        return True
+    return isub.bit_count() == 1 and g.is_clique_mask(csub | isub)
+
+
 class SplitLike:
     def __init__(self, clique, independent):
         self.clique = clique
@@ -402,6 +411,26 @@ def test_dh_examples():
     r = _r.Random(5)
     for _ in range(10):
         assert is_distance_hereditary(random_tree(r.randint(2, 10), r))
+
+
+def preserves_distances_everywhere(g: Graph) -> bool:
+    """Definitional check over all connected induced subgraphs (small n only)."""
+    if g.n > 10:
+        raise CapExceeded("definitional distance-hereditary check capped at n=10")
+    base = distance_matrix(g)
+    for mask in range(1, 1 << g.n):
+        if mask.bit_count() < 2:
+            continue
+        sub = g.induced(mask)
+        if not sub.is_connected():
+            continue
+        verts = to_tuple(mask)
+        d = distance_matrix(sub)
+        for i in range(sub.n):
+            for j in range(i + 1, sub.n):
+                if d[i][j] != base[verts[i]][verts[j]]:
+                    return False
+    return True
 
 
 def test_dh_matches_definitional(rng):

@@ -252,6 +252,65 @@ def test_partition_is_minimum_over_induced_path_subsets():
     assert checked == 143
 
 
+def _bottom_up_partition(g):
+    """The partition DP solved over every subset mask in increasing order,
+    taking the first path of least cost: the slow twin of the top-down DP."""
+    n = g.n
+    full = full_mask(n)
+    masks = [bit(u) for u in range(n)]
+    for u in range(n):
+        masks.extend(mask for last, mask, _ in walk_induced_paths(g, u) if u < last)
+    paths_by_low = [[] for _ in range(n)]
+    for mask in sorted(masks):
+        paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
+    dp = [n + 1] * (full + 1)
+    choice = [0] * (full + 1)
+    dp[0] = 0
+    for mask in range(1, full + 1):
+        for p in paths_by_low[(mask & -mask).bit_length() - 1]:
+            if not p & ~mask and dp[mask & ~p] + 1 < dp[mask]:
+                dp[mask] = dp[mask & ~p] + 1
+                choice[mask] = p
+    parts = []
+    mask = full
+    while mask:
+        parts.append(to_tuple(choice[mask]))
+        mask &= ~choice[mask]
+    return dp[full], tuple(parts)
+
+
+def test_partition_equals_bottom_up_twin_on_small_connected_graphs():
+    checked = 0
+    for g in connected_graphs(7):
+        assert induced_path_partition(g) == _bottom_up_partition(g)
+        checked += 1
+    assert checked == 996
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=12))
+def test_partition_equals_bottom_up_twin(g):
+    assert induced_path_partition(g) == _bottom_up_partition(g)
+
+
+def test_partition_leaves_no_cyclic_garbage():
+    import gc
+    import random
+
+    from monopos.families import random_tree
+
+    g = random_tree(16, random.Random(1))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        induced_path_partition(g)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_budget_exhaustion_is_loud():
     from monopos.families import hypercube
 
