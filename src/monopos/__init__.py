@@ -4,10 +4,13 @@ The package computes, for finite simple graphs: the monophonic position
 number mp and its geodesic cousin gp, the independent variants imp and igp,
 the length-two variant gp2, the monophonic hull number, and the supporting
 invariants (clique and independence numbers, unions of cliques,
-dissociation, longest induced path, induced path partition).  Generators
-and closed-form evaluators cover the classical families where these
-parameters are known exactly, and a verification harness cross-checks every
-closed form against the exact solvers and small brute-force oracles.
+dissociation, longest induced path, induced path partition).  The position
+numbers, unions of cliques and dissociation share one forbidden-triple
+branch and bound; gp2 and the union-of-cliques number are the same number.
+Generators and closed-form evaluators cover the classical families where
+these parameters are known exactly, and a verification harness
+cross-checks every closed form against the exact solvers and small
+brute-force oracles.
 """
 
 from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple

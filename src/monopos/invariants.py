@@ -1,6 +1,12 @@
 """Classical invariants: distances, connectivity structure, exact solvers
 for clique-like parameters, bipartite machinery and split graph analysis.
 
+It also holds the one forbidden-triple branch and bound, ``_PositionSearch``:
+the largest vertex set holding no triple (x, y, z) with y a witness of the
+pair {x,z}.  The position solvers feed it interval or geodesic witnesses;
+here it computes alphaomega and dissociation from common-neighbour
+witnesses (see :func:`common_neighbour_witnesses`).
+
 Solver conventions
 ------------------
 Witness sets are deterministic.  Whenever a routine reports a witness for an
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitset import bit, full_mask, iter_bits
-from .errors import CapExceeded, InputError, InternalCheckError
+from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
 from .graph import Graph, complement
 
 #: Sentinel distance between vertices in different components.  Finite so
@@ -262,81 +268,168 @@ def independence_number(g: Graph) -> tuple[int, int]:
     return clique_number(complement(g))
 
 
-def _hereditary_max(g: Graph, addable) -> tuple[int, int]:
-    """Largest vertex set of a hereditary class, with lexmin witness.
+# ---------------------------------------------------------------------------
+# forbidden-triple search
+# ---------------------------------------------------------------------------
 
-    ``addable(smask, v)`` reports whether v may join a member S of the
-    class (all of whose vertices are below v) and leave it in the class.
-    Vertices are decided in ascending order; the bound is the number of
-    undecided vertices.
+#: Default branch-and-bound node limit of one position search, for every
+#: entry point (library, ``parameter_suite``, the reduction and the CLI).
+NODE_LIMIT = 20_000_000
+
+
+def common_neighbour_witnesses(g: Graph, include_adjacent: bool) -> list[list[int]]:
+    """Triple system ``witness[x][z] = N(x) & N(z)`` over the pairs x != z,
+    all of them with ``include_adjacent``, else the non-adjacent ones only.
+
+    Over every pair, a set meeting no triple has no member with two
+    neighbours in it: it is a dissociation set.  Over non-adjacent pairs
+    the triples are the induced P3s x-y-z, which are exactly the geodesics
+    of length two, since d(x,z) = 2 iff x, z are non-adjacent with a common
+    neighbour.  So a set is in 2-position iff it spans no induced P3 iff it
+    induces a disjoint union of cliques (a graph without induced P3 has
+    transitive adjacency within each component), and gp2 = alphaomega with
+    the same lexmin witness.
     """
-    n = g.n
+    adj = g.adj
+    witness = [[0] * g.n for _ in range(g.n)]
+    for x in range(g.n):
+        row = witness[x]
+        for z in range(g.n):
+            if z != x and (include_adjacent or not adj[x] >> z & 1):
+                row[z] = adj[x] & adj[z]
+    return witness
 
-    def search(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        best = 0
-        best_mask = 0
 
-        def rec(v: int, smask: int, size: int):
-            nonlocal best, best_mask
-            if size + (n - v) <= best:
-                return
-            if v == n:
-                if size > best:
-                    best, best_mask = size, smask
-                    if target is not None and best >= target:
-                        raise _Found
-                return
-            vb = bit(v)
-            if allowed & vb and addable(smask, v):
-                rec(v + 1, smask | vb, size + 1)
-            if not forced & vb:
-                rec(v + 1, smask, size)
+def invert_witnesses(witness: list[list[int]]) -> list[list[int]]:
+    """wit_of[u][y] = mask of w such that y witnesses the pair {u,w}."""
+    n = len(witness)
+    wit_of = [[0] * n for _ in range(n)]
+    for x in range(n):
+        wx = witness[x]
+        for z in range(n):
+            if z == x:
+                continue
+            for y in iter_bits(wx[z]):
+                wit_of[x][y] |= bit(z)
+    return wit_of
 
+
+class _PositionSearch:
+    """Largest vertex set meeting no triple (x, y, z) with y in
+    ``witness[x][z]``, by branch and bound.
+
+    Candidates are ordered by descending witness participation.  Taking a
+    vertex v kills, for every already chosen u: the witnesses of {u,v}, the
+    vertices w whose pair {u,w} is witnessed by v, and the vertices w whose
+    pair {v,w} is witnessed by u; with ``independent`` it also kills the
+    neighbours of v.  The bound is chosen + surviving candidates not yet
+    passed over.
+    """
+
+    def __init__(self, adj: tuple[int, ...], witness: list[list[int]], wit_of: list[list[int]],
+                 independent: bool = False, node_limit: int = NODE_LIMIT):
+        self.adj = adj
+        self.witness = witness
+        self.wit_of = wit_of
+        self.independent = independent
+        self.node_limit = node_limit
+        self.nodes = 0
+        n = len(adj)
+        # witness participation: an end of a pair counts its witnesses, a
+        # witness counts its pairs (wit_of lists each pair from both ends)
+        deg = [sum(w.bit_count() for w in witness[v])
+               + sum(wit_of[u][v].bit_count() for u in range(n)) // 2 for v in range(n)]
+        self.order = sorted(range(n), key=lambda v: (-deg[v], v))
+        self.suffix = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            self.suffix[i] = self.suffix[i + 1] | bit(self.order[i])
+
+    def _kill_mask(self, chosen: list[int], v: int) -> int:
+        kill = 0
+        wv = self.witness[v]
+        wov = self.wit_of[v]
+        for u in chosen:
+            kill |= wv[u] | self.wit_of[u][v] | wov[u]
+        if self.independent:
+            kill |= self.adj[v]
+        return kill
+
+    def maximum(self, allowed: int, lexmin: bool = True) -> tuple[int, int]:
+        """Optimum inside ``allowed`` with its lexmin witness, or with
+        ``lexmin`` off the first optimum found."""
+        value, found = self.run(0, allowed, None)
+        if not lexmin:
+            return value, found
+
+        def feasible(forced: int, box: int) -> bool:
+            got, _ = self.run(forced, box, value)
+            return got >= value
+
+        return value, _lexmin(len(self.adj), value, feasible, universe=allowed)
+
+    def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
+        """Best (size, mask) with forced included; stops early at target."""
+        chosen: list[int] = []
+        kill = 0
+        for v in iter_bits(forced):
+            kill |= self._kill_mask(chosen, v)
+            chosen.append(v)
+        if kill & forced:
+            return 0, 0
+        self.best = len(chosen)
+        self.best_mask = forced
+        self.target = target
         try:
-            rec(0, 0, 0)
+            self._rec(chosen, forced, allowed & ~forced & ~kill, 0)
         except _Found:
             pass
-        return best, best_mask
+        return self.best, self.best_mask
 
-    size, _ = search(0, g.full(), None)
+    def _rec(self, chosen: list[int], smask: int, cand: int, oi: int):
+        self.nodes += 1
+        if self.nodes > self.node_limit:
+            raise NodeLimitExceeded(f"position solver node limit {self.node_limit} exceeded")
+        size = len(chosen)
+        if size > self.best:
+            self.best = size
+            self.best_mask = smask
+            if self.target is not None and self.best >= self.target:
+                raise _Found
+        order = self.order
+        suffix = self.suffix
+        i = oi
+        n = len(order)
+        while i < n:
+            if size + (cand & suffix[i]).bit_count() <= self.best:
+                return
+            v = order[i]
+            vb = bit(v)
+            if cand & vb:
+                kill = self._kill_mask(chosen, v)
+                chosen.append(v)
+                self._rec(chosen, smask | vb, (cand & ~kill) & ~vb, i + 1)
+                chosen.pop()
+                cand &= ~vb
+            i += 1
 
-    def feasible(forced: int, box: int) -> bool:
-        got, _ = search(forced, box, size)
-        return got >= size
 
-    return size, _lexmin(n, size, feasible)
+def _common_neighbour_max(g: Graph, include_adjacent: bool) -> tuple[int, int]:
+    witness = common_neighbour_witnesses(g, include_adjacent)
+    return _PositionSearch(g.adj, witness, invert_witnesses(witness)).maximum(g.full())
 
 
 def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
     """Largest set inducing a disjoint union of cliques, with lexmin witness."""
     if g.n > cap:
         raise CapExceeded(f"alpha_omega cap {cap} exceeded by order {g.n}")
-    adj = g.adj
-
-    def addable(smask: int, v: int) -> bool:
-        # v must join no clique or all of exactly one: the closed
-        # S-neighbourhood of any of its members
-        x = adj[v] & smask
-        if not x:
-            return True
-        low = x & -x
-        return x == (adj[low.bit_length() - 1] & smask) | low
-
-    return _hereditary_max(g, addable)
+    return _common_neighbour_max(g, include_adjacent=False)
 
 
 def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
     """Largest set inducing maximum degree at most one, with lexmin witness."""
     if g.n > cap:
         raise CapExceeded(f"dissociation cap {cap} exceeded by order {g.n}")
-    adj = g.adj
-
-    def addable(smask: int, v: int) -> bool:
-        # at most one S-neighbour, and that one still isolated in S
-        x = adj[v] & smask
-        return not x or (x & (x - 1) == 0 and not adj[x.bit_length() - 1] & smask)
-
-    return _hereditary_max(g, addable)
+    return _common_neighbour_max(g, include_adjacent=True)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ a set S is "in position" exactly when no pair {x,z} of S has a third member
 of S among its interior witnesses, where the witness notion depends on the
 path mode.  Monophonic mode takes witnesses from induced-path intervals,
 geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), and the
-length-two mode restricts geodesic witnesses to pairs at distance exactly
-two.  One branch-and-bound maximizer serves all modes; the independent
-variants add a neighborhood filter when a vertex is taken.
+length-two mode takes the common neighbours of non-adjacent pairs, which
+are the geodesics of length two.  One branch-and-bound maximizer,
+``invariants._PositionSearch``, serves all modes and also alphaomega and
+dissociation; the independent variants add a neighborhood filter when a
+vertex is taken.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, is computed by name through its table.
 
@@ -21,12 +23,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .bitset import bit, iter_bits, mask_of, to_tuple
-from .errors import CapExceeded, InputError, InternalCheckError, LimitError, NodeLimitExceeded
+from .bitset import bit, mask_of, to_tuple
+from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
-from .invariants import (DIST_INF, ORACLE_CAP, _lexmin, alpha_omega_number, clique_number,
-                         dissociation_number, distance_matrix, independence_number,
+from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _PositionSearch, alpha_omega_number,
+                         clique_number, common_neighbour_witnesses, dissociation_number,
+                         distance_matrix, independence_number, invert_witnesses,
                          oracle_max_subset, simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
                     induced_path_partition, longest_induced_path_length, monophonic_hull,
@@ -65,26 +68,10 @@ class TripleIndex:
     expansions: int = 0
     _wit_of: list[list[int]] | None = field(default=None, repr=False)
 
-    def pairs_with_witnesses(self):
-        n = self.graph.n
-        for x in range(n):
-            for z in range(x + 1, n):
-                if self.witness[x][z]:
-                    yield x, z, self.witness[x][z]
-
     def witness_of(self) -> list[list[int]]:
         """wit_of[u][y] = mask of w such that y witnesses the pair {u,w}."""
         if self._wit_of is None:
-            n = self.graph.n
-            wo = [[0] * n for _ in range(n)]
-            for x in range(n):
-                wx = self.witness[x]
-                for z in range(n):
-                    if z == x:
-                        continue
-                    for y in iter_bits(wx[z]):
-                        wo[x][y] |= bit(z)
-            self._wit_of = wo
+            self._wit_of = invert_witnesses(self.witness)
         return self._wit_of
 
 
@@ -92,6 +79,8 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                        cap: int = SOLVER_CAP) -> TripleIndex:
     if g.n > cap:
         raise CapExceeded(f"triple index cap {cap} exceeded by order {g.n}")
+    if mode is PathMode.GEODESIC_LEN2:
+        return TripleIndex(g, mode, common_neighbour_witnesses(g, include_adjacent=False))
     n = g.n
     witness = [[0] * n for _ in range(n)]
     expansions = 0
@@ -112,10 +101,6 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                 d = dx[z]
                 if d >= DIST_INF:
                     continue
-                if mode is PathMode.GEODESIC_LEN2:
-                    if d == 2:
-                        witness[x][z] = witness[z][x] = g.adj[x] & g.adj[z]
-                    continue
                 dz = dist[z]
                 w = 0
                 for y in range(n):
@@ -135,11 +120,6 @@ def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int
             if hit:
                 return False, (x, (hit & -hit).bit_length() - 1, z)
     return True, None
-
-
-#: Default branch-and-bound node limit of one position search, for every
-#: entry point (library, ``parameter_suite``, the reduction and the CLI).
-NODE_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -174,117 +154,14 @@ class ParameterReport:
         }
 
 
-class _Done(Exception):
-    pass
-
-
-class _PositionSearch:
-    """Branch and bound over candidate vertices.
-
-    Candidates are ordered by descending witness participation.  Taking a
-    vertex v kills, for every already chosen u: the witnesses of {u,v}, the
-    vertices w whose pair {u,w} is witnessed by v, and the vertices w whose
-    pair {v,w} is witnessed by u.  The bound is chosen + surviving
-    candidates not yet passed over.
-    """
-
-    def __init__(self, idx: TripleIndex, independent: bool, node_limit: int):
-        self.idx = idx
-        self.g = idx.graph
-        self.independent = independent
-        self.node_limit = node_limit
-        self.nodes = 0
-        n = self.g.n
-        deg = [0] * n
-        for x, z, w in idx.pairs_with_witnesses():
-            c = w.bit_count()
-            deg[x] += c
-            deg[z] += c
-            for y in iter_bits(w):
-                deg[y] += 1
-        self.order = sorted(range(n), key=lambda v: (-deg[v], v))
-        self.suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] | bit(self.order[i])
-        self.wit_of = idx.witness_of()
-
-    def _kill_mask(self, chosen: list[int], v: int) -> int:
-        kill = 0
-        wv = self.idx.witness[v]
-        wov = self.wit_of[v]
-        for u in chosen:
-            kill |= wv[u] | self.wit_of[u][v] | wov[u]
-        if self.independent:
-            kill |= self.g.adj[v]
-        return kill
-
-    def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        """Best (size, mask) with forced included; stops early at target."""
-        chosen: list[int] = []
-        cand = allowed & ~forced
-        smask = 0
-        for v in iter_bits(forced):
-            if self.independent and self.g.adj[v] & forced:
-                return 0, 0
-            cand &= ~self._kill_mask(chosen, v)
-            chosen.append(v)
-            smask |= bit(v)
-        ok, _ = is_position_set(self.idx, forced)
-        if not ok:
-            return 0, 0
-        self.best = forced.bit_count()
-        self.best_mask = smask
-        self.target = target
-        try:
-            self._rec(chosen, smask, cand, 0)
-        except _Done:
-            pass
-        return self.best, self.best_mask
-
-    def _rec(self, chosen: list[int], smask: int, cand: int, oi: int):
-        self.nodes += 1
-        if self.nodes > self.node_limit:
-            raise NodeLimitExceeded(f"position solver node limit {self.node_limit} exceeded")
-        size = len(chosen)
-        if size > self.best:
-            self.best = size
-            self.best_mask = smask
-            if self.target is not None and self.best >= self.target:
-                raise _Done
-        order = self.order
-        suffix = self.suffix
-        i = oi
-        n = len(order)
-        while i < n:
-            if size + (cand & suffix[i]).bit_count() <= self.best:
-                return
-            v = order[i]
-            vb = bit(v)
-            if cand & vb:
-                kill = self._kill_mask(chosen, v)
-                chosen.append(v)
-                self._rec(chosen, smask | vb, (cand & ~kill) & ~vb, i + 1)
-                chosen.pop()
-                cand &= ~vb
-            i += 1
-
-
 def max_position_set(idx: TripleIndex, opts: SolverOptions = SolverOptions()) -> ParameterReport:
     """Exact maximum position set with a lexmin witness."""
     t0 = time.perf_counter()
     g = idx.graph
     allowed = g.full() if opts.allowed is None else opts.allowed
-    search = _PositionSearch(idx, opts.require_independent, opts.node_limit)
-    value, found = search.run(0, allowed, None)
-
-    if opts.lexmin_witness:
-        def feasible(forced: int, box: int) -> bool:
-            got, _ = search.run(forced, box, value)
-            return got >= value
-
-        forced = _lexmin(g.n, value, feasible, universe=allowed)
-    else:
-        forced = found
+    search = _PositionSearch(g.adj, idx.witness, idx.witness_of(), opts.require_independent,
+                             opts.node_limit)
+    value, forced = search.maximum(allowed, opts.lexmin_witness)
     ok, _ = is_position_set(idx, forced)
     if not ok or (opts.require_independent and not g.is_independent_mask(forced)):
         raise InternalCheckError("position witness failed verification")

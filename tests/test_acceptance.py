@@ -3,7 +3,10 @@
 pass/fail line.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import hashlib
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,8 +137,6 @@ def test_criterion_9_hull_machinery(suite):
 def test_criterion_10_determinism_and_format(suite):
     out = suite.outcome("graph6-roundtrip")
     ok = out.status == "pass"
-    import json
-
     ids = ["graph6-roundtrip", "unicyclic-formula", "cages-mp", "split-phi-formula"]
     again = run_suite(ids, profile="default", seeds=(1,))
     for cid in ids:
@@ -155,3 +156,20 @@ def test_suite_all_checks_pass(suite):
     print(f"[{'PASS' if not bad else 'FAIL'}] full verification suite: "
           f"{len(suite.outcomes) - len(bad)}/{len(suite.outcomes)} checks green")
     assert not bad, f"failing checks: {bad}"
+
+
+def _digest(stable_doc: dict) -> str:
+    return hashlib.sha256(json.dumps(stable_doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_behaviour_gate_matches_checked_in_digests(suite):
+    """The stable verify report under seed 1, per check and whole, hashes to
+    the digests checked in with the benchmark corpus."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "verify.expected.json"
+    expected = json.loads(path.read_text())
+    got = {o.check_id: _digest(o.stable_dict()) for o in suite.outcomes}
+    differ = sorted(cid for cid in expected["checks"] if got.get(cid) != expected["checks"][cid])
+    ok = not differ and got.keys() == expected["checks"].keys()
+    ok = ok and _digest(suite.stable_dict()) == expected["report_digest"]
+    _line(11, ok, f"stable verify report matches the checked-in digests "
+          f"({len(got) - len(differ)}/{len(expected['checks'])} checks)")

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 
-from conftest import graphs, random_connected
+from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import bit, iter_bits, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
@@ -15,6 +15,7 @@ from monopos.invariants import (DIST_INF, SplitPartition, alpha_omega_number, bi
                                 leaves, max_bipartite_matching, max_degree_le_one,
                                 oracle_max_subset, phi_separated, psi_uniform,
                                 simplicial_vertices, split_partition, unions_of_cliques)
+from monopos.solvers import GraphSolver
 
 
 # -- distances ---------------------------------------------------------------
@@ -118,7 +119,7 @@ def test_alpha_omega_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs(min_n=1, max_n=8))
+@given(graphs(min_n=1, max_n=12))
 def test_alpha_omega_against_oracle(g):
     got, wit = alpha_omega_number(g)
     want, owit = oracle_max_subset(g, lambda m: unions_of_cliques(g, m))
@@ -137,11 +138,33 @@ def test_dissociation_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(graphs(min_n=1, max_n=8))
+@given(graphs(min_n=1, max_n=12))
 def test_dissociation_against_oracle(g):
     got, wit = dissociation_number(g)
     want, owit = oracle_max_subset(g, lambda m: max_degree_le_one(g, m))
     assert (got, wit) == (want, owit)
+
+
+def test_gp2_alpha_omega_and_oracle_agree_on_small_connected_graphs():
+    """A 2-position set is a set inducing a union of cliques: gp2 and
+    alphaomega share value and lexmin witness, and both match the oracle."""
+    checked = 0
+    for g in connected_graphs(7):
+        rep = GraphSolver(g, lexmin=True).report("gp2")
+        gp2 = (rep.value, mask_of(rep.witness))
+        assert gp2 == alpha_omega_number(g), g.adj
+        assert gp2 == oracle_max_subset(g, lambda m: unions_of_cliques(g, m)), g.adj
+        checked += 1
+    assert checked == 996
+
+
+def test_dissociation_against_oracle_on_small_connected_graphs():
+    checked = 0
+    for g in connected_graphs(7):
+        want = oracle_max_subset(g, lambda m: max_degree_le_one(g, m))
+        assert dissociation_number(g) == want, g.adj
+        checked += 1
+    assert checked == 996
 
 
 # -- bipartite machinery ------------------------------------------------------

@@ -11,9 +11,10 @@ from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
 from monopos.graph6 import emit_graph6
 from monopos.invariants import cut_vertices, simplicial_vertices
 from monopos.paths import IntervalCache, monophonic_hull
-from monopos.solvers import (GraphSolver, PathMode, SolverOptions, brute_force_position,
-                             build_triple_index, hull_number, hull_number_oracle,
-                             is_position_set, max_position_set, parameter_suite)
+from monopos.solvers import (GraphSolver, PathMode, SolverOptions, _PositionSearch,
+                             brute_force_position, build_triple_index, hull_number,
+                             hull_number_oracle, is_position_set, max_position_set,
+                             parameter_suite)
 
 
 def test_triple_index_examples():
@@ -42,6 +43,17 @@ def test_is_position_set():
     kn = complete_graph(5)
     idx = build_triple_index(kn, PathMode.MONOPHONIC)
     assert is_position_set(idx, full_mask(5))[0]
+
+
+def test_search_refuses_forced_sets_that_meet_a_triple():
+    p3 = path_graph(3)
+    for mode in PathMode:
+        idx = build_triple_index(p3, mode)
+        search = _PositionSearch(p3.adj, idx.witness, idx.witness_of())
+        assert search.run(full_mask(3), full_mask(3), None) == (0, 0)
+        assert search.run(mask_of([0, 2]), full_mask(3), None) == (2, mask_of([0, 2]))
+    indep = _PositionSearch(p3.adj, idx.witness, idx.witness_of(), independent=True)
+    assert indep.run(mask_of([0, 1]), full_mask(3), None) == (0, 0)
 
 
 def test_known_position_values():
