@@ -29,9 +29,9 @@ from .invariants import (Bipartition, Matching, SplitPartition, alpha_omega_numb
 from .paths import (IntervalCache, induced_path_partition, interior_vertices,
                     longest_induced_path_length, monophonic_closure, monophonic_hull,
                     monophonic_interval)
-from .solvers import (GraphSolver, ParameterReport, PathMode, SolverOptions, SuiteResult,
-                      brute_force_position, build_triple_index, hull_number,
-                      is_position_set, max_position_set, parameter_suite)
+from .solvers import (GraphSolver, ParameterReport, PathMode, SuiteResult, brute_force_position,
+                      build_triple_index, hull_number, is_position_set, max_position_set,
+                      parameter_suite)
 from .families import FamilySpec, PredictedValue, generate, parse_family_spec
 from .reduction import ReductionInstance, ReductionReport, reduce_clique_to_mp, verify_reduction
 

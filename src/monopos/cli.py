@@ -28,19 +28,19 @@ from .solvers import (BRUTE_FORCE_CAP, NODE_LIMIT, GraphSolver, PathMode, _invar
 from . import families
 
 
-def _cuts(g: Graph, cap: int) -> tuple[int, int]:
+def _cuts(g: Graph, *_) -> tuple[int, int]:
     mask = cut_vertices(g)
     return mask.bit_count(), mask
 
 
-def _psi(g: Graph, cap: int) -> tuple[int, int]:
+def _psi(g: Graph, *_) -> tuple[int, int]:
     bp, odd = bipartition(g)
     if bp is None:
         raise InputError(f"graph is not bipartite (odd cycle {odd})")
     return psi_uniform(g, bp)
 
 
-def _phi(g: Graph, cap: int) -> tuple[int, int]:
+def _phi(g: Graph, *_) -> tuple[int, int]:
     sp = split_partition(g)
     if sp is None:
         raise InputError("graph is not a split graph")
@@ -51,8 +51,8 @@ def _phi(g: Graph, cap: int) -> tuple[int, int]:
 CLOSED_FORMS = {
     name: _invariant("closed_form", fn) for name, fn in (
         ("cuts", _cuts),
-        ("dh", lambda g, cap: (int(is_distance_hereditary(g)), 0)),
-        ("diam", lambda g, cap: (diameter(g), 0)),
+        ("dh", lambda g, *_: (int(is_distance_hereditary(g)), 0)),
+        ("diam", lambda g, *_: (diameter(g), 0)),
         ("psi", _psi),
         ("phi", _phi),
     )

@@ -63,13 +63,10 @@ class PredictedValue:
 # ---------------------------------------------------------------------------
 
 
-def parse_family_spec(text: str) -> FamilySpec:
-    """Parse ``family:p1,p2,...[:seed=k]``; nested specs in parentheses."""
-    text = text.strip()
-    if not text:
-        raise InputError("empty family spec")
+def _split_top(text: str, sep: str) -> list[str]:
+    """``text`` split at each ``sep`` outside parentheses."""
     depth = 0
-    colon_chunks = [""]
+    chunks = [""]
     for ch in text:
         if ch == "(":
             depth += 1
@@ -77,16 +74,24 @@ def parse_family_spec(text: str) -> FamilySpec:
             depth -= 1
             if depth < 0:
                 raise InputError(f"unbalanced parentheses in spec {text!r}")
-        if ch == ":" and depth == 0:
-            colon_chunks.append("")
+        if ch == sep and depth == 0:
+            chunks.append("")
         else:
-            colon_chunks[-1] += ch
+            chunks[-1] += ch
     if depth != 0:
         raise InputError(f"unbalanced parentheses in spec {text!r}")
-    family = colon_chunks[0]
+    return chunks
+
+
+def parse_family_spec(text: str) -> FamilySpec:
+    """Parse ``family:p1,p2,...[:seed=k]``; nested specs in parentheses."""
+    text = text.strip()
+    if not text:
+        raise InputError("empty family spec")
+    family, *colon_chunks = _split_top(text, ":")
     seed = None
     param_chunks: list[str] = []
-    for chunk in colon_chunks[1:]:
+    for chunk in colon_chunks:
         if chunk.startswith("seed="):
             try:
                 seed = int(chunk[5:])
@@ -97,18 +102,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     params: list[int] = []
     subspecs: list[FamilySpec] = []
     for chunk in param_chunks:
-        depth = 0
-        items = [""]
-        for ch in chunk:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            if ch == "," and depth == 0:
-                items.append("")
-            else:
-                items[-1] += ch
-        for item in items:
+        for item in _split_top(chunk, ","):
             item = item.strip()
             if not item:
                 raise InputError(f"empty parameter in spec {text!r}")

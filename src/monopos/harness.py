@@ -33,9 +33,8 @@ from .invariants import (clique_number, cut_vertices,
 from .paths import (induced_path_partition, interval_row,
                     longest_induced_path_length, simple_path_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (POSITION_PARAMS, GraphSolver, PathMode, SolverOptions,
-                      brute_force_position, hull_number_oracle, is_position_set,
-                      max_position_set)
+from .solvers import (POSITION_PARAMS, GraphSolver, PathMode, brute_force_position,
+                      hull_number_oracle, is_position_set, max_position_set)
 from . import families as fam
 
 
@@ -475,9 +474,8 @@ def _check_cut(rng: random.Random, scale: float):
         if mp > g.n - cuts.bit_count():
             _fail(failures, g, mp=mp, cuts=to_tuple(cuts))
             continue
-        restricted = max_position_set(
-            s.triple_index(PathMode.MONOPHONIC),
-            SolverOptions(allowed=g.full() & ~cuts, lexmin_witness=False))
+        restricted = max_position_set(s.triple_index(PathMode.MONOPHONIC),
+                                      allowed=g.full() & ~cuts, lexmin=False)
         if restricted.value != mp:
             _fail(failures, g, mp=mp, cut_free=restricted.value,
                   reason="no cut-free maximum witness")

@@ -9,25 +9,35 @@ witnesses (see :func:`common_neighbour_witnesses`).
 
 Solver conventions
 ------------------
-Witness sets are deterministic.  Whenever a routine reports a witness for an
-optimal value, it returns the optimum set whose bitset encoding is the
-smallest integer among all optima ("lexmin").  This is achieved by a second
-pass of per-vertex feasibility queries, so it is exact, not heuristic.
+Witness sets are deterministic.  Every exact maximum (clique, alpha,
+alphaomega, diss here; mp, gp, gp2, imp, igp in ``solvers``) ends in one
+driver, ``_lexmin``.  It takes the optimum from a search
+``run(forced, box, target)``, then settles bits from high to low with
+further runs, so the witness is the optimum set whose bitset encoding is
+the smallest integer ("lexmin"): exact, not heuristic.  A node limit counts
+the optimum search and the lexmin pass together.  The hull number is a
+minimum and is not lexmin: ``solvers.hull_number`` reports the first hull
+set in combination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bit, full_mask, iter_bits
+from .bitset import bit, iter_bits
 from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
-from .graph import Graph, complement
+from .graph import MAX_VERTICES, Graph, complement
 
 #: Sentinel distance between vertices in different components.  Finite so
 #: that sums and comparisons behave, but far above any real distance.
 DIST_INF = 1 << 20
 
 ORACLE_CAP = 20
+
+#: Default node limit of one exact maximum (a position number, clique,
+#: alpha, alphaomega or diss, optimum and lexmin pass together), for every
+#: entry point (library, ``parameter_suite``, the reduction and the CLI).
+NODE_LIMIT = 20_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -176,106 +186,102 @@ class _Found(Exception):
     pass
 
 
-def _clique_search(adj: tuple[int, ...], cand: int, target: int | None = None) -> tuple[int, int]:
-    """Maximum clique inside ``cand`` by branch and bound.
+def _lexmin(n: int, run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
+    """The one lexmin driver of the exact maxima: (optimum, witness mask).
 
-    The bound is a greedy coloring of the candidate set.  With ``target``
-    set, the search stops as soon as a clique of that size is found.
+    ``run(forced, box, target)`` must return the best (size, mask) over the
+    accepted sets S with forced <= S <= box, and may stop once it reaches
+    ``target``.  The optimum is ``run(0, allowed, None)``; with ``lexmin``
+    off its first optimum found is the witness.  Otherwise bits are settled
+    from high to low, excluding a vertex wherever an optimum survives
+    without it, so the witness is the optimum with the smallest bitset.
     """
-    best = 0
-    best_mask = 0
-
-    def expand(rmask: int, rsize: int, pmask: int):
-        nonlocal best, best_mask
-        if not pmask:
-            if rsize > best:
-                best, best_mask = rsize, rmask
-                if target is not None and best >= target:
-                    raise _Found
-            return
-        order: list[tuple[int, int]] = []
-        rest = pmask
-        color = 0
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                b = avail & -avail
-                v = b.bit_length() - 1
-                order.append((v, color))
-                rest ^= b
-                avail = (avail ^ b) & ~adj[v]
-        live = pmask
-        for v, c in reversed(order):
-            if rsize + c <= best:
-                return
-            expand(rmask | bit(v), rsize + 1, live & adj[v])
-            live &= ~bit(v)
-
-    try:
-        expand(0, 0, cand)
-    except _Found:
-        pass
-    return best, best_mask
-
-
-def _lexmin(n: int, k: int, feasible, universe: int | None = None) -> int:
-    """Smallest k-subset, as a bitset integer, accepted by ``feasible``.
-
-    ``feasible(forced, allowed)`` must report whether some accepted set S
-    with forced <= S <= allowed and |S| = k exists, and must hold initially
-    for (0, universe).  Bits are settled from high to low, excluding
-    wherever feasibility survives.
-    """
+    value, found = run(0, allowed, None)
+    if not lexmin:
+        return value, found
     forced = 0
-    allowed = full_mask(n) if universe is None else universe
     for v in range(n - 1, -1, -1):
-        if not allowed & bit(v):
+        b = bit(v)
+        if not allowed & b:
             continue
-        if feasible(forced, allowed & ~bit(v)):
-            allowed &= ~bit(v)
+        if run(forced, allowed & ~b, value)[0] >= value:
+            allowed &= ~b
         else:
-            forced |= bit(v)
-    if forced.bit_count() != k:
+            forced |= b
+    if forced.bit_count() != value:
         raise InternalCheckError("lexmin pass lost feasibility")
-    return forced
+    return value, forced
 
 
-def clique_number(g: Graph, allowed: int | None = None) -> tuple[int, int]:
-    """Exact clique number with a lexmin witness mask."""
-    cand = g.full() if allowed is None else allowed
-    size, _ = _clique_search(g.adj, cand)
-    if size == 0:
-        return 0, 0
+def clique_number(g: Graph, cap: int = MAX_VERTICES,
+                  node_limit: int = NODE_LIMIT) -> tuple[int, int]:
+    """Exact clique number with a lexmin witness mask.
 
-    def feasible(forced: int, box: int) -> bool:
+    A search grows the clique ``forced`` inside its common neighbourhood by
+    branch and bound, with a greedy colouring of the candidates as bound.
+    Nodes are counted over the optimum search and the lexmin pass together.
+    """
+    if g.n > cap:
+        raise CapExceeded(f"clique cap {cap} exceeded by order {g.n}")
+    adj = g.adj
+    nodes = 0
+
+    def run(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         if not g.is_clique_mask(forced):
-            return False
-        room = box & ~forced
+            return 0, 0
+        room = allowed & ~forced
         for v in iter_bits(forced):
-            room &= g.adj[v]
-        need = size - forced.bit_count()
-        if need <= 0:
-            return need == 0
-        got, _ = _clique_search(g.adj, room, target=need)
-        return got >= need
+            room &= adj[v]
+        best, best_mask = forced.bit_count(), forced
 
-    return size, _lexmin(g.n, size, feasible, universe=cand)
+        def expand(rmask: int, rsize: int, pmask: int):
+            nonlocal nodes, best, best_mask
+            nodes += 1
+            if nodes > node_limit:
+                raise NodeLimitExceeded(f"clique search node limit {node_limit} exceeded")
+            if not pmask:
+                if rsize > best:
+                    best, best_mask = rsize, rmask
+                    if target is not None and best >= target:
+                        raise _Found
+                return
+            order: list[tuple[int, int]] = []
+            rest = pmask
+            color = 0
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    b = avail & -avail
+                    v = b.bit_length() - 1
+                    order.append((v, color))
+                    rest ^= b
+                    avail = (avail ^ b) & ~adj[v]
+            live = pmask
+            for v, c in reversed(order):
+                if rsize + c <= best:
+                    return
+                expand(rmask | bit(v), rsize + 1, live & adj[v])
+                live &= ~bit(v)
+
+        try:
+            expand(forced, best, room)
+        except _Found:
+            pass
+        return best, best_mask
+
+    return _lexmin(g.n, run, g.full())
 
 
-def independence_number(g: Graph) -> tuple[int, int]:
+def independence_number(g: Graph, cap: int = MAX_VERTICES,
+                        node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """alpha(G), computed as the clique number of the complement."""
-    return clique_number(complement(g))
+    return clique_number(complement(g), cap, node_limit)
 
 
 # ---------------------------------------------------------------------------
 # forbidden-triple search
 # ---------------------------------------------------------------------------
-
-#: Default branch-and-bound node limit of one position search, for every
-#: entry point (library, ``parameter_suite``, the reduction and the CLI).
-NODE_LIMIT = 20_000_000
-
 
 def common_neighbour_witnesses(g: Graph, include_adjacent: bool) -> list[list[int]]:
     """Triple system ``witness[x][z] = N(x) & N(z)`` over the pairs x != z,
@@ -354,19 +360,6 @@ class _PositionSearch:
             kill |= self.adj[v]
         return kill
 
-    def maximum(self, allowed: int, lexmin: bool = True) -> tuple[int, int]:
-        """Optimum inside ``allowed`` with its lexmin witness, or with
-        ``lexmin`` off the first optimum found."""
-        value, found = self.run(0, allowed, None)
-        if not lexmin:
-            return value, found
-
-        def feasible(forced: int, box: int) -> bool:
-            got, _ = self.run(forced, box, value)
-            return got >= value
-
-        return value, _lexmin(len(self.adj), value, feasible, universe=allowed)
-
     def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         """Best (size, mask) with forced included; stops early at target."""
         chosen: list[int] = []
@@ -413,23 +406,26 @@ class _PositionSearch:
             i += 1
 
 
-def _common_neighbour_max(g: Graph, include_adjacent: bool) -> tuple[int, int]:
+def _common_neighbour_max(g: Graph, include_adjacent: bool, node_limit: int) -> tuple[int, int]:
     witness = common_neighbour_witnesses(g, include_adjacent)
-    return _PositionSearch(g.adj, witness, invert_witnesses(witness)).maximum(g.full())
+    search = _PositionSearch(g.adj, witness, invert_witnesses(witness), node_limit=node_limit)
+    return _lexmin(g.n, search.run, g.full())
 
 
-def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
+def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP,
+                       node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """Largest set inducing a disjoint union of cliques, with lexmin witness."""
     if g.n > cap:
         raise CapExceeded(f"alpha_omega cap {cap} exceeded by order {g.n}")
-    return _common_neighbour_max(g, include_adjacent=False)
+    return _common_neighbour_max(g, include_adjacent=False, node_limit=node_limit)
 
 
-def dissociation_number(g: Graph, cap: int = ORACLE_CAP) -> tuple[int, int]:
+def dissociation_number(g: Graph, cap: int = ORACLE_CAP,
+                        node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """Largest set inducing maximum degree at most one, with lexmin witness."""
     if g.n > cap:
         raise CapExceeded(f"dissociation cap {cap} exceeded by order {g.n}")
-    return _common_neighbour_max(g, include_adjacent=True)
+    return _common_neighbour_max(g, include_adjacent=True, node_limit=node_limit)
 
 
 # ---------------------------------------------------------------------------

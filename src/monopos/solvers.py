@@ -9,7 +9,8 @@ length-two mode takes the common neighbours of non-adjacent pairs, which
 are the geodesics of length two.  One branch-and-bound maximizer,
 ``invariants._PositionSearch``, serves all modes and also alphaomega and
 dissociation; the independent variants add a neighborhood filter when a
-vertex is taken.
+vertex is taken.  ``invariants._lexmin`` drives its runs to the lexmin
+witness.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, is computed by name through its table.
 
@@ -27,10 +28,10 @@ from .bitset import bit, mask_of, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
-from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _PositionSearch, alpha_omega_number,
-                         clique_number, common_neighbour_witnesses, dissociation_number,
-                         distance_matrix, independence_number, invert_witnesses,
-                         oracle_max_subset, simplicial_vertices)
+from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch,
+                         alpha_omega_number, clique_number, common_neighbour_witnesses,
+                         dissociation_number, distance_matrix, independence_number,
+                         invert_witnesses, oracle_max_subset, simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
                     induced_path_partition, longest_induced_path_length, monophonic_hull,
                     simple_path_interval)
@@ -49,13 +50,23 @@ class PathMode(Enum):
         raise InputError(f"unknown path mode {text!r} (expected mono, geo or geo2)")
 
 
-def parameter_name(mode: PathMode, independent: bool) -> str:
-    base = {PathMode.MONOPHONIC: "mp", PathMode.GEODESIC: "gp", PathMode.GEODESIC_LEN2: "gp2"}[mode]
-    if independent:
-        if mode is PathMode.GEODESIC_LEN2:
-            raise InputError("independent variant is not defined for the length-two mode")
-        return "imp" if mode is PathMode.MONOPHONIC else "igp"
-    return base
+#: Canonical position parameter names mapped to (mode, independent).
+POSITION_PARAMS: dict[str, tuple[PathMode, bool]] = {
+    "mp": (PathMode.MONOPHONIC, False),
+    "gp": (PathMode.GEODESIC, False),
+    "gp2": (PathMode.GEODESIC_LEN2, False),
+    "imp": (PathMode.MONOPHONIC, True),
+    "igp": (PathMode.GEODESIC, True),
+}
+
+_POSITION_NAMES = {key: name for name, key in POSITION_PARAMS.items()}
+
+
+def _position_name(mode: PathMode, independent: bool) -> str:
+    """Report name of a position parameter, looked up before any work."""
+    if (mode, independent) not in _POSITION_NAMES:
+        raise InputError("independent variant is not defined for the length-two mode")
+    return _POSITION_NAMES[mode, independent]
 
 
 @dataclass
@@ -122,16 +133,6 @@ def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int
     return True, None
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    require_independent: bool = False
-    node_limit: int = NODE_LIMIT
-    allowed: int | None = None
-    #: With False, skip the lexmin witness pass and report the first optimum
-    #: found (still verified); value-only callers use this to save work.
-    lexmin_witness: bool = True
-
-
 @dataclass
 class ParameterReport:
     graph_id: str
@@ -154,37 +155,30 @@ class ParameterReport:
         }
 
 
-def max_position_set(idx: TripleIndex, opts: SolverOptions = SolverOptions()) -> ParameterReport:
-    """Exact maximum position set with a lexmin witness."""
+def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: int = NODE_LIMIT,
+                     allowed: int | None = None, lexmin: bool = True) -> ParameterReport:
+    """Exact maximum position set inside ``allowed`` (default: every vertex)
+    with a lexmin witness.  With ``lexmin`` off the witness is the first
+    optimum found (still verified); value-only callers use this to save work.
+    """
     t0 = time.perf_counter()
+    name = _position_name(idx.mode, independent)
     g = idx.graph
-    allowed = g.full() if opts.allowed is None else opts.allowed
-    search = _PositionSearch(g.adj, idx.witness, idx.witness_of(), opts.require_independent,
-                             opts.node_limit)
-    value, forced = search.maximum(allowed, opts.lexmin_witness)
-    ok, _ = is_position_set(idx, forced)
-    if not ok or (opts.require_independent and not g.is_independent_mask(forced)):
+    search = _PositionSearch(g.adj, idx.witness, idx.witness_of(), independent, node_limit)
+    value, found = _lexmin(g.n, search.run, g.full() if allowed is None else allowed, lexmin)
+    ok, _ = is_position_set(idx, found)
+    if not ok or (independent and not g.is_independent_mask(found)):
         raise InternalCheckError("position witness failed verification")
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
         graph_id=emit_graph6(g),
-        parameter=parameter_name(idx.mode, opts.require_independent),
+        parameter=name,
         value=value,
-        witness=to_tuple(forced),
+        witness=to_tuple(found),
         method="branch_and_bound",
         expansions=search.nodes,
         ms=ms,
     )
-
-
-#: Canonical position parameter names mapped to (mode, independent).
-POSITION_PARAMS: dict[str, tuple[PathMode, bool]] = {
-    "mp": (PathMode.MONOPHONIC, False),
-    "gp": (PathMode.GEODESIC, False),
-    "gp2": (PathMode.GEODESIC_LEN2, False),
-    "imp": (PathMode.MONOPHONIC, True),
-    "igp": (PathMode.GEODESIC, True),
-}
 
 
 class GraphSolver:
@@ -224,22 +218,20 @@ class GraphSolver:
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
     mode, independent = POSITION_PARAMS[name]
-    opts = SolverOptions(require_independent=independent, node_limit=s.node_limit,
-                         lexmin_witness=s.lexmin)
-    return max_position_set(s.triple_index(mode), opts)
+    return max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
 
 
 def _invariant(method: str, fn):
-    """Report builder for ``fn(g, cap) -> (value, witness mask)``."""
+    """Report builder for ``fn(g, cap, node_limit) -> (value, witness mask)``."""
     def compute(s: GraphSolver, name: str) -> ParameterReport:
         t0 = time.perf_counter()
-        value, mask = fn(s.g, s.cap)
+        value, mask = fn(s.g, s.cap, s.node_limit)
         ms = (time.perf_counter() - t0) * 1000.0
         return ParameterReport(emit_graph6(s.g), name, value, to_tuple(mask), method, 0, ms)
     return compute
 
 
-def _simplicial(g: Graph, cap: int) -> tuple[int, int]:
+def _simplicial(g: Graph, *_) -> tuple[int, int]:
     mask = simplicial_vertices(g)
     return mask.bit_count(), mask
 
@@ -247,16 +239,17 @@ def _simplicial(g: Graph, cap: int) -> tuple[int, int]:
 #: Parameter name -> report builder, in the order parameter_suite computes
 #: them.  Names are resolved at call time, so the layer tracer sees each call.
 PARAMETERS = {
-    "omega": _invariant("branch_and_bound", lambda g, cap: clique_number(g)),
-    "alpha": _invariant("branch_and_bound", lambda g, cap: independence_number(g)),
-    "alphaomega": _invariant("branch_and_bound",
-                             lambda g, cap: alpha_omega_number(g, min(cap, ORACLE_CAP))),
-    "diss": _invariant("branch_and_bound",
-                       lambda g, cap: dissociation_number(g, min(cap, ORACLE_CAP))),
+    "omega": _invariant("branch_and_bound", lambda g, cap, limit: clique_number(g, cap, limit)),
+    "alpha": _invariant("branch_and_bound",
+                        lambda g, cap, limit: independence_number(g, cap, limit)),
+    "alphaomega": _invariant("branch_and_bound", lambda g, cap, limit: alpha_omega_number(
+        g, min(cap, ORACLE_CAP), limit)),
+    "diss": _invariant("branch_and_bound", lambda g, cap, limit: dissociation_number(
+        g, min(cap, ORACLE_CAP), limit)),
     "simplicial": _invariant("closed_form", _simplicial),
-    "L": _invariant("branch_and_bound", lambda g, cap: (
+    "L": _invariant("branch_and_bound", lambda g, cap, _: (
         longest_induced_path_length(g, min(cap, LONGEST_PATH_CAP)), 0)),
-    "rho": _invariant("oracle", lambda g, cap: (
+    "rho": _invariant("oracle", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g, s.cache, cap=s.cap),
@@ -276,6 +269,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
     from the simple-path filter, fully independent of the pruned DFS.
     """
     t0 = time.perf_counter()
+    name = _position_name(mode, independent)
     cap = BRUTE_FORCE_ORACLE_CAP if interval_source == "oracle" else BRUTE_FORCE_CAP
     if g.n > cap:
         raise CapExceeded(f"brute force cap {cap} exceeded by order {g.n}")
@@ -325,7 +319,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
         graph_id=emit_graph6(g),
-        parameter=parameter_name(mode, independent),
+        parameter=name,
         value=best,
         witness=to_tuple(best_mask),
         method="oracle",

@@ -129,6 +129,21 @@ def test_cli_family_leafless_r_graph(capsys):
     assert (preds["gp2"], preds["mp"], preds["igp"]) == (4, 4, 1)
 
 
+@pytest.mark.parametrize("param", ["omega", "alpha", "alphaomega", "diss"])
+def test_cli_clique_type_invariants_obey_the_limits(tmp_path, capsys, param):
+    from monopos.families import petersen_graph
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "petersen.g6"
+    path.write_text(emit_graph6(petersen_graph()) + "\n")
+    code, _, err = run_cli(capsys, "compute", str(path), "--param", param, "--node-limit", "1")
+    assert code == 3 and "node limit" in err
+    code, _, err = run_cli(capsys, "compute", str(path), "--param", param, "--cap", "5")
+    assert code == 3 and "cap" in err
+    code, out, _ = run_cli(capsys, "compute", str(path), "--param", param, "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"][0]["parameter"] == param
+
+
 def test_cli_oracle(tmp_path, capsys):
     from monopos.graph import cycle_graph
     from monopos.graph6 import emit_graph6

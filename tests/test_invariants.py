@@ -89,7 +89,7 @@ def test_clique_examples():
 
 
 @settings(max_examples=50, deadline=None)
-@given(graphs(min_n=1, max_n=9))
+@given(graphs(min_n=1, max_n=12))
 def test_clique_alpha_against_subset_oracle(g):
     w, wit = clique_number(g)
     ow, owit = oracle_max_subset(g, g.is_clique_mask)
@@ -143,6 +143,15 @@ def test_dissociation_against_oracle(g):
     got, wit = dissociation_number(g)
     want, owit = oracle_max_subset(g, lambda m: max_degree_le_one(g, m))
     assert (got, wit) == (want, owit)
+
+
+def test_clique_alpha_against_oracle_on_small_connected_graphs():
+    checked = 0
+    for g in connected_graphs(7):
+        assert clique_number(g) == oracle_max_subset(g, g.is_clique_mask), g.adj
+        assert independence_number(g) == oracle_max_subset(g, g.is_independent_mask), g.adj
+        checked += 1
+    assert checked == 996
 
 
 def test_gp2_alpha_omega_and_oracle_agree_on_small_connected_graphs():

@@ -11,7 +11,7 @@ from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
 from monopos.graph6 import emit_graph6
 from monopos.invariants import cut_vertices, simplicial_vertices
 from monopos.paths import IntervalCache, monophonic_hull
-from monopos.solvers import (GraphSolver, PathMode, SolverOptions, _PositionSearch,
+from monopos.solvers import (GraphSolver, PathMode, _PositionSearch,
                              brute_force_position, build_triple_index, hull_number,
                              hull_number_oracle, is_position_set, max_position_set,
                              parameter_suite)
@@ -93,8 +93,7 @@ def test_bb_equals_oracle_all_modes(g):
                               ("imp", (PathMode.MONOPHONIC, True)),
                               ("igp", (PathMode.GEODESIC, True))):
         want = brute_force_position(g, mode, ind)
-        got = max_position_set(build_triple_index(g, mode),
-                               SolverOptions(require_independent=ind))
+        got = max_position_set(build_triple_index(g, mode), independent=ind)
         assert got.value == want.value
         assert got.witness == want.witness
 
@@ -124,7 +123,7 @@ def test_allowed_mask_restriction():
     p5 = path_graph(5)
     idx = build_triple_index(p5, PathMode.MONOPHONIC)
     cuts = cut_vertices(p5)
-    rep = max_position_set(idx, SolverOptions(allowed=p5.full() & ~cuts))
+    rep = max_position_set(idx, allowed=p5.full() & ~cuts)
     assert rep.value == 2  # both endpoints survive
 
 
@@ -132,7 +131,23 @@ def test_node_limit_is_hard():
     g = complete_multipartite([2] * 6)
     idx = build_triple_index(g, PathMode.GEODESIC)
     with pytest.raises(NodeLimitExceeded):
-        max_position_set(idx, SolverOptions(node_limit=3))
+        max_position_set(idx, node_limit=3)
+
+
+def test_geo2_independent_variant_is_refused_before_any_search(monkeypatch):
+    import monopos.solvers as solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before refusing")
+
+    monkeypatch.setattr(_PositionSearch, "run", refuse)
+    monkeypatch.setattr(solvers, "oracle_max_subset", refuse)
+    g = path_graph(6)
+    idx = build_triple_index(g, PathMode.GEODESIC_LEN2)
+    for call in (lambda: max_position_set(idx, independent=True),
+                 lambda: brute_force_position(g, PathMode.GEODESIC_LEN2, True)):
+        with pytest.raises(InputError, match="not defined for the length-two mode"):
+            call()
 
 
 def test_cap_refusal():
