@@ -6,11 +6,13 @@ of S among its interior witnesses, where the witness notion depends on the
 path mode.  Monophonic mode takes witnesses from induced-path intervals,
 geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), and the
 length-two mode takes the common neighbours of non-adjacent pairs, which
-are the geodesics of length two.  One branch-and-bound maximizer,
+are the geodesics of length two.  ``build_triple_index`` is the one
+derivation of these witness systems.  One branch-and-bound maximizer,
 ``invariants._PositionSearch``, serves all modes and also alphaomega and
 dissociation; the independent variants add a neighborhood filter when a
 vertex is taken.  ``invariants._lexmin`` drives its runs to the lexmin
-witness.
+witness.  The subset oracle ``brute_force_position`` scans the same
+witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, is computed by name through its table.
 
@@ -33,8 +35,7 @@ from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSea
                          dissociation_number, distance_matrix, independence_number,
                          invert_witnesses, oracle_max_subset, simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
-                    induced_path_partition, longest_induced_path_length, monophonic_hull,
-                    simple_path_interval)
+                    induced_path_partition, longest_induced_path_length, monophonic_hull)
 
 
 class PathMode(Enum):
@@ -76,7 +77,6 @@ class TripleIndex:
     graph: Graph
     mode: PathMode
     witness: list[list[int]]
-    expansions: int = 0
     _wit_of: list[list[int]] | None = field(default=None, repr=False)
 
     def witness_of(self) -> list[list[int]]:
@@ -94,16 +94,13 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
         return TripleIndex(g, mode, common_neighbour_witnesses(g, include_adjacent=False))
     n = g.n
     witness = [[0] * n for _ in range(n)]
-    expansions = 0
     if mode is PathMode.MONOPHONIC:
         cache = cache_for(g, cache)
-        before = cache.expansions
         for x in range(n):
             row = cache.row(x)
             for z in range(x + 1, n):
                 w = row[z] & ~(bit(x) | bit(z))
                 witness[x][z] = witness[z][x] = w
-        expansions = cache.expansions - before
     else:
         dist = distance_matrix(g)
         for x in range(n):
@@ -118,7 +115,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                     if y != x and y != z and dx[y] + dz[y] == d:
                         w |= bit(y)
                 witness[x][z] = witness[z][x] = w
-    return TripleIndex(g, mode, witness, expansions)
+    return TripleIndex(g, mode, witness)
 
 
 def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int] | None]:
@@ -217,8 +214,12 @@ class GraphSolver:
 
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
+    """Search report whose ``ms`` also covers the triple index it built."""
+    t0 = time.perf_counter()
     mode, independent = POSITION_PARAMS[name]
-    return max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
+    rep = max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
+    rep.ms = (time.perf_counter() - t0) * 1000.0
+    return rep
 
 
 def _invariant(method: str, fn):
@@ -247,9 +248,9 @@ PARAMETERS = {
     "diss": _invariant("branch_and_bound", lambda g, cap, limit: dissociation_number(
         g, min(cap, ORACLE_CAP), limit)),
     "simplicial": _invariant("closed_form", _simplicial),
-    "L": _invariant("branch_and_bound", lambda g, cap, _: (
+    "L": _invariant("induced_path_walk", lambda g, cap, _: (
         longest_induced_path_length(g, min(cap, LONGEST_PATH_CAP)), 0)),
-    "rho": _invariant("oracle", lambda g, cap, _: (
+    "rho": _invariant("partition_dp", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g, s.cache, cap=s.cap),
@@ -257,57 +258,25 @@ PARAMETERS = {
 
 
 BRUTE_FORCE_CAP = 12
-BRUTE_FORCE_ORACLE_CAP = 9
 
 
-def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
-                         interval_source: str = "dfs") -> ParameterReport:
+def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) -> ParameterReport:
     """Subset-enumeration oracle used to certify the branch and bound.
 
-    Witness data is reassembled here rather than taken from a TripleIndex;
-    with ``interval_source="oracle"`` monophonic intervals additionally come
-    from the simple-path filter, fully independent of the pruned DFS.
+    Scans every subset against the witnesses of :func:`build_triple_index`,
+    with no use of ``_PositionSearch`` or ``_lexmin``.  The witness systems
+    have twins of their own: the simple-path oracle for mono, and for geo
+    and geo2 the shortest chordless paths (tests only).
     """
     t0 = time.perf_counter()
     name = _position_name(mode, independent)
-    cap = BRUTE_FORCE_ORACLE_CAP if interval_source == "oracle" else BRUTE_FORCE_CAP
-    if g.n > cap:
-        raise CapExceeded(f"brute force cap {cap} exceeded by order {g.n}")
-    n = g.n
-    constraints: list[tuple[int, int]] = []
-    if mode is PathMode.MONOPHONIC:
-        if interval_source == "oracle":
-            rows = {u: [simple_path_interval(g, u, v) if v != u else 0 for v in range(n)]
-                    for u in range(n)}
-        elif interval_source == "dfs":
-            cache = IntervalCache(g)
-            rows = {u: [cache.interval(u, v) if v != u else 0 for v in range(n)] for u in range(n)}
-        else:
-            raise InputError(f"unknown interval source {interval_source!r}")
-        for x in range(n):
-            for z in range(x + 1, n):
-                w = rows[x][z] & ~(bit(x) | bit(z))
-                if w:
-                    constraints.append((bit(x) | bit(z), w))
-    else:
-        dist = distance_matrix(g)
-        for x in range(n):
-            for z in range(x + 1, n):
-                d = dist[x][z]
-                if d >= DIST_INF:
-                    continue
-                if mode is PathMode.GEODESIC_LEN2:
-                    w = g.adj[x] & g.adj[z] if d == 2 else 0
-                else:
-                    w = 0
-                    for y in range(n):
-                        if y != x and y != z and dist[x][y] + dist[y][z] == d:
-                            w |= bit(y)
-                if w:
-                    constraints.append((bit(x) | bit(z), w))
+    if g.n > BRUTE_FORCE_CAP:
+        raise CapExceeded(f"brute force cap {BRUTE_FORCE_CAP} exceeded by order {g.n}")
+    witness = build_triple_index(g, mode).witness
+    constraints = [(bit(x) | bit(z), witness[x][z])
+                   for x in range(g.n) for z in range(x + 1, g.n) if witness[x][z]]
     if independent:
-        for u, v in g.edges():
-            constraints.append((bit(u) | bit(v), g.full()))
+        constraints += [(bit(u) | bit(v), g.full()) for u, v in g.edges()]
 
     def admissible(s: int) -> bool:
         for pm, wm in constraints:
@@ -315,7 +284,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
                 return False
         return True
 
-    best, best_mask = oracle_max_subset(g, admissible, cap)
+    best, best_mask = oracle_max_subset(g, admissible, BRUTE_FORCE_CAP)
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
         graph_id=emit_graph6(g),
@@ -323,7 +292,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
         value=best,
         witness=to_tuple(best_mask),
         method="oracle",
-        expansions=1 << n,
+        expansions=1 << g.n,
         ms=ms,
     )
 
@@ -362,7 +331,7 @@ def hull_number(g: Graph, cache: IntervalCache | None = None,
             parameter="hm",
             value=mask.bit_count(),
             witness=to_tuple(mask),
-            method="branch_and_bound",
+            method="hull_search",
             expansions=cache.expansions - before + tested,
             ms=ms,
         )

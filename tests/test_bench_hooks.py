@@ -1,7 +1,8 @@
 """The benchmark under ``perfbench/`` reaches into the package by name: its
 tracer wraps the functions in ``spans.BOUNDARIES`` and ``_PositionSearch.run``,
-its gate calls ``build_triple_index`` and ``monophonic_hull``, and its corpus
-is built by the family builders and checked against the family predictors.
+its gate calls ``build_triple_index``, ``is_position_set`` and
+``monophonic_hull`` on every answer, and its corpus is built by the family
+builders and checked against the family predictors.
 These tests fail when a refactor breaks one of those hooks."""
 
 import importlib
@@ -10,11 +11,13 @@ import json
 from pathlib import Path
 
 from monopos.bitset import mask_of
+from monopos.families import grid_graph, petersen_graph
 from monopos.graph import cycle_graph
 from monopos.graph6 import emit_graph6, parse_graph6
 from monopos.paths import (IntervalCache, induced_path_partition, longest_induced_path_length,
                            monophonic_hull)
-from monopos.solvers import PathMode, TripleIndex, _PositionSearch, build_triple_index
+from monopos.solvers import (PARAMETERS, GraphSolver, PathMode, TripleIndex, _PositionSearch,
+                             build_triple_index)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,6 +42,20 @@ def test_gate_call_shapes():
     for mode in ("mono", "geo", "geo2"):
         assert isinstance(build_triple_index(g, PathMode.from_string(mode), cache), TripleIndex)
     assert monophonic_hull(g, mask_of([0, 2]), cache)[0] == g.full()
+
+
+def test_gate_accepts_lexmin_answers_for_every_parameter(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gate = _load("gate")
+    checked = 0
+    for g in (cycle_graph(6), petersen_graph(), grid_graph(3, 5)):
+        solver = GraphSolver(g, lexmin=True)
+        fresh = gate._Fresh(g)
+        for name in PARAMETERS:
+            rep = solver.report(name)
+            assert gate.witness_ok(fresh, name, rep.value, rep.witness), (g.n, name)
+            checked += 1
+    assert checked == 3 * len(PARAMETERS)
 
 
 def test_corpus_graphs_and_closed_forms_reproduce():

@@ -10,11 +10,12 @@ from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
 from monopos.graph6 import emit_graph6
 from monopos.invariants import cut_vertices, simplicial_vertices
-from monopos.paths import IntervalCache, monophonic_hull
-from monopos.solvers import (GraphSolver, PathMode, _PositionSearch,
-                             brute_force_position, build_triple_index, hull_number,
-                             hull_number_oracle, is_position_set, max_position_set,
-                             parameter_suite)
+from monopos.families import petersen_graph
+from monopos.paths import IntervalCache, _chordless_simple_paths, monophonic_hull
+from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
+                             _PositionSearch, brute_force_position, build_triple_index,
+                             hull_number, hull_number_oracle, is_position_set,
+                             max_position_set, parameter_suite)
 
 
 def test_triple_index_examples():
@@ -98,12 +99,42 @@ def test_bb_equals_oracle_all_modes(g):
         assert got.witness == want.witness
 
 
-def test_fully_independent_oracle_intervals(rng):
-    for _ in range(10):
-        g = random_connected(rng, rng.randint(2, 8))
-        a = brute_force_position(g, PathMode.MONOPHONIC, interval_source="oracle")
-        b = brute_force_position(g, PathMode.MONOPHONIC, interval_source="dfs")
-        assert (a.value, a.witness) == (b.value, b.witness)
+def test_subset_oracle_uses_neither_the_search_nor_lexmin(monkeypatch):
+    import monopos.solvers as solvers
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran a fast path")
+
+    monkeypatch.setattr(_PositionSearch, "run", refuse)
+    monkeypatch.setattr(solvers, "_lexmin", refuse)
+    g = cycle_graph(5)
+    got = {}
+    for name, (mode, ind) in POSITION_PARAMS.items():
+        rep = brute_force_position(g, mode, ind)
+        got[name] = (rep.value, rep.witness)
+    assert got == {"mp": (2, (0, 1)), "gp": (3, (0, 1, 3)), "gp2": (3, (0, 1, 3)),
+                   "imp": (2, (0, 2)), "igp": (2, (0, 2))}
+
+
+def test_geodesic_witnesses_equal_shortest_chordless_paths():
+    """The geo and geo2 twin: interiors of the shortest x-z paths, taken
+    from the simple-path filter with no distance matrix."""
+    checked = 0
+    for g in connected_graphs(7):
+        geo = build_triple_index(g, PathMode.GEODESIC).witness
+        geo2 = build_triple_index(g, PathMode.GEODESIC_LEN2).witness
+        for x, z in combinations(range(g.n), 2):
+            paths = _chordless_simple_paths(g, x, z)
+            shortest = min(m.bit_count() for m in paths)
+            inner = 0
+            for m in paths:
+                if m.bit_count() == shortest:
+                    inner |= m & ~mask_of([x, z])
+            assert geo[x][z] == geo[z][x] == inner, (emit_graph6(g), x, z)
+            want2 = inner if shortest == 3 else 0
+            assert geo2[x][z] == geo2[z][x] == want2, (emit_graph6(g), x, z)
+        checked += 1
+    assert checked == 996
 
 
 def test_witness_is_valid_position_set(rng):
@@ -163,6 +194,42 @@ def test_report_serialization():
     doc = rep.to_dict()
     assert doc["parameter"] == "mp" and doc["value"] == 2
     assert doc["witness"] == [0, 1] and doc["method"] == "branch_and_bound"
+
+
+def test_branch_and_bound_label_marks_exactly_the_node_limited_maxima():
+    g = petersen_graph()
+    labels = {name: rep.method for name, rep in parameter_suite(g).reports.items()}
+    assert set(labels) == set(PARAMETERS)
+    limited = set()
+    for name in PARAMETERS:
+        try:
+            GraphSolver(g, node_limit=1).report(name)
+        except NodeLimitExceeded:
+            limited.add(name)
+    nine = {"omega", "alpha", "alphaomega", "diss", "mp", "gp", "gp2", "imp", "igp"}
+    assert {name for name, method in labels.items() if method == "branch_and_bound"} == nine
+    assert limited == nine
+    assert (labels["L"], labels["rho"], labels["hm"], labels["simplicial"]) == (
+        "induced_path_walk", "partition_dp", "hull_search", "closed_form")
+
+
+def test_position_report_time_covers_the_index_build(monkeypatch):
+    import time
+
+    import monopos.solvers as solvers
+
+    real = solvers.build_triple_index
+    built = []
+
+    def slow(g, mode, *args, **kwargs):
+        built.append(mode)
+        time.sleep(0.05)
+        return real(g, mode, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "build_triple_index", slow)
+    s = GraphSolver(cycle_graph(6))
+    assert s.report("mp").ms >= 50.0 and s.report("gp").ms >= 50.0
+    assert built == [PathMode.MONOPHONIC, PathMode.GEODESIC]
 
 
 def test_hull_numbers():
