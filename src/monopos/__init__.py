@@ -26,7 +26,7 @@ from .invariants import (Bipartition, Matching, SplitPartition, alpha_omega_numb
                          is_block_graph, is_distance_hereditary, leaves,
                          max_bipartite_matching, phi_separated, psi_uniform,
                          simplicial_vertices, split_partition)
-from .paths import (IntervalCache, induced_path_partition, interior_vertices,
+from .paths import (IntervalCache, convex_hull, induced_path_partition, interior_vertices,
                     longest_induced_path_length, monophonic_closure, monophonic_hull,
                     monophonic_interval)
 from .solvers import (GraphSolver, ParameterReport, PathMode, SuiteResult, brute_force_position,

@@ -16,8 +16,13 @@ source row at a time and cached.
 
 ``walk_induced_paths`` is the one enumeration that the longest induced path
 and the induced path partition read.  ``interval_row`` runs the same search
-with its own inline loop, because interval rows dominate the mp and hm
-cost and a generator in between slows them down (see its docstring).
+with its own inline loop, because interval rows dominate the mp cost and a
+generator in between slows them down (see its docstring).
+
+Hulls have two routines.  ``convex_hull`` runs Duchet's component test in
+polynomial time and reads no interval row; the hull number uses it.
+``monophonic_hull`` iterates interval closures, reports the round count
+and is the oracle that ``convex_hull`` is checked against.
 """
 
 from __future__ import annotations
@@ -183,6 +188,80 @@ def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None) -> tup
             return current, r
         current = nxt
         r += 1
+
+
+def convex_hull(g: Graph, m: int, convex: int = 0) -> int:
+    """Monophonic hull of ``m | convex``, reading no interval row.
+
+    ``convex`` must itself be m-convex (the empty set is).  Duchet's
+    characterisation (1988) drives the search: S is m-convex iff, for every
+    component C of G - S, the vertices of S adjacent to C form a clique.  A
+    component whose border holds non-adjacent a and b gets the interior of a
+    shortest a,b-path through C added; such a path is induced, so every
+    added vertex lies in the hull.  Only the rest of C can break convexity
+    anew, so it alone goes back on the worklist.  Components of
+    G - ``convex`` that miss m already pass, so they are never examined:
+    hull(H + v) for a convex H looks at v's component of G - H only.
+    """
+    if not m | convex:
+        raise InputError("hull of the empty set is undefined")
+    adj = g.adj
+    s = m | convex
+    new = m & ~convex
+    reach = new
+    while new:  # the components of G - convex that meet m
+        nb = 0
+        for v in iter_bits(new):
+            nb |= adj[v]
+        new = nb & ~convex & ~reach
+        reach |= new
+    # Each region is a union of components of G - s.
+    work = [reach & ~s]
+    while work:
+        region = work.pop()
+        if not region:
+            continue
+        comp = frontier = region & -region
+        border = 0
+        while frontier:
+            nb = 0
+            for v in iter_bits(frontier):
+                nb |= adj[v]
+            border |= nb
+            frontier = nb & region & ~comp
+            comp |= frontier
+        work.append(region & ~comp)
+        border &= ~comp
+        for a in iter_bits(border):
+            far = border & ~adj[a] & ~bit(a)
+            if far:
+                path = _shortest_interior(adj, a, (far & -far).bit_length() - 1, comp)
+                s |= path
+                work.append(comp & ~path)
+                break
+    return s
+
+
+def _shortest_interior(adj, a: int, b: int, comp: int) -> int:
+    """Interior of a shortest a,b-path with every inner vertex in the
+    connected set ``comp``, which both a and b border (BFS layers from a)."""
+    layer = seen = adj[a] & comp
+    layers = [layer]
+    while not layer & adj[b]:
+        nb = 0
+        for v in iter_bits(layer):
+            nb |= adj[v]
+        layer = nb & comp & ~seen
+        seen |= layer
+        layers.append(layer)
+    path = 0
+    want = adj[b]
+    for layer in reversed(layers):
+        hit = layer & want
+        step = hit & -hit
+        path |= step
+        want = adj[step.bit_length() - 1]
+    return path
 
 
 def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None) -> int:

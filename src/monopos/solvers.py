@@ -16,6 +16,12 @@ witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, is computed by name through its table.
 
+The monophonic hull number reads no interval row.  ``hull_number`` takes
+its hulls from ``paths.convex_hull``, Duchet's characterisation of
+minimal-path convexity (Duchet 1988, *JCTB* 44): S is m-convex iff the
+border of every component of G - S is a clique.  Closure iteration over
+interval rows (``paths.monophonic_hull``) stays as its oracle.
+
 Node limits are hard failures.  The solver never degrades to a bound.
 """
 
@@ -26,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .bitset import bit, mask_of, to_tuple
+from .bitset import bit, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
@@ -34,7 +40,7 @@ from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSea
                          alpha_omega_number, clique_number, common_neighbour_witnesses,
                          dissociation_number, distance_matrix, independence_number,
                          invert_witnesses, oracle_max_subset, simplicial_vertices)
-from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for,
+from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
                     induced_path_partition, longest_induced_path_length, monophonic_hull)
 
 
@@ -253,7 +259,7 @@ PARAMETERS = {
     "rho": _invariant("partition_dp", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
-    "hm": lambda s, name: hull_number(s.g, s.cache, cap=s.cap),
+    "hm": lambda s, name: hull_number(s.g, cap=s.cap),
 }
 
 
@@ -304,53 +310,67 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) ->
 HULL_SET_BUDGET = 2_000_000
 
 
-def hull_number(g: Graph, cache: IntervalCache | None = None,
-                cap: int = SOLVER_CAP) -> ParameterReport:
+def hull_number(g: Graph, *, cap: int = SOLVER_CAP) -> ParameterReport:
     """Smallest set whose monophonic hull is the whole vertex set.
 
-    Every hull set contains every simplicial vertex, so the search starts
-    from that seed and grows by cardinality.  A minimum hull set S holds no
-    vertex v of hull(S - v), so it holds no vertex of hull(seed) outside the
-    seed: candidates are the vertices outside hull(seed).  Combinations of
-    the candidates come in lexicographic order, so the witness is the
-    lexicographically first minimum hull set.
+    Hulls come from :func:`paths.convex_hull`, Duchet's component test
+    (Duchet 1988), so no interval row is read.  Every hull set contains
+    every simplicial vertex, so the search starts from that seed and grows
+    by cardinality.  A minimum hull set S holds no vertex v of hull(S - v),
+    for S - v would be a smaller hull set.  So candidates are the vertices
+    outside hull(seed), and combinations are walked depth first: each
+    prefix carries its hull, each child's hull is seeded from its parent's,
+    and a candidate already inside the prefix hull is skipped.  Combinations
+    still come in lexicographic order, so the witness is the first minimum
+    hull set in that order.  ``expansions`` counts the hull extensions
+    tested; past ``HULL_SET_BUDGET`` of them the search raises
+    ``CapExceeded``, naming the set size it had reached.
     """
     t0 = time.perf_counter()
-    cache = cache_for(g, cache)
     if not g.is_connected():
         raise InputError("hull_number requires a connected graph")
     if g.n > cap:
         raise CapExceeded(f"hull cap {cap} exceeded by order {g.n}")
     full = g.full()
-    before = cache.expansions
-
-    def finish(mask: int, tested: int) -> ParameterReport:
-        ms = (time.perf_counter() - t0) * 1000.0
-        return ParameterReport(
-            graph_id=emit_graph6(g),
-            parameter="hm",
-            value=mask.bit_count(),
-            witness=to_tuple(mask),
-            method="hull_search",
-            expansions=cache.expansions - before + tested,
-            ms=ms,
-        )
-
     seed = simplicial_vertices(g)
-    closed = monophonic_hull(g, seed, cache)[0] if seed else 0
-    if closed == full:
-        return finish(seed, 1)
+    closed = convex_hull(g, seed) if seed else 0
     others = [v for v in range(g.n) if not closed & bit(v)]
-    tested = 0
-    for extra in range(max(0, 2 - seed.bit_count()), len(others) + 1):
-        for combo in combinations(others, extra):
+    tested = 1
+    found = seed if closed == full else 0
+    for size in range(max(seed.bit_count() + 1, 2), g.n + 1):
+        if found:
+            break
+        stack = [(seed, closed, 0)]  # a prefix, its hull, the index of its next candidate
+        while stack and not found:
+            mask, hull, i = stack.pop()
+            last = len(others) - (size - mask.bit_count())
+            while i <= last and hull & bit(others[i]):
+                i += 1
+            if i > last:
+                continue
+            stack.append((mask, hull, i + 1))
             tested += 1
             if tested > HULL_SET_BUDGET:
-                raise CapExceeded(f"hull search budget {HULL_SET_BUDGET} exhausted")
-            mask = seed | mask_of(combo)
-            if monophonic_hull(g, mask, cache)[0] == full:
-                return finish(mask, tested)
-    raise InternalCheckError("no hull set found up to the full vertex set")
+                raise CapExceeded(
+                    f"hull search budget {HULL_SET_BUDGET} exhausted on sets of size {size} "
+                    f"after {tested - 1} hull extensions: the hull number is at least {size}")
+            v = bit(others[i])
+            child = convex_hull(g, v, hull)
+            if mask.bit_count() + 1 < size:
+                stack.append((mask | v, child, i + 1))
+            elif child == full:
+                found = mask | v
+    if not found:
+        raise InternalCheckError("no hull set found up to the full vertex set")
+    return ParameterReport(
+        graph_id=emit_graph6(g),
+        parameter="hm",
+        value=found.bit_count(),
+        witness=to_tuple(found),
+        method="hull_search",
+        expansions=tested,
+        ms=(time.perf_counter() - t0) * 1000.0,
+    )
 
 
 def hull_number_oracle(g: Graph, cap: int = 12) -> int:

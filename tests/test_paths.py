@@ -6,10 +6,12 @@ from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
 from monopos.graph import Graph, complete_graph, cycle_graph, path_graph
 from monopos.invariants import distance_matrix
-from monopos.paths import (IntervalCache, _chordless_simple_paths, count_induced_paths_oracle,
-                           induced_path_partition, interior_vertices, interval_row,
-                           longest_induced_path_length, monophonic_closure, monophonic_hull,
-                           monophonic_interval, simple_path_interval, walk_induced_paths)
+from monopos.families import random_block_graph, random_split_graph, random_tree
+from monopos.paths import (IntervalCache, _chordless_simple_paths, convex_hull,
+                           count_induced_paths_oracle, induced_path_partition, interior_vertices,
+                           interval_row, longest_induced_path_length, monophonic_closure,
+                           monophonic_hull, monophonic_interval, simple_path_interval,
+                           walk_induced_paths)
 
 
 def _paths_to(g, u, v):
@@ -161,6 +163,35 @@ def test_hull_matches_oracle_fixpoint(rng):
                 break
             current = nxt
         assert monophonic_hull(g, m)[0] == current
+
+
+def test_convex_hull_equals_closure_iteration_on_small_connected_graphs():
+    """Every non-empty subset of every connected graph up to 6 vertices,
+    from scratch and seeded from its closure-iteration hull plus one vertex."""
+    for g in connected_graphs(6):
+        cache = IntervalCache(g)
+        for m in range(1, 1 << g.n):
+            hull = monophonic_hull(g, m, cache)[0]
+            assert convex_hull(g, m) == hull, (g.adj, m)
+            for v in range(g.n):
+                assert convex_hull(g, bit(v), hull) == monophonic_hull(g, hull | bit(v), cache)[0]
+    with pytest.raises(InputError):
+        convex_hull(path_graph(3), 0)
+
+
+def test_convex_hull_equals_closure_iteration_at_solver_sizes(rng):
+    """Trees, block graphs and split graphs of 40-64 vertices, where interval
+    rows stay cheap enough for the closure-iteration oracle."""
+    for make in (random_tree, random_block_graph, random_split_graph):
+        for _ in range(3):
+            g = make(rng.randint(40, 64), rng)
+            cache = IntervalCache(g)
+            for _ in range(8):
+                m = mask_of(rng.sample(range(g.n), rng.randint(1, 4)))
+                hull = monophonic_hull(g, m, cache)[0]
+                assert convex_hull(g, m) == hull
+                v = rng.randrange(g.n)
+                assert convex_hull(g, bit(v), hull) == monophonic_hull(g, hull | bit(v), cache)[0]
 
 
 def test_interior_examples():
@@ -325,9 +356,7 @@ def test_interval_cache_guards():
     cache.interval(0, 2)
     with pytest.raises(InputError):
         monophonic_interval(c6, 0, 2, cache)
-    from monopos.solvers import PathMode, build_triple_index, hull_number
+    from monopos.solvers import PathMode, build_triple_index
 
     with pytest.raises(InputError):
         build_triple_index(complete_graph(6), PathMode.MONOPHONIC, IntervalCache(path_graph(6)))
-    with pytest.raises(InputError):
-        hull_number(path_graph(5), IntervalCache(c6))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,8 @@ from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
 from monopos.graph6 import emit_graph6
 from monopos.invariants import cut_vertices, simplicial_vertices
-from monopos.families import petersen_graph
-from monopos.paths import IntervalCache, _chordless_simple_paths, monophonic_hull
+from monopos.families import grid_graph, hypercube, petersen_graph, random_connected_graph
+from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
 from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
                              _PositionSearch, brute_force_position, build_triple_index,
                              hull_number, hull_number_oracle, is_position_set,
@@ -260,12 +261,61 @@ def test_hull_witness_properties(rng):
         assert rep.value <= GraphSolver(g).value("mp")
 
 
+def _first_hull_set(g):
+    """First set in (cardinality, lexicographic) order whose closure-iteration
+    hull is V: the hm witness, found with no component test."""
+    cache = IntervalCache(g)
+    return next(combo for k in range(1, g.n + 1) for combo in combinations(range(g.n), k)
+                if monophonic_hull(g, mask_of(combo), cache)[0] == g.full())
+
+
+def _c4_flower(petals):
+    """``petals`` 4-cycles sharing vertex 0; vertex 3i + 2 is opposite it on petal i."""
+    edges = []
+    for i in range(petals):
+        a, b, c = 3 * i + 1, 3 * i + 2, 3 * i + 3
+        edges += [(0, a), (a, b), (b, c), (c, 0)]
+    return Graph.from_edges(3 * petals + 1, edges)
+
+
 def test_hull_witness_is_first_hull_set_in_lexicographic_order():
-    for g in connected_graphs(7):
-        cache = IntervalCache(g)
-        first = next(combo for k in range(1, g.n + 1) for combo in combinations(range(g.n), k)
-                     if monophonic_hull(g, mask_of(combo), cache)[0] == g.full())
-        assert hull_number(g, cache).witness == first, emit_graph6(g)
+    for g in [*connected_graphs(7), _c4_flower(5)]:
+        assert hull_number(g).witness == _first_hull_set(g), emit_graph6(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=8))
+def test_hull_number_equals_closure_iteration_scan(g):
+    if not g.is_connected():
+        with pytest.raises(InputError):
+            hull_number(g)
+        return
+    rep = hull_number(g)
+    first = _first_hull_set(g)
+    assert (rep.value, rep.witness) == (len(first), first)
+
+
+def test_hull_search_reads_no_interval_row():
+    for g in (petersen_graph(), grid_graph(8, 8), hypercube(6)):
+        s = GraphSolver(g)
+        assert s.report("hm").value == 2 and s.cache.expansions == 0, emit_graph6(g)
+
+
+def test_hull_number_at_order_64():
+    g = random_connected_graph(64, random.Random(1), 0.1)
+    rep = hull_number(g)
+    witness = mask_of(rep.witness)
+    simp = simplicial_vertices(g)
+    assert witness & simp == simp and convex_hull(g, witness) == g.full()
+
+
+def test_hull_budget_refusal_reports_progress(monkeypatch):
+    import monopos.solvers as solvers
+
+    monkeypatch.setattr(solvers, "HULL_SET_BUDGET", 1000)
+    with pytest.raises(CapExceeded, match=r"sets of size 4 after 1000 hull extensions: "
+                                          r"the hull number is at least 4"):
+        hull_number(_c4_flower(5))
 
 
 def test_hull_search_builds_no_triple_index(monkeypatch):
