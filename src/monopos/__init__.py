@@ -20,12 +20,11 @@ from .graph import (Graph, add_pendant, cartesian_product, complement, complete_
                     complete_multipartite, corona, cycle_graph, disjoint_union,
                     emit_edgelist, empty_graph, join, parse_edgelist, path_graph)
 from .graph6 import emit_graph6, parse_graph6, parse_graph6_lines
-from .invariants import (Bipartition, Matching, SplitPartition, alpha_omega_number,
-                         bipartition, blocks, clique_number, cut_vertices, diameter,
-                         dissociation_number, distance_matrix, independence_number,
-                         is_block_graph, is_distance_hereditary, leaves,
-                         max_bipartite_matching, phi_separated, psi_uniform,
-                         simplicial_vertices, split_partition)
+from .invariants import (Bipartition, SplitPartition, alpha_omega_number, bipartition,
+                         blocks, clique_number, clique_separator_atoms, cut_vertices,
+                         diameter, dissociation_number, distance_matrix, independence_number,
+                         is_block_graph, is_distance_hereditary, leaves, phi_separated,
+                         psi_uniform, simplicial_vertices, split_partition)
 from .paths import (IntervalCache, convex_hull, induced_path_partition, interior_vertices,
                     longest_induced_path_length, monophonic_closure, monophonic_hull,
                     monophonic_interval)

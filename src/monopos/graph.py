@@ -8,7 +8,7 @@ function of its inputs.
 
 from __future__ import annotations
 
-from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
+from .bitset import bit, full_mask, iter_bits, mask_of
 from .errors import InputError
 
 #: Hard upper bound on graph order accepted anywhere in the package.
@@ -55,9 +55,6 @@ class Graph:
 
     # -- elementary queries ---------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & bit(v))
 
@@ -96,28 +93,8 @@ class Graph:
             seen |= frontier
         return seen
 
-    def components(self) -> list[int]:
-        rest = self.full()
-        out = []
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            comp = self.component_of(v)
-            out.append(comp)
-            rest &= ~comp
-        return out
-
     def is_connected(self) -> bool:
         return self.component_of(0) == self.full()
-
-    def induced(self, mask: int) -> "Graph":
-        """Subgraph induced by ``mask``, relabelled to 0..k-1 in id order."""
-        verts = to_tuple(mask)
-        index = {v: i for i, v in enumerate(verts)}
-        adj = [0] * len(verts)
-        for v in verts:
-            for u in iter_bits(self.adj[v] & mask):
-                adj[index[v]] |= bit(index[u])
-        return Graph(len(verts), tuple(adj))
 
     def is_clique_mask(self, mask: int) -> bool:
         for v in iter_bits(mask):

@@ -153,6 +153,67 @@ def is_block_graph(g: Graph) -> bool:
     return all(g.is_clique_mask(b) for b in blocks(g))
 
 
+def clique_separator_atoms(g: Graph) -> list[int]:
+    """Vertex masks of the atoms of the clique minimal separator
+    decomposition: the maximal vertex sets that induce a connected subgraph
+    with no clique separator (Berry, Pogorelcnik & Simonet 2010,
+    *Algorithms* 3); a disconnected graph gets those of each component.
+
+    MCS-M (Berry, Blair, Heggernes & Peyton 2004, *Algorithmica* 39)
+    numbers the vertices from n down to 1, each time taking the heaviest
+    unnumbered x.  Each unnumbered y that x reaches through lighter
+    unnumbered vertices gains weight and records x in ``madj[y]``; one
+    sweep over rising weights k finds those of weight k next to x or to
+    what x reaches below k.  A vertex taken with no more weight than the
+    one before generates the minimal separator ``madj[x]``.  From number 1
+    up, each generator whose separator is a clique splits off the separator
+    plus the component of the rest that holds it; the last rest is an atom.
+    """
+    adj = g.adj
+    buckets = [g.full()] + [0] * g.n  # unnumbered vertices by weight
+    madj = [0] * g.n
+    order = []
+    generators = 0
+    top = prev = -1
+    for _ in range(g.n):
+        top += 1  # a step raises the top weight by at most one
+        while not buckets[top]:
+            top -= 1
+        x = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= bit(x)
+        if top <= prev:
+            generators |= bit(x)
+        prev = top
+        order.append(x)
+        near = adj[x]  # neighbours of x and of what it reaches
+        reach = light = 0
+        raised = []
+        for k in range(top + 1):
+            if buckets[k] & near:
+                raised.append((k, buckets[k] & near))
+            light |= buckets[k]
+            frontier = near & light & ~reach
+            while frontier:
+                reach |= frontier
+                for v in iter_bits(frontier):
+                    near |= adj[v]
+                frontier = near & light & ~reach
+        for k, hit in raised:
+            buckets[k] ^= hit
+            buckets[k + 1] |= hit
+            for y in iter_bits(hit):
+                madj[y] |= bit(x)
+    atoms = []
+    rest = g.full()
+    for x in reversed(order):
+        if generators >> x & 1 and g.is_clique_mask(madj[x]):
+            comp = g.component_of(x, rest & ~madj[x])
+            atoms.append(madj[x] | comp)
+            rest &= ~comp
+    atoms.append(rest)
+    return atoms
+
+
 def simplicial_vertices(g: Graph) -> int:
     """Mask of vertices whose neighborhood induces a clique."""
     out = 0
@@ -507,12 +568,6 @@ def psi_uniform(g: Graph, bp: Bipartition) -> tuple[int, int]:
     return ca.bit_count() + cb.bit_count(), ca | cb
 
 
-@dataclass(frozen=True)
-class Matching:
-    pairs: tuple[tuple[int, int], ...]
-    size: int
-
-
 def _hopcroft_karp(g: Graph, left: int, right: int) -> tuple[list[int], int]:
     """Match array (by vertex id, -1 if free) and matching size."""
     INF = 1 << 30
@@ -554,15 +609,6 @@ def _hopcroft_karp(g: Graph, left: int, right: int) -> tuple[list[int], int]:
         for u in left_list:
             if match[u] == -1 and try_augment(u):
                 size += 1
-
-
-def max_bipartite_matching(g: Graph, left: int, right: int) -> Matching:
-    """Maximum matching using only left-right edges (Hopcroft-Karp)."""
-    if left & right:
-        raise InputError("matching sides must be disjoint")
-    match, size = _hopcroft_karp(g, left, right)
-    pairs = tuple(sorted((u, match[u]) for u in iter_bits(left) if match[u] != -1))
-    return Matching(pairs, size)
 
 
 def deficiency_witness(g: Graph, left: int, right: int) -> tuple[int, int, int]:

@@ -190,33 +190,21 @@ def monophonic_hull(g: Graph, m: int, cache: IntervalCache | None = None) -> tup
         r += 1
 
 
-def convex_hull(g: Graph, m: int, convex: int = 0) -> int:
-    """Monophonic hull of ``m | convex``, reading no interval row.
+def convex_hull(g: Graph, m: int) -> int:
+    """Monophonic hull of ``m``, reading no interval row.
 
-    ``convex`` must itself be m-convex (the empty set is).  Duchet's
-    characterisation (1988) drives the search: S is m-convex iff, for every
-    component C of G - S, the vertices of S adjacent to C form a clique.  A
-    component whose border holds non-adjacent a and b gets the interior of a
-    shortest a,b-path through C added; such a path is induced, so every
-    added vertex lies in the hull.  Only the rest of C can break convexity
-    anew, so it alone goes back on the worklist.  Components of
-    G - ``convex`` that miss m already pass, so they are never examined:
-    hull(H + v) for a convex H looks at v's component of G - H only.
+    Duchet's characterisation (1988) drives the search: S is m-convex iff,
+    for every component C of G - S, the vertices of S adjacent to C form a
+    clique.  A component whose border holds non-adjacent a and b gets the
+    interior of a shortest a,b-path through C added; such a path is
+    induced, so every added vertex lies in the hull.  Only the rest of C
+    can break convexity anew, so it alone goes back on the worklist.
     """
-    if not m | convex:
+    if not m:
         raise InputError("hull of the empty set is undefined")
     adj = g.adj
-    s = m | convex
-    new = m & ~convex
-    reach = new
-    while new:  # the components of G - convex that meet m
-        nb = 0
-        for v in iter_bits(new):
-            nb |= adj[v]
-        new = nb & ~convex & ~reach
-        reach |= new
-    # Each region is a union of components of G - s.
-    work = [reach & ~s]
+    # Each region is a union of components of G - m.
+    work = [g.full() & ~m]
     while work:
         region = work.pop()
         if not region:
@@ -236,10 +224,10 @@ def convex_hull(g: Graph, m: int, convex: int = 0) -> int:
             far = border & ~adj[a] & ~bit(a)
             if far:
                 path = _shortest_interior(adj, a, (far & -far).bit_length() - 1, comp)
-                s |= path
+                m |= path
                 work.append(comp & ~path)
                 break
-    return s
+    return m
 
 
 def _shortest_interior(adj, a: int, b: int, comp: int) -> int:

@@ -16,11 +16,11 @@ witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, is computed by name through its table.
 
-The monophonic hull number reads no interval row.  ``hull_number`` takes
-its hulls from ``paths.convex_hull``, Duchet's characterisation of
-minimal-path convexity (Duchet 1988, *JCTB* 44): S is m-convex iff the
-border of every component of G - S is a clique.  Closure iteration over
-interval rows (``paths.monophonic_hull``) stays as its oracle.
+The monophonic hull number reads no interval row.  ``hull_number`` sums
+a small rule over the clique-separator atoms, from Duchet's
+characterisation of minimal-path convexity (Duchet 1988, *JCTB* 44): S is
+m-convex iff the border of every component of G - S is a clique.  Closure
+iteration over interval rows (``hull_number_oracle``) stays as its oracle.
 
 Node limits are hard failures.  The solver never degrades to a bound.
 """
@@ -32,14 +32,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .bitset import bit, to_tuple
+from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
 from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch,
-                         alpha_omega_number, clique_number, common_neighbour_witnesses,
-                         dissociation_number, distance_matrix, independence_number,
-                         invert_witnesses, oracle_max_subset, simplicial_vertices)
+                         alpha_omega_number, clique_number, clique_separator_atoms,
+                         common_neighbour_witnesses, dissociation_number, distance_matrix,
+                         independence_number, invert_witnesses, oracle_max_subset,
+                         simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
                     induced_path_partition, longest_induced_path_length, monophonic_hull)
 
@@ -188,9 +189,10 @@ class GraphSolver:
     """The one front end for every parameter in :data:`PARAMETERS`.
 
     Reports are memoized, and one interval cache and one triple index per
-    mode are shared between them.  ``cap`` bounds every exact routine; an
-    invariant with a cap of its own gets the smaller of the two.  A limit
-    raises, so callers that want a partial bundle catch ``LimitError``.
+    mode are shared between them.  ``cap`` bounds every exact routine but
+    the polynomial hm; an invariant with a cap of its own gets the smaller
+    of the two.  A limit raises, so callers that want a partial bundle
+    catch ``LimitError``.
     """
 
     def __init__(self, g: Graph, node_limit: int = NODE_LIMIT, lexmin: bool = False,
@@ -259,7 +261,7 @@ PARAMETERS = {
     "rho": _invariant("partition_dp", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
-    "hm": lambda s, name: hull_number(s.g, cap=s.cap),
+    "hm": lambda s, name: hull_number(s.g),
 }
 
 
@@ -307,70 +309,58 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) ->
 # monophonic hull number
 # ---------------------------------------------------------------------------
 
-HULL_SET_BUDGET = 2_000_000
+def hull_number(g: Graph) -> ParameterReport:
+    """Smallest set whose monophonic hull is the whole vertex set, in
+    polynomial time (Dourado, Protti & Szwarcfiter 2010, *DAM* 158).
 
+    By Duchet's test, S is a hull set iff it meets every non-empty
+    connected C whose neighbourhood is a clique.  Two non-adjacent vertices
+    of a graph with no clique separator have hull V, so hm sums over the
+    atoms of :func:`invariants.clique_separator_atoms`.  With U the part of
+    atom A shared with other atoms, A adds nothing if U is not a clique;
+    all of A - U if A is a clique; else the smallest vertex of A - U that
+    misses a vertex of U; else the first non-adjacent pair of A - U.
 
-def hull_number(g: Graph, *, cap: int = SOLVER_CAP) -> ParameterReport:
-    """Smallest set whose monophonic hull is the whole vertex set.
-
-    Hulls come from :func:`paths.convex_hull`, Duchet's component test
-    (Duchet 1988), so no interval row is read.  Every hull set contains
-    every simplicial vertex, so the search starts from that seed and grows
-    by cardinality.  A minimum hull set S holds no vertex v of hull(S - v),
-    for S - v would be a smaller hull set.  So candidates are the vertices
-    outside hull(seed), and combinations are walked depth first: each
-    prefix carries its hull, each child's hull is seeded from its parent's,
-    and a candidate already inside the prefix hull is skipped.  Combinations
-    still come in lexicographic order, so the witness is the first minimum
-    hull set in that order.  ``expansions`` counts the hull extensions
-    tested; past ``HULL_SET_BUDGET`` of them the search raises
-    ``CapExceeded``, naming the set size it had reached.
+    Of two sets of one size, the first in combination order holds the
+    least element of their symmetric difference.  The parts A - U are
+    disjoint, so the per-atom firsts unite to the first minimum hull set
+    if the minimum hull sets are exactly the unions of per-atom choices.
+    That is not proved here: the tests that diff the witness against
+    closure iteration and against a combination walk guard it.
+    ``expansions`` counts atoms.
     """
     t0 = time.perf_counter()
     if not g.is_connected():
         raise InputError("hull_number requires a connected graph")
-    if g.n > cap:
-        raise CapExceeded(f"hull cap {cap} exceeded by order {g.n}")
-    full = g.full()
-    seed = simplicial_vertices(g)
-    closed = convex_hull(g, seed) if seed else 0
-    others = [v for v in range(g.n) if not closed & bit(v)]
-    tested = 1
-    found = seed if closed == full else 0
-    for size in range(max(seed.bit_count() + 1, 2), g.n + 1):
-        if found:
-            break
-        stack = [(seed, closed, 0)]  # a prefix, its hull, the index of its next candidate
-        while stack and not found:
-            mask, hull, i = stack.pop()
-            last = len(others) - (size - mask.bit_count())
-            while i <= last and hull & bit(others[i]):
-                i += 1
-            if i > last:
-                continue
-            stack.append((mask, hull, i + 1))
-            tested += 1
-            if tested > HULL_SET_BUDGET:
-                raise CapExceeded(
-                    f"hull search budget {HULL_SET_BUDGET} exhausted on sets of size {size} "
-                    f"after {tested - 1} hull extensions: the hull number is at least {size}")
-            v = bit(others[i])
-            child = convex_hull(g, v, hull)
-            if mask.bit_count() + 1 < size:
-                stack.append((mask | v, child, i + 1))
-            elif child == full:
-                found = mask | v
-    if not found:
-        raise InternalCheckError("no hull set found up to the full vertex set")
-    return ParameterReport(
-        graph_id=emit_graph6(g),
-        parameter="hm",
-        value=found.bit_count(),
-        witness=to_tuple(found),
-        method="hull_search",
-        expansions=tested,
-        ms=(time.perf_counter() - t0) * 1000.0,
-    )
+    atoms = clique_separator_atoms(g)
+    seen = shared = 0
+    for atom in atoms:
+        shared |= seen & atom
+        seen |= atom
+    found = 0
+    for atom in atoms:
+        border = atom & shared
+        private = atom & ~shared
+        if not g.is_clique_mask(border):
+            continue
+        if g.is_clique_mask(atom):
+            found |= private
+            continue
+        for v in iter_bits(private):
+            if border & ~g.adj[v]:
+                found |= bit(v)
+                break
+        else:
+            for v in iter_bits(private):
+                far = private & ~g.adj[v] & ~full_mask(v + 1)
+                if far:
+                    found |= bit(v) | (far & -far)
+                    break
+    if convex_hull(g, found) != g.full():
+        raise InternalCheckError("hull witness failed verification")
+    ms = (time.perf_counter() - t0) * 1000.0
+    return ParameterReport(emit_graph6(g), "hm", found.bit_count(), to_tuple(found),
+                           "separator_atoms", len(atoms), ms)
 
 
 def hull_number_oracle(g: Graph, cap: int = 12) -> int:

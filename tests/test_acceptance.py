@@ -173,3 +173,24 @@ def test_behaviour_gate_matches_checked_in_digests(suite):
     ok = ok and _digest(suite.stable_dict()) == expected["report_digest"]
     _line(11, ok, f"stable verify report matches the checked-in digests "
           f"({len(got) - len(differ)}/{len(expected['checks'])} checks)")
+
+
+def test_package_imports_only_the_standard_library():
+    """The package has no runtime dependency: each module under src/monopos
+    imports the standard library or monopos itself, nothing else."""
+    import ast
+    import sys
+
+    src = Path(__file__).resolve().parents[1] / "src" / "monopos"
+    foreign = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            foreign |= {f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"monopos"}}
+    assert not foreign, sorted(foreign)

@@ -124,16 +124,11 @@ def test_multipartite():
 
 def test_components():
     g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    comps = g.components()
-    assert len(comps) == 3
+    assert [g.component_of(v) for v in range(5)] == [0b00011, 0b00011, 0b01100, 0b01100, 0b10000]
+    assert g.component_of(0, within=0b11110) == 0
+    assert cycle_graph(5).component_of(0, within=0b11011) == 0b11011
     assert not g.is_connected()
     assert cycle_graph(4).is_connected()
-
-
-def test_induced_subgraph():
-    g = cycle_graph(5)
-    sub = g.induced(0b00111)
-    assert sub.n == 3 and sorted(sub.edges()) == [(0, 1), (1, 2)]
 
 
 def test_graph6_id_stability():

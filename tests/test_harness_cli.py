@@ -82,6 +82,20 @@ def test_cli_compute_edge_list(tmp_path, capsys):
     assert "mp = 2" in out and "hm = 2" in out
 
 
+def test_cli_compute_hm_takes_no_cap(tmp_path, capsys):
+    import random
+
+    from monopos.families import random_tree
+    from monopos.graph6 import emit_graph6
+
+    path = tmp_path / "tree70.g6"
+    path.write_text(emit_graph6(random_tree(70, random.Random(5))) + "\n")
+    for extra in ((), ("--cap", "5")):
+        code, out, _ = run_cli(capsys, "compute", str(path), "--param", "hm", "--format", "json",
+                               *extra)
+        assert code == 0 and json.loads(out)["parameters"][0]["value"] == 27
+
+
 def test_cli_compute_all(tmp_path, capsys):
     path = tmp_path / "c6.g6"
     from monopos.graph import cycle_graph

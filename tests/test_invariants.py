@@ -9,12 +9,13 @@ from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, path_graph)
 from monopos.invariants import (DIST_INF, SplitPartition, alpha_omega_number, bipartition,
-                                blocks, clique_number, cut_vertices, deficiency_witness,
-                                diameter, dissociation_number, distance_matrix, has_triangle,
-                                independence_number, is_block_graph, is_distance_hereditary,
-                                leaves, max_bipartite_matching, max_degree_le_one,
-                                oracle_max_subset, phi_separated, psi_uniform,
-                                simplicial_vertices, split_partition, unions_of_cliques)
+                                blocks, clique_number, clique_separator_atoms, cut_vertices,
+                                deficiency_witness, diameter, dissociation_number,
+                                distance_matrix, has_triangle, independence_number,
+                                is_block_graph, is_distance_hereditary, leaves,
+                                max_degree_le_one, oracle_max_subset, phi_separated,
+                                psi_uniform, simplicial_vertices, split_partition,
+                                unions_of_cliques)
 from monopos.solvers import GraphSolver
 
 
@@ -69,6 +70,28 @@ def test_blocks_and_block_graph():
     assert is_block_graph(g)
     assert not is_block_graph(cycle_graph(4))
     assert is_block_graph(path_graph(6))
+
+
+def _atoms_oracle(g):
+    """The maximal vertex sets that induce a connected subgraph with no
+    clique separator, by trying every clique inside every vertex set."""
+    cliques = [s for s in range(1 << g.n) if g.is_clique_mask(s)]
+
+    def connected(m):
+        return g.component_of((m & -m).bit_length() - 1, m) == m
+
+    atoms = []
+    for m in sorted(range(1, 1 << g.n), key=lambda m: -m.bit_count()):
+        if any(m & a == m for a in atoms) or not connected(m):
+            continue
+        if all(connected(m & ~s) for s in cliques if s & m == s and s != m):
+            atoms.append(m)
+    return sorted(atoms)
+
+
+def test_clique_separator_atoms_equal_the_definition_on_small_connected_graphs():
+    for g in connected_graphs(7):
+        assert sorted(clique_separator_atoms(g)) == _atoms_oracle(g), g.adj
 
 
 def test_simplicial():
@@ -244,11 +267,10 @@ def test_psi_trees():
 def test_matching_examples():
     g = complete_multipartite([2, 3])
     left, right = mask_of([0, 1]), mask_of([2, 3, 4])
-    m = max_bipartite_matching(g, left, right)
-    assert m.size == 2
+    assert deficiency_witness(g, left, right)[2] == 2
     c6 = cycle_graph(6)
     bp, _ = bipartition(c6)
-    assert max_bipartite_matching(c6, bp.side_a, bp.side_b).size == 3
+    assert deficiency_witness(c6, bp.side_a, bp.side_b)[2] == 3
 
 
 def _matching_oracle(g, left, right):
@@ -275,14 +297,10 @@ def test_matching_against_oracle_and_koenig(rng):
     for _ in range(15):
         g = random_bipartite_graph(rng.randint(1, 4), rng.randint(1, 4), rng)
         bp, _ = bipartition(g)
-        m = max_bipartite_matching(g, bp.side_a, bp.side_b)
-        assert m.size == _matching_oracle(g, bp.side_a, bp.side_b)
-        for u, v in m.pairs:
-            assert g.has_edge(u, v)
-        flat = [x for p in m.pairs for x in p]
-        assert len(flat) == len(set(flat))
+        size = deficiency_witness(g, bp.side_a, bp.side_b)[2]
+        assert size == _matching_oracle(g, bp.side_a, bp.side_b)
         alpha, _ = independence_number(g)
-        assert m.size == g.n - alpha  # Koenig duality on bipartite instances
+        assert size == g.n - alpha  # Koenig duality on bipartite instances
 
 
 def test_deficiency_witness(rng):
@@ -451,16 +469,20 @@ def preserves_distances_everywhere(g: Graph) -> bool:
         raise CapExceeded("definitional distance-hereditary check capped at n=10")
     base = distance_matrix(g)
     for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 2:
-            continue
-        sub = g.induced(mask)
-        if not sub.is_connected():
-            continue
         verts = to_tuple(mask)
-        d = distance_matrix(sub)
-        for i in range(sub.n):
-            for j in range(i + 1, sub.n):
-                if d[i][j] != base[verts[i]][verts[j]]:
+        if len(verts) < 2 or g.component_of(verts[0], mask) != mask:
+            continue
+        for u in verts:  # BFS layers from u inside the induced subgraph
+            seen = frontier = bit(u)
+            d = 0
+            while frontier:
+                d += 1
+                grow = 0
+                for v in iter_bits(frontier):
+                    grow |= g.adj[v]
+                frontier = grow & mask & ~seen
+                seen |= frontier
+                if any(base[u][v] != d for v in iter_bits(frontier)):
                     return False
     return True
 

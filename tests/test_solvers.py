@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import full_mask, mask_of, to_tuple
@@ -10,8 +11,9 @@ from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
 from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
 from monopos.graph6 import emit_graph6
-from monopos.invariants import cut_vertices, simplicial_vertices
-from monopos.families import grid_graph, hypercube, petersen_graph, random_connected_graph
+from monopos.invariants import cut_vertices, leaves, simplicial_vertices
+from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
+                               random_connected_graph, random_tree)
 from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
 from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
                              _PositionSearch, brute_force_position, build_triple_index,
@@ -211,7 +213,7 @@ def test_branch_and_bound_label_marks_exactly_the_node_limited_maxima():
     assert {name for name, method in labels.items() if method == "branch_and_bound"} == nine
     assert limited == nine
     assert (labels["L"], labels["rho"], labels["hm"], labels["simplicial"]) == (
-        "induced_path_walk", "partition_dp", "hull_search", "closed_form")
+        "induced_path_walk", "partition_dp", "separator_atoms", "closed_form")
 
 
 def test_position_report_time_covers_the_index_build(monkeypatch):
@@ -295,6 +297,51 @@ def test_hull_number_equals_closure_iteration_scan(g):
     assert (rep.value, rep.witness) == (len(first), first)
 
 
+def _walk_hull_set(g):
+    """First minimum hull set by a combination walk: every hull set holds
+    the simplicial vertices, and a minimum one holds no vertex of the hull
+    of its other members.  So candidates are the vertices outside
+    hull(seed), walked depth first in lexicographic order, skipping those
+    inside the hull of the prefix."""
+    seed = simplicial_vertices(g)
+    closed = convex_hull(g, seed) if seed else 0
+    if closed == g.full():
+        return seed
+    others = [v for v in range(g.n) if not closed >> v & 1]
+    for size in range(max(seed.bit_count() + 1, 2), g.n + 1):
+        stack = [(seed, closed, 0)]  # a prefix, its hull, the index of its next candidate
+        while stack:
+            mask, hull, i = stack.pop()
+            last = len(others) - (size - mask.bit_count())
+            while i <= last and hull >> others[i] & 1:
+                i += 1
+            if i > last:
+                continue
+            stack.append((mask, hull, i + 1))
+            v = 1 << others[i]
+            child = convex_hull(g, hull | v)
+            if mask.bit_count() + 1 < size:
+                stack.append((mask | v, child, i + 1))
+            elif child == g.full():
+                return mask | v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(9, 14), st.integers(0, 2**32), st.sampled_from([None, 0.15, 0.25, 0.4]))
+def test_hull_number_equals_the_combination_walk(n, seed, p):
+    _assert_walk_agrees(random_connected_graph(n, random.Random(seed), p))
+
+
+def test_hull_number_equals_the_combination_walk_on_the_five_petal_flower():
+    _assert_walk_agrees(_c4_flower(5))
+
+
+def _assert_walk_agrees(g):
+    rep = hull_number(g)
+    walk = _walk_hull_set(g)
+    assert (rep.value, mask_of(rep.witness)) == (walk.bit_count(), walk), emit_graph6(g)
+
+
 def test_hull_search_reads_no_interval_row():
     for g in (petersen_graph(), grid_graph(8, 8), hypercube(6)):
         s = GraphSolver(g)
@@ -309,13 +356,23 @@ def test_hull_number_at_order_64():
     assert witness & simp == simp and convex_hull(g, witness) == g.full()
 
 
-def test_hull_budget_refusal_reports_progress(monkeypatch):
-    import monopos.solvers as solvers
+def test_hull_number_is_the_leaf_and_simplicial_count_at_order_512():
+    """Every leaf of a tree and every simplicial vertex of a block graph is
+    in each hull set, and those vertices already form one."""
+    for make, closed_form in ((random_tree, leaves), (random_block_graph, simplicial_vertices)):
+        g = make(512, random.Random(1))
+        rep = hull_number(g)
+        assert mask_of(rep.witness) == closed_form(g) and rep.value == closed_form(g).bit_count()
 
-    monkeypatch.setattr(solvers, "HULL_SET_BUDGET", 1000)
-    with pytest.raises(CapExceeded, match=r"sets of size 4 after 1000 hull extensions: "
-                                          r"the hull number is at least 4"):
-        hull_number(_c4_flower(5))
+
+def test_hull_number_on_the_twenty_petal_flower():
+    rep = hull_number(_c4_flower(20))
+    assert rep.value == 20 and rep.witness == tuple(3 * i + 2 for i in range(20))
+
+
+def test_hull_number_is_not_held_to_the_solver_cap():
+    rep = GraphSolver(random_tree(70, random.Random(5))).report("hm")
+    assert (rep.value, rep.method) == (27, "separator_atoms")
 
 
 def test_hull_search_builds_no_triple_index(monkeypatch):
