@@ -80,18 +80,25 @@ class Graph:
 
     # -- connectivity ---------------------------------------------------------
 
+    def layers(self, v: int, within: int | None = None) -> list[int]:
+        """The package's one breadth-first search: masks of the vertices at
+        distance 0, 1, 2, ... from v along paths inside ``within`` (default:
+        every vertex); empty when v is outside ``within``."""
+        allowed = self.full() if within is None else within
+        layer = seen = bit(v) & allowed
+        out = []
+        while layer:
+            out.append(layer)
+            grow = 0
+            for u in iter_bits(layer):
+                grow |= self.adj[u]
+            layer = grow & allowed & ~seen
+            seen |= layer
+        return out
+
     def component_of(self, v: int, within: int | None = None) -> int:
         """Mask of the connected component of v, optionally inside ``within``."""
-        allowed = self.full() if within is None else within
-        seen = bit(v) & allowed
-        frontier = seen
-        while frontier:
-            grow = 0
-            for u in iter_bits(frontier):
-                grow |= self.adj[u]
-            frontier = grow & allowed & ~seen
-            seen |= frontier
-        return seen
+        return sum(self.layers(v, within))  # disjoint layers: the sum is the union
 
     def is_connected(self) -> bool:
         return self.component_of(0) == self.full()

@@ -10,7 +10,7 @@ trailing bytes, naming the byte offset of the problem.
 
 from __future__ import annotations
 
-from .bitset import bit
+from .bitset import bit, full_mask, iter_bits
 from .errors import CapExceeded, Graph6Error
 from .graph import MAX_VERTICES, Graph
 
@@ -22,7 +22,7 @@ def _sextets(data: str, start: int):
         code = ord(ch) - 63
         if not 0 <= code <= 63:
             raise Graph6Error(f"byte {ch!r} outside graph6 range", offset=i)
-        yield i, code
+        yield code
 
 
 def parse_graph6(line: str) -> Graph:
@@ -67,20 +67,15 @@ def parse_graph6(line: str) -> Graph:
     if len(text) - pos > nbytes:
         raise Graph6Error("trailing bytes after bit vector", offset=pos + nbytes)
 
+    bits = "".join(format(code, "06b") for code in _sextets(text, pos))
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits", offset=pos + nbytes - 1)
+    # Column j holds the pairs (0, j), ..., (j-1, j), lowest vertex first.
     adj = [0] * n
-    bit_index = 0
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for off, code in _sextets(text, pos):
-        for k in range(5, -1, -1):
-            if bit_index >= nbits:
-                if (code >> k) & 1:
-                    raise Graph6Error("nonzero padding bits", offset=off)
-                continue
-            if (code >> k) & 1:
-                i, j = pairs[bit_index]
-                adj[i] |= bit(j)
-                adj[j] |= bit(i)
-            bit_index += 1
+    for j in range(1, n):
+        adj[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
+        for i in iter_bits(adj[j]):
+            adj[i] |= bit(j)
     return Graph(n, tuple(adj))
 
 
@@ -91,20 +86,9 @@ def emit_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = chr(126) + "".join(chr(((n >> s) & 63) + 63) for s in (12, 6, 0))
-    out = []
-    code = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            code = (code << 1) | (1 if g.adj[i] & bit(j) else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(code + 63))
-                code = 0
-                filled = 0
-    if filled:
-        out.append(chr((code << (6 - filled)) + 63))
-    return head + "".join(out)
+    bits = "".join(format(g.adj[j] & full_mask(j), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + "".join(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
 
 
 def parse_graph6_lines(text: str) -> list[Graph]:

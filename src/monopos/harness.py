@@ -30,11 +30,12 @@ from .invariants import (clique_number, cut_vertices,
                          dissociation_number, has_triangle, independence_number,
                          is_block_graph, is_distance_hereditary, leaves, phi_separated,
                          simplicial_vertices, split_partition)
-from .paths import (induced_path_partition, interval_row,
-                    longest_induced_path_length, simple_path_interval)
+from .paths import (_chordless_simple_paths, induced_path_partition, interval_row,
+                    longest_induced_path_length)
 from .reduction import reduce_clique_to_mp, verify_reduction
 from .solvers import (POSITION_PARAMS, GraphSolver, PathMode, brute_force_position,
-                      hull_number_oracle, is_position_set, max_position_set)
+                      build_triple_index, hull_number_oracle, is_position_set,
+                      max_position_set)
 from . import families as fam
 
 
@@ -199,21 +200,38 @@ def _check_graph6(rng: random.Random, scale: float):
 @check("interval-oracle-agreement",
        "pruned induced-path intervals equal the simple-path filter oracle")
 def _check_intervals(rng: random.Random, scale: float):
+    """One listing of each pair's chordless paths: their union is the interval,
+    the interiors of the shortest ones the geo (at distance 2, geo2) witnesses."""
     failures: list[dict] = []
     graphs = _random_connected(rng, _count(scale, 110), 2, 8)
     graphs += _random_connected(rng, _count(scale, 20), 9, 9)
     graphs += [cycle_graph(5), cycle_graph(6), path_graph(7), complete_graph(5)]
     for g in graphs:
         rows = [interval_row(g, u)[0] for u in range(g.n)]
+        geo = build_triple_index(g, PathMode.GEODESIC).witness
+        geo2 = build_triple_index(g, PathMode.GEODESIC_LEN2).witness
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if rows[u][v] != rows[v][u]:
                     _fail(failures, g, reason="interval asymmetry", pair=[u, v])
+                paths = _chordless_simple_paths(g, u, v)
+                shortest = min(m.bit_count() for m in paths)
+                want = inner = 0
+                for m in paths:
+                    want |= m
+                    if m.bit_count() == shortest:
+                        inner |= m & ~(bit(u) | bit(v))
                 got = rows[u][v] or (bit(u) | bit(v))
-                want = simple_path_interval(g, u, v)
                 if got != want:
                     _fail(failures, g, reason="interval differs from oracle", pair=[u, v],
                           got=to_tuple(got), want=to_tuple(want))
+                for mode, index, geo_want in ((PathMode.GEODESIC, geo, inner),
+                                              (PathMode.GEODESIC_LEN2, geo2,
+                                               inner if shortest == 3 else 0)):
+                    if index[u][v] != geo_want:
+                        _fail(failures, g, reason="geodesic witnesses differ from oracle",
+                              mode=mode.value, pair=[u, v],
+                              got=to_tuple(index[u][v]), want=to_tuple(geo_want))
     return len(graphs), failures, {}
 
 

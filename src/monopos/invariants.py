@@ -46,32 +46,20 @@ NODE_LIMIT = 20_000_000
 
 
 def distance_matrix(g: Graph) -> list[list[int]]:
-    """All-pairs BFS hop distances, ``DIST_INF`` across components."""
+    """All-pairs hop distances from ``Graph.layers``, ``DIST_INF`` across components."""
     n = g.n
     dist = [[DIST_INF] * n for _ in range(n)]
-    for s in range(n):
-        row = dist[s]
-        seen = bit(s)
-        frontier = seen
-        d = 0
-        row[s] = 0
-        while frontier:
-            grow = 0
-            for v in iter_bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~seen
-            seen |= frontier
-            d += 1
-            for v in iter_bits(frontier):
+    for s, row in enumerate(dist):
+        for d, layer in enumerate(g.layers(s)):
+            for v in iter_bits(layer):
                 row[v] = d
     return dist
 
 
 def diameter(g: Graph) -> int:
-    m = max(map(max, distance_matrix(g)))
-    if m >= DIST_INF:
+    if not g.is_connected():
         raise InputError("diameter undefined for disconnected graph")
-    return m
+    return max(len(g.layers(v)) for v in range(g.n)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -501,51 +489,29 @@ class Bipartition:
 
 
 def bipartition(g: Graph) -> tuple[Bipartition | None, tuple[int, ...] | None]:
-    """2-color a connected graph.
+    """2-color a connected graph by the parity of its layers from vertex 0.
 
     Returns ``(Bipartition, None)`` when bipartite, else ``(None, odd_cycle)``
-    where the certificate is a closed odd walk listed as a vertex tuple.
+    where the certificate is a closed odd walk listed as a vertex tuple: the
+    first edge ab inside a layer, with a and b each stepped back one layer at
+    a time to their lowest neighbour in the layer before, until they meet.
     """
-    if not g.is_connected():
+    layers = g.layers(0)
+    if sum(layers) != g.full():
         raise InputError("bipartition requires a connected graph")
-    n = g.n
-    color = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        v = queue.pop(0)
-        for u in iter_bits(g.adj[v]):
-            if color[u] == -1:
-                color[u] = 1 - color[v]
-                parent[u] = v
-                depth[u] = depth[v] + 1
-                queue.append(u)
-            elif color[u] == color[v]:
-                a, b = v, u
+    for k, layer in enumerate(layers):
+        for a in iter_bits(layer):
+            if g.adj[a] & layer:
+                b = next(iter_bits(g.adj[a] & layer))
                 pa, pb = [a], [b]
-                while depth[a] > depth[b]:
-                    a = parent[a]
-                    pa.append(a)
-                while depth[b] > depth[a]:
-                    b = parent[b]
-                    pb.append(b)
                 while a != b:
-                    a = parent[a]
-                    b = parent[b]
+                    k -= 1
+                    a = next(iter_bits(g.adj[a] & layers[k]))
+                    b = next(iter_bits(g.adj[b] & layers[k]))
                     pa.append(a)
                     pb.append(b)
-                cycle = tuple(pa + pb[-2::-1])
-                return None, cycle
-    side_a = 0
-    side_b = 0
-    for v in range(n):
-        if color[v] == 0:
-            side_a |= bit(v)
-        else:
-            side_b |= bit(v)
-    return Bipartition(side_a, side_b), None
+                return None, tuple(pa + pb[-2::-1])
+    return Bipartition(sum(layers[0::2]), sum(layers[1::2])), None
 
 
 def psi_uniform(g: Graph, bp: Bipartition) -> tuple[int, int]:

@@ -4,10 +4,11 @@ All five position parameters (mp, gp, gp2, imp, igp) run through one model:
 a set S is "in position" exactly when no pair {x,z} of S has a third member
 of S among its interior witnesses, where the witness notion depends on the
 path mode.  Monophonic mode takes witnesses from induced-path intervals,
-geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), and the
-length-two mode takes the common neighbours of non-adjacent pairs, which
-are the geodesics of length two.  ``build_triple_index`` is the one
-derivation of these witness systems.  One branch-and-bound maximizer,
+geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), read
+off the breadth-first layers of ``Graph.layers``, and the length-two mode
+takes the common neighbours of non-adjacent pairs, which are the geodesics
+of length two.  ``build_triple_index`` is the one derivation of these
+witness systems.  One branch-and-bound maximizer,
 ``invariants._PositionSearch``, serves all modes and also alphaomega and
 dissociation; the independent variants add a neighborhood filter when a
 vertex is taken.  ``invariants._lexmin`` drives its runs to the lexmin
@@ -36,11 +37,10 @@ from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
 from .graph6 import emit_graph6
-from .invariants import (DIST_INF, NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch,
-                         alpha_omega_number, clique_number, clique_separator_atoms,
-                         common_neighbour_witnesses, dissociation_number, distance_matrix,
-                         independence_number, invert_witnesses, oracle_max_subset,
-                         simplicial_vertices)
+from .invariants import (NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch, alpha_omega_number,
+                         clique_number, clique_separator_atoms, common_neighbour_witnesses,
+                         dissociation_number, independence_number, invert_witnesses,
+                         oracle_max_subset, simplicial_vertices)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
                     induced_path_partition, longest_induced_path_length, monophonic_hull)
 
@@ -109,19 +109,17 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                 w = row[z] & ~(bit(x) | bit(z))
                 witness[x][z] = witness[z][x] = w
     else:
-        dist = distance_matrix(g)
-        for x in range(n):
-            dx = dist[x]
-            for z in range(x + 1, n):
-                d = dx[z]
-                if d >= DIST_INF:
-                    continue
-                dz = dist[z]
-                w = 0
-                for y in range(n):
-                    if y != x and y != z and dx[y] + dz[y] == d:
-                        w |= bit(y)
-                witness[x][z] = witness[z][x] = w
+        # y lies on a shortest x,z-path iff d(x,y) = k, d(y,z) = d - k, 0 < k < d.
+        layers = [g.layers(v) for v in range(n)]
+        for x, lx in enumerate(layers):
+            above = ~full_mask(x + 1)
+            for d in range(2, len(lx)):
+                for z in iter_bits(lx[d] & above):
+                    lz = layers[z]
+                    w = 0
+                    for k in range(1, d):
+                        w |= lx[k] & lz[d - k]
+                    witness[x][z] = witness[z][x] = w
     return TripleIndex(g, mode, witness)
 
 

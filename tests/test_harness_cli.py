@@ -30,6 +30,25 @@ def test_run_report_determinism():
     assert a.outcome("cages-mp").status == c.outcome("cages-mp").status == "pass"
 
 
+def test_interval_check_catches_a_geo_witness_mutant(monkeypatch):
+    """A geo index that drops vertex n-1 from every witness fails the check
+    that lists each pair's chordless paths."""
+    import monopos.harness as harness
+    from monopos.solvers import PathMode, build_triple_index
+
+    def mutant(g, mode, *args, **kwargs):
+        idx = build_triple_index(g, mode, *args, **kwargs)
+        if mode is PathMode.GEODESIC:
+            idx.witness = [[w & ~(1 << (g.n - 1)) for w in row] for row in idx.witness]
+        return idx
+
+    assert run_check("interval-oracle-agreement", profile="quick").status == "pass"
+    monkeypatch.setattr(harness, "build_triple_index", mutant)
+    out = run_check("interval-oracle-agreement", profile="quick")
+    assert out.status == "fail"
+    assert {f["mode"] for f in out.failures} == {"geo"}
+
+
 def test_multi_seed_merge():
     rep = run_suite(["multipartite-formula"], seeds=(1, 2), profile="quick")
     out = rep.outcome("multipartite-formula")

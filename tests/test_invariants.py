@@ -1,3 +1,4 @@
+from collections import deque
 from itertools import combinations
 
 import pytest
@@ -48,6 +49,45 @@ def test_distance_symmetry_triangle(g):
         for j in range(n):
             for k in range(n):
                 assert d[i][j] <= d[i][k] + d[k][j]
+
+
+def _plain_bfs(nbrs: list[list[int]], s: int) -> list[int]:
+    """Hop distances from s by a queue over adjacency lists: the twin of
+    ``Graph.layers``."""
+    dist = [DIST_INF] * len(nbrs)
+    dist[s] = 0
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for u in nbrs[v]:
+            if dist[u] == DIST_INF:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def test_distance_rows_equal_plain_bfs_up_to_512(rng):
+    from monopos.families import random_graph, random_tree
+
+    sizes = [rng.randint(2, 512) for _ in range(2)]
+    cases = [random_graph(512, rng, 1.5 / 512), random_tree(512, rng)]
+    cases += [random_graph(n, rng, rng.choice((1, 3, 20)) / n) for n in sizes]
+    assert not all(g.is_connected() for g in cases)
+    for g in cases:
+        nbrs = [list(iter_bits(m)) for m in g.adj]
+        d = distance_matrix(g)
+        for s in rng.sample(range(g.n), 20):
+            assert d[s] == _plain_bfs(nbrs, s), (g.n, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1, max_n=12))
+def test_diameter_is_the_largest_distance(g):
+    if g.is_connected():
+        assert diameter(g) == max(map(max, distance_matrix(g)))
+    else:
+        with pytest.raises(InputError, match="disconnected"):
+            diameter(g)
 
 
 # -- articulation ------------------------------------------------------------
@@ -210,6 +250,24 @@ def test_bipartition_examples():
     assert bp is None and len(odd) % 2 == 1
     for i in range(len(odd)):
         assert cycle_graph(5).has_edge(odd[i], odd[(i + 1) % len(odd)])
+
+
+def test_bipartition_equals_plain_two_colouring_on_small_connected_graphs():
+    """Sides as a queue 2-colouring from vertex 0 gives them; otherwise the
+    certificate is a closed walk of odd length."""
+    checked = 0
+    for g in connected_graphs(7):
+        colour = _plain_bfs([list(iter_bits(m)) for m in g.adj], 0)
+        side_a = mask_of(v for v in range(g.n) if colour[v] % 2 == 0)
+        proper = all(colour[u] % 2 != colour[v] % 2 for u, v in g.edges())
+        bp, odd = bipartition(g)
+        if proper:
+            assert odd is None and (bp.side_a, bp.side_b) == (side_a, g.full() & ~side_a)
+        else:
+            assert bp is None and len(odd) % 2 == 1, g.adj
+            assert all(g.has_edge(odd[i - 1], odd[i]) for i in range(len(odd))), (g.adj, odd)
+        checked += 1
+    assert checked == 996
 
 
 def test_trees_bipartite(rng):

@@ -176,11 +176,14 @@ def test_convex_hull_equals_closure_iteration_on_small_connected_graphs():
 
 
 def test_convex_hull_equals_closure_iteration_at_solver_sizes(rng):
-    """Trees, block graphs and split graphs of 40-64 vertices, where interval
-    rows stay cheap enough for the closure-iteration oracle."""
-    for make in (random_tree, random_block_graph, random_split_graph):
+    """Trees, block graphs, split graphs and cycles of 30-64 vertices, where
+    interval rows stay cheap enough for the closure-iteration oracle."""
+    def cycle(n, _):
+        return cycle_graph(n)
+
+    for make in (random_tree, random_block_graph, random_split_graph, cycle):
         for _ in range(3):
-            g = make(rng.randint(40, 64), rng)
+            g = make(rng.randint(30, 64), rng)
             cache = IntervalCache(g)
             for _ in range(8):
                 m = mask_of(rng.sample(range(g.n), rng.randint(1, 4)))

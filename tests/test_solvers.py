@@ -1,17 +1,18 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs, random_connected
-from monopos.bitset import full_mask, mask_of, to_tuple
+from monopos.bitset import bit, full_mask, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
 from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
-from monopos.graph6 import emit_graph6
-from monopos.invariants import cut_vertices, leaves, simplicial_vertices
+from monopos.graph6 import emit_graph6, parse_graph6_lines
+from monopos.invariants import DIST_INF, cut_vertices, distance_matrix, leaves, simplicial_vertices
 from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
                                random_connected_graph, random_tree)
 from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
@@ -138,6 +139,41 @@ def test_geodesic_witnesses_equal_shortest_chordless_paths():
             assert geo2[x][z] == geo2[z][x] == want2, (emit_graph6(g), x, z)
         checked += 1
     assert checked == 996
+
+
+def _distance_identity_witnesses(g):
+    """The geo twin: y is a witness of {x, z} iff d(x, y) + d(y, z) = d(x, z),
+    tested one y at a time."""
+    dist = distance_matrix(g)
+    n = g.n
+    witness = [[0] * n for _ in range(n)]
+    for x in range(n):
+        dx = dist[x]
+        for z in range(x + 1, n):
+            d = dx[z]
+            if d >= DIST_INF:
+                continue
+            dz = dist[z]
+            w = 0
+            for y in range(n):
+                if y != x and y != z and dx[y] + dz[y] == d:
+                    w |= bit(y)
+            witness[x][z] = witness[z][x] = w
+    return witness
+
+
+def test_geodesic_witnesses_equal_distance_identity_twin(rng):
+    """All connected graphs of up to 7 vertices, the 15 geo-search benchmark
+    graphs and random connected graphs of 30-64 vertices."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "geo-search.g6"
+    bench = parse_graph6_lines(corpus.read_text())
+    assert len(bench) == 15
+    cases = list(connected_graphs(7)) + bench
+    cases += [random_connected(rng, rng.randint(30, 64), rng.uniform(0.05, 0.3))
+              for _ in range(8)]
+    for g in cases:
+        got = build_triple_index(g, PathMode.GEODESIC).witness
+        assert got == _distance_identity_witnesses(g), emit_graph6(g)
 
 
 def test_witness_is_valid_position_set(rng):
