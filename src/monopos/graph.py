@@ -32,10 +32,13 @@ class Graph:
                 raise InputError(f"adjacency of vertex {v} mentions vertices >= {n}")
             if m & bit(v):
                 raise InputError(f"loop at vertex {v}")
-        for v in range(n):
-            for u in iter_bits(adj[v]):
-                if not adj[u] & bit(v):
-                    raise InputError(f"asymmetric adjacency between {u} and {v}")
+        rows = [format(m, f"0{n}b")[::-1] for m in adj]  # rows[v][u]: is u next to v?
+        matrix = "".join(rows)
+        if not all(matrix[u::n] == row for u, row in enumerate(rows)):  # column u is row u
+            for v in range(n):  # name the first asymmetric pair in edge order
+                for u in iter_bits(adj[v]):
+                    if not adj[u] & bit(v):
+                        raise InputError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = tuple(adj)
 

@@ -13,11 +13,12 @@ Witness sets are deterministic.  Every exact maximum (clique, alpha,
 alphaomega, diss here; mp, gp, gp2, imp, igp in ``solvers``) ends in one
 driver, ``_lexmin``.  It takes the optimum from a search
 ``run(forced, box, target)``, then settles bits from high to low with
-further runs, so the witness is the optimum set whose bitset encoding is
-the smallest integer ("lexmin"): exact, not heuristic.  A node limit counts
-the optimum search and the lexmin pass together.  The hull number is a
-minimum and is not lexmin: ``solvers.hull_number`` reports the first hull
-set in combination order.
+further runs, one per vertex of the optimum it holds and each pruned to
+the optimum's size, so the witness is the optimum set whose bitset
+encoding is the smallest integer ("lexmin"): exact, not heuristic.  A node
+limit counts the optimum search and the lexmin pass together.  The hull
+number is a minimum and is not lexmin: ``solvers.hull_number`` reports the
+first hull set in combination order.
 """
 
 from __future__ import annotations
@@ -238,12 +239,21 @@ class _Found(Exception):
 def _lexmin(n: int, run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
     """The one lexmin driver of the exact maxima: (optimum, witness mask).
 
-    ``run(forced, box, target)`` must return the best (size, mask) over the
-    accepted sets S with forced <= S <= box, and may stop once it reaches
-    ``target``.  The optimum is ``run(0, allowed, None)``; with ``lexmin``
-    off its first optimum found is the witness.  Otherwise bits are settled
-    from high to low, excluding a vertex wherever an optimum survives
-    without it, so the witness is the optimum with the smallest bitset.
+    ``run(forced, box, target)`` searches the accepted sets S with
+    forced <= S <= box.  With ``target`` None it returns the best
+    (size, mask).  With a target it returns a set of size at least
+    ``target`` (its size and mask), or else any size below ``target``; it
+    may stop at the first set that reaches ``target`` and prune every
+    branch that cannot.
+
+    The optimum is ``run(0, allowed, None)``; with ``lexmin`` off its first
+    optimum found is the witness.  Otherwise bits are settled from high to
+    low, excluding a vertex wherever an optimum survives without it, so the
+    witness is the optimum with the smallest bitset.  ``found`` is an
+    optimum with forced <= found <= allowed throughout (every forced vertex
+    lies in every optimum inside ``allowed``).  A vertex outside ``found``
+    is excluded with no search; for one inside, a run with target
+    ``value`` either returns the next ``found`` or shows the vertex forced.
     """
     value, found = run(0, allowed, None)
     if not lexmin:
@@ -253,10 +263,13 @@ def _lexmin(n: int, run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
         b = bit(v)
         if not allowed & b:
             continue
-        if run(forced, allowed & ~b, value)[0] >= value:
-            allowed &= ~b
-        else:
-            forced |= b
+        if found & b:
+            size, mask = run(forced, allowed & ~b, value)
+            if size < value:
+                forced |= b
+                continue
+            found = mask
+        allowed &= ~b
     if forced.bit_count() != value:
         raise InternalCheckError("lexmin pass lost feasibility")
     return value, forced
@@ -282,6 +295,8 @@ def clique_number(g: Graph, cap: int = MAX_VERTICES,
         for v in iter_bits(forced):
             room &= adj[v]
         best, best_mask = forced.bit_count(), forced
+        if target is not None:
+            best = max(best, target - 1)  # only sets of size target count
 
         def expand(rmask: int, rsize: int, pmask: int):
             nonlocal nodes, best, best_mask
@@ -314,7 +329,7 @@ def clique_number(g: Graph, cap: int = MAX_VERTICES,
                 live &= ~bit(v)
 
         try:
-            expand(forced, best, room)
+            expand(forced, forced.bit_count(), room)
         except _Found:
             pass
         return best, best_mask
@@ -410,7 +425,8 @@ class _PositionSearch:
         return kill
 
     def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        """Best (size, mask) with forced included; stops early at target."""
+        """Best (size, mask) with forced included; with a target, the first
+        set that reaches it, or a size below it (see ``_lexmin``)."""
         chosen: list[int] = []
         kill = 0
         for v in iter_bits(forced):
@@ -418,7 +434,7 @@ class _PositionSearch:
             chosen.append(v)
         if kill & forced:
             return 0, 0
-        self.best = len(chosen)
+        self.best = len(chosen) if target is None else max(len(chosen), target - 1)
         self.best_mask = forced
         self.target = target
         try:

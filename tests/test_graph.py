@@ -6,6 +6,7 @@ from monopos.errors import InputError
 from monopos.graph import (Graph, add_pendant, cartesian_product, complement,
                            complete_graph, complete_multipartite, corona, cycle_graph,
                            emit_edgelist, empty_graph, join, parse_edgelist, path_graph)
+from monopos.families import random_graph
 from monopos.graph6 import emit_graph6
 from monopos.invariants import clique_number
 
@@ -19,6 +20,35 @@ def test_validation():
         Graph(2, (1, 0))  # vertex 0 says "adjacent to 0": loop
     with pytest.raises(InputError):
         Graph(600, tuple(0 for _ in range(600)))
+
+
+def _asymmetry_message(adj):
+    """The per-edge symmetry check: the text of its error, or None."""
+    for v, m in enumerate(adj):
+        for u in range(len(adj)):
+            if m >> u & 1 and not adj[u] >> v & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    return None
+
+
+def test_asymmetric_adjacency_names_the_first_pair_in_edge_order(rng):
+    """The row-against-column check accepts what the per-edge loop accepts
+    and names the same first pair, at every order up to the 512 cap."""
+    for n in (2, 3, 7, 16, 63, 64, 65, 200, 512):
+        g = random_graph(n, rng, min(1.0, 4 / n))
+        assert Graph(n, g.adj) == g
+        for _ in range(4):
+            adj = list(g.adj)
+            for _ in range(rng.randint(1, 3)):  # flip one direction of a pair
+                u, v = rng.sample(range(n), 2)
+                adj[u] ^= 1 << v
+            want = _asymmetry_message(adj)
+            if want is None:
+                assert Graph(n, tuple(adj)).adj == tuple(adj)
+                continue
+            with pytest.raises(InputError) as err:
+                Graph(n, tuple(adj))
+            assert str(err.value) == want
 
 
 def test_complement_examples():

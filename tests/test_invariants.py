@@ -1,17 +1,21 @@
+import random
 from collections import deque
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import monopos.invariants as invariants
+import monopos.solvers as solvers
 from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import bit, iter_bits, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, path_graph)
-from monopos.invariants import (DIST_INF, SplitPartition, alpha_omega_number, bipartition,
-                                blocks, clique_number, clique_separator_atoms, cut_vertices,
-                                deficiency_witness, diameter, dissociation_number,
+from monopos.invariants import (DIST_INF, SplitPartition, _lexmin, alpha_omega_number,
+                                bipartition, blocks, clique_number, clique_separator_atoms,
+                                cut_vertices, deficiency_witness, diameter, dissociation_number,
                                 distance_matrix, has_triangle, independence_number,
                                 is_block_graph, is_distance_hereditary, leaves,
                                 max_degree_le_one, oracle_max_subset, phi_separated,
@@ -237,6 +241,135 @@ def test_dissociation_against_oracle_on_small_connected_graphs():
         assert dissociation_number(g) == want, g.adj
         checked += 1
     assert checked == 996
+
+
+# -- the lexmin driver ---------------------------------------------------------
+
+NINE_MAXIMA = ("mp", "gp", "gp2", "imp", "igp", "omega", "alpha", "alphaomega", "diss")
+
+
+def _lexmin_twin(n, run, allowed, lexmin=True):
+    """The driver with neither witness reuse nor the target floor: one run
+    per allowed vertex, each a full search with no target."""
+    value, found = run(0, allowed, None)
+    if not lexmin:
+        return value, found
+    forced = 0
+    for v in range(n - 1, -1, -1):
+        b = bit(v)
+        if allowed & b:
+            if run(forced, allowed & ~b, None)[0] >= value:
+                allowed &= ~b
+            else:
+                forced |= b
+    return value, forced
+
+
+def _nine_maxima(g, driver=None):
+    """(value, witness) of the nine node-limited maxima, computed through
+    ``driver`` in place of ``_lexmin`` when one is given."""
+    with pytest.MonkeyPatch.context() as patch:
+        if driver is not None:
+            patch.setattr(invariants, "_lexmin", driver)
+            patch.setattr(solvers, "_lexmin", driver)
+        s = GraphSolver(g, lexmin=True)
+        return {name: (s.value(name), s.report(name).witness) for name in NINE_MAXIMA}
+
+
+def test_lexmin_driver_equals_its_twin_on_small_connected_graphs():
+    checked = 0
+    for g in connected_graphs(7):
+        assert _nine_maxima(g) == _nine_maxima(g, _lexmin_twin), g.adj
+        checked += 1
+    assert checked == 996
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 14), st.integers(0, 2**32 - 1), st.floats(0.15, 0.6))
+def test_lexmin_driver_equals_its_twin_on_random_connected_graphs(n, seed, p):
+    g = random_connected(random.Random(seed), n, p)
+    assert _nine_maxima(g) == _nine_maxima(g, _lexmin_twin)
+
+
+def test_lexmin_pass_runs_only_for_vertices_of_the_current_witness(rng):
+    passes = []
+
+    def logging_driver(n, run, allowed, lexmin=True):
+        calls = []
+        passes.append(calls)
+
+        def logged(forced, box, target):
+            got = run(forced, box, target)
+            calls.append((box, target, got))
+            return got
+        return _lexmin(n, logged, allowed, lexmin)
+
+    cases = list(connected_graphs(6)) + [random_connected(rng, 12, 0.3) for _ in range(5)]
+    for g in cases:
+        _nine_maxima(g, logging_driver)
+    runs = vertices = 0
+    for calls in passes:
+        (allowed, target, (value, witness)), settle = calls[0], calls[1:]
+        assert target is None
+        for box, target, (size, mask) in settle:
+            assert target == value
+            gone = allowed & ~box  # the vertices settled out so far, all above v
+            v = (gone & -gone).bit_length() - 1
+            assert witness >> v & 1, "a run for a vertex outside the witness"
+            if size >= value:
+                witness = mask
+        runs += len(settle)
+        vertices += allowed.bit_count()
+    assert len(passes) == 9 * len(cases)
+    assert runs < vertices  # the twin runs once per allowed vertex
+
+
+def test_lexmin_pass_on_a_complete_graph_costs_one_node_per_vertex():
+    """On K_n the optimum search walks one branch (n + 1 nodes).  Each vertex
+    is then in the witness, and its run, floored at size n - 1 with n - 1
+    candidates left, stops at its root, so the limit 2n + 1 holds for the
+    clique search and for the position search alike."""
+    from monopos.solvers import PathMode, build_triple_index, max_position_set
+
+    n = 20
+    g = complete_graph(n)
+    assert clique_number(g, node_limit=2 * n + 1) == (n, g.full())
+    rep = max_position_set(build_triple_index(g, PathMode.MONOPHONIC), node_limit=2 * n + 1)
+    assert (rep.value, rep.expansions) == (n, 2 * n + 1)
+
+
+def test_a_target_run_returns_a_set_that_reaches_it_or_a_size_below_it(rng):
+    """The ``run`` contract of ``_lexmin``, for the search of every maximum:
+    with a target, a set of at least that size when one exists in the box,
+    else a size below the target."""
+    from monopos.families import petersen_graph
+
+    runs = []
+
+    def capturing_driver(n, run, allowed, lexmin=True):
+        runs.append((run, allowed))
+        return _lexmin(n, run, allowed, lexmin)
+
+    for g in (petersen_graph(), cycle_graph(7), random_connected(rng, 11, 0.35)):
+        _nine_maxima(g, capturing_driver)
+    misses = 0
+    for run, allowed in runs:
+        value = run(0, allowed, None)[0]
+        for v in iter_bits(allowed):
+            box = allowed & ~bit(v)
+            top = box and bit(box.bit_length() - 1)
+            for forced in (0, top):
+                best = run(forced, box, None)[0]
+                for target in (value - 1, value, value + 1):
+                    size, mask = run(forced, box, target)
+                    if best >= target:
+                        assert size >= target and size == mask.bit_count()
+                        assert mask & forced == forced and not mask & ~box
+                        assert run(mask, mask, None)[0] == size  # an accepted set
+                    else:
+                        assert size < target
+                        misses += 1
+    assert len(runs) == 27 and misses
 
 
 # -- bipartite machinery ------------------------------------------------------
