@@ -18,45 +18,12 @@ from .errors import EXIT_INTERNAL, CapExceeded, InputError, InternalCheckError, 
 from .graph import SOLVER_CAP, Graph, parse_edgelist
 from .graph6 import emit_graph6, parse_graph6
 from .harness import available_checks, run_suite
-from .invariants import (bipartition, cut_vertices, diameter, is_distance_hereditary,
-                         phi_separated, psi_uniform, split_partition)
 from .paths import (IntervalCache, interior_vertices, monophonic_closure,
                     monophonic_hull, monophonic_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (BRUTE_FORCE_CAP, NODE_LIMIT, GraphSolver, PathMode, _invariant,
-                      brute_force_position, parameter_suite)
+from .solvers import (BRUTE_FORCE_CAP, CLOSED_FORMS, NODE_LIMIT, PARAMETERS, GraphSolver,
+                      PathMode, brute_force_position, parameter_suite)
 from . import families
-
-
-def _cuts(g: Graph, *_) -> tuple[int, int]:
-    mask = cut_vertices(g)
-    return mask.bit_count(), mask
-
-
-def _psi(g: Graph, *_) -> tuple[int, int]:
-    bp, odd = bipartition(g)
-    if bp is None:
-        raise InputError(f"graph is not bipartite (odd cycle {odd})")
-    return psi_uniform(g, bp)
-
-
-def _phi(g: Graph, *_) -> tuple[int, int]:
-    sp = split_partition(g)
-    if sp is None:
-        raise InputError("graph is not a split graph")
-    return phi_separated(g, sp)
-
-
-#: Closed-form names that ``compute`` accepts besides :data:`solvers.PARAMETERS`.
-CLOSED_FORMS = {
-    name: _invariant("closed_form", fn) for name, fn in (
-        ("cuts", _cuts),
-        ("dh", lambda g, *_: (int(is_distance_hereditary(g)), 0)),
-        ("diam", lambda g, *_: (diameter(g), 0)),
-        ("psi", _psi),
-        ("phi", _phi),
-    )
-}
 
 
 def _read_graphs(path: str, input_format: str) -> list[Graph]:
@@ -92,8 +59,7 @@ def _cmd_compute(args) -> int:
             skipped = suite.skipped
         else:
             solver = GraphSolver(g, node_limit=args.node_limit, lexmin=True, cap=args.cap)
-            reports = [CLOSED_FORMS[name](solver, name) if name in CLOSED_FORMS
-                       else solver.report(name) for name in wanted]
+            reports = [solver.report(name) for name in wanted]
             skipped = {}
         doc = {"graph6": gid, "n": g.n, "m": g.edge_count(),
                "parameters": [r.to_dict() for r in reports], "skipped": skipped}
@@ -178,9 +144,10 @@ def _cmd_oracle(args) -> int:
     for g in graphs:
         if g.n > cap:
             raise CapExceeded(f"oracle cap {cap} exceeded by order {g.n}")
+        gid = emit_graph6(g)
         rep = brute_force_position(g, PathMode.from_string(args.mode), args.independent)
-        _emit(rep.to_dict(), args,
-              [f"{rep.parameter}({emit_graph6(g)}) = {rep.value}  witness {list(rep.witness)} [oracle]"])
+        _emit({"graph6": gid, **rep.to_dict()}, args,
+              [f"{rep.parameter}({gid}) = {rep.value}  witness {list(rep.witness)} [oracle]"])
     return 0
 
 
@@ -240,8 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="exact parameters of input graphs")
     p.add_argument("path", help="graph6 or edge-list file, - for stdin")
     p.add_argument("--param", default="mp",
-                   help="comma list from mp,gp,gp2,imp,igp,hm,alpha,omega,alphaomega,"
-                        "diss,simplicial,L,rho,cuts,dh,diam,psi,phi or 'all'")
+                   help=f"comma list from {', '.join([*PARAMETERS, *CLOSED_FORMS])}, or 'all'")
     common(p)
     cap(p)
     node_limit(p)

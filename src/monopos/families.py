@@ -22,7 +22,7 @@ from .bitset import bit, iter_bits
 from .errors import CapExceeded, InputError
 from .graph import (Graph, add_pendant, cartesian_product, complete_graph,
                     complete_multipartite, corona, cycle_graph, join, path_graph)
-from .invariants import (alpha_omega_number, bipartition, clique_number,
+from .invariants import (alpha_omega_number, bipartition, blocks, clique_number,
                          deficiency_witness, diameter, independence_number,
                          is_block_graph, leaves, phi_separated, psi_uniform,
                          simplicial_vertices, split_partition, SplitPartition)
@@ -487,47 +487,17 @@ def predict_multipartite(parts: list[int]) -> list[PredictedValue]:
             PredictedValue("gp", value, "multipartite-max", why)]
 
 
-def _unique_cycle(g: Graph) -> list[int]:
-    """Ordered vertex list of the unique cycle of a unicyclic graph."""
-    deg = [g.degree(v) for v in range(g.n)]
-    queue = [v for v in range(g.n) if deg[v] == 1]
-    removed = 0
-    while queue:
-        v = queue.pop()
-        removed |= bit(v)
-        deg[v] = 0
-        for u in iter_bits(g.adj[v]):
-            if not removed & bit(u):
-                deg[u] -= 1
-                if deg[u] == 1:
-                    queue.append(u)
-    core = g.full() & ~removed
-    start = (core & -core).bit_length() - 1
-    cycle = [start]
-    prev = -1
-    while True:
-        nxt = None
-        for u in iter_bits(g.adj[cycle[-1]] & core):
-            if u != prev:
-                nxt = u
-                break
-        if nxt == start:
-            break
-        prev = cycle[-1]
-        cycle.append(nxt)
-    return cycle
-
-
 def predict_unicyclic(g: Graph) -> PredictedValue:
     """Case formula for connected graphs with exactly one cycle."""
     if not g.is_connected() or g.edge_count() != g.n:
         raise InputError("not a connected unicyclic graph")
     if g.n == 3:
         return PredictedValue("mp", 3, "unicyclic-cases", "triangle")
-    cycle = _unique_cycle(g)
-    s = len(cycle)
-    lv = leaves(g).bit_count()
-    branch = [i for i in range(s) if g.degree(cycle[i]) >= 3]
+    cycle = next(b for b in blocks(g) if b.bit_count() >= 3)  # the only non-bridge block
+    s = cycle.bit_count()
+    leaf_mask = leaves(g)
+    lv = leaf_mask.bit_count()
+    branch = [v for v in iter_bits(cycle) if g.degree(v) >= 3]
     r = len(branch)
     if r == 0:
         return PredictedValue("mp", 2, "unicyclic-cases", f"pure cycle of length {s}")
@@ -535,18 +505,14 @@ def predict_unicyclic(g: Graph) -> PredictedValue:
         return PredictedValue("mp", lv + 2, "unicyclic-cases", "one branch vertex")
     if r == 2:
         i, j = branch
-        adjacent = (j - i == 1) or (i == 0 and j == s - 1)
-        if adjacent:
+        if g.has_edge(i, j):  # the cycle has no chord
             return PredictedValue("mp", lv + 1, "unicyclic-cases", "two adjacent branch vertices")
 
-        def hangs_one_leaf(pos: int) -> bool:
-            # the tree at cycle[pos] is a path starting there, i.e. it
-            # carries exactly one leaf of the whole graph
-            prev_v = cycle[(pos - 1) % s]
-            next_v = cycle[(pos + 1) % s]
-            within = g.full() & ~bit(prev_v) & ~bit(next_v)
-            comp = g.component_of(cycle[pos], within=within)
-            return (comp & leaves(g)).bit_count() == 1
+        def hangs_one_leaf(v: int) -> bool:
+            # the tree at v, cut off from v's two cycle neighbours, is a path
+            # starting at v, i.e. it carries exactly one leaf of the whole graph
+            comp = g.component_of(v, within=g.full() & ~(g.adj[v] & cycle))
+            return (comp & leaf_mask).bit_count() == 1
 
         if hangs_one_leaf(i) or hangs_one_leaf(j):
             return PredictedValue("mp", lv + 1, "unicyclic-cases",

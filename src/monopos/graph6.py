@@ -10,19 +10,15 @@ trailing bytes, naming the byte offset of the problem.
 
 from __future__ import annotations
 
-from .bitset import bit, full_mask, iter_bits
+import re
+
+from .bitset import full_mask
 from .errors import CapExceeded, Graph6Error
 from .graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
-
-
-def _sextets(data: str, start: int):
-    for i, ch in enumerate(data[start:], start=start):
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise Graph6Error(f"byte {ch!r} outside graph6 range", offset=i)
-        yield code
+_OUT_OF_RANGE = re.compile(r"[^?-~]")  # graph6 bytes are 63 ('?') to 126 ('~')
+_SEXTET_BITS = {63 + code: format(code, "06b") for code in range(64)}
 
 
 def parse_graph6(line: str) -> Graph:
@@ -67,16 +63,18 @@ def parse_graph6(line: str) -> Graph:
     if len(text) - pos > nbytes:
         raise Graph6Error("trailing bytes after bit vector", offset=pos + nbytes)
 
-    bits = "".join(format(code, "06b") for code in _sextets(text, pos))
+    bad = _OUT_OF_RANGE.search(text, pos)
+    if bad:
+        raise Graph6Error(f"byte {bad.group()!r} outside graph6 range", offset=bad.start())
+    bits = text[pos:].translate(_SEXTET_BITS)
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits", offset=pos + nbytes - 1)
-    # Column j holds the pairs (0, j), ..., (j-1, j), lowest vertex first.
-    adj = [0] * n
-    for j in range(1, n):
-        adj[j] = int(bits[j * (j - 1) // 2:j * (j + 1) // 2][::-1], 2)
-        for i in iter_bits(adj[j]):
-            adj[i] |= bit(j)
-    return Graph(n, tuple(adj))
+    # Column j holds the pairs (0, j), ..., (j-1, j), lowest vertex first;
+    # padded to n it is j's row below j, and matrix[i::n] is i's row above i.
+    cols = [bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0") for j in range(n)]
+    matrix = "".join(cols)
+    return Graph(n, tuple(int(matrix[i::n][::-1], 2) | int(col[::-1], 2)
+                          for i, col in enumerate(cols)))
 
 
 def emit_graph6(g: Graph) -> str:

@@ -121,7 +121,7 @@ class IntervalCache:
 
     Rows are computed per source and published whole; readers may share a
     cache after a row is in place, but concurrent writers need external
-    exclusion (the toolkit itself uses one cache per worker).
+    exclusion.
     """
 
     def __init__(self, g: Graph):

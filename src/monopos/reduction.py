@@ -76,10 +76,11 @@ def verify_reduction(inst: ReductionInstance, node_limit: int = NODE_LIMIT,
                      cap: int = SOLVER_CAP) -> ReductionReport:
     """Solve both sides exactly and compare the yes/no answers.
 
+    ``node_limit`` bounds the clique search and the position search alike.
     Solver cap or node-limit failures propagate as limit errors; they are
     never folded into a verification verdict.
     """
-    omega, _ = clique_number(inst.source)
+    omega, _ = clique_number(inst.source, node_limit=node_limit)
     mp = GraphSolver(inst.product, node_limit, cap=cap).value("mp")
     return ReductionReport(
         source_g6=emit_graph6(inst.source),

@@ -15,7 +15,9 @@ vertex is taken.  ``invariants._lexmin`` drives its runs to the lexmin
 witness.  The subset oracle ``brute_force_position`` scans the same
 witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
-supporting invariant, is computed by name through its table.
+supporting invariant, and every closed form that ``compute`` answers, is
+computed by name through its table, and ``GraphSolver.report`` finishes
+each report.
 
 The monophonic hull number reads no interval row.  ``hull_number`` sums
 a small rule over the clique-separator atoms, from Duchet's
@@ -36,11 +38,12 @@ from itertools import combinations
 from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
-from .graph6 import emit_graph6
 from .invariants import (NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch, alpha_omega_number,
-                         clique_number, clique_separator_atoms, common_neighbour_witnesses,
-                         dissociation_number, independence_number, invert_witnesses,
-                         oracle_max_subset, simplicial_vertices)
+                         bipartition, clique_number, clique_separator_atoms,
+                         common_neighbour_witnesses, cut_vertices, diameter, dissociation_number,
+                         independence_number, invert_witnesses, is_distance_hereditary,
+                         oracle_max_subset, phi_separated, psi_uniform, simplicial_vertices,
+                         split_partition)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
                     induced_path_partition, longest_induced_path_length, monophonic_hull)
 
@@ -137,7 +140,6 @@ def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int
 
 @dataclass
 class ParameterReport:
-    graph_id: str
     parameter: str
     value: int
     witness: tuple[int, ...]
@@ -147,7 +149,6 @@ class ParameterReport:
 
     def to_dict(self) -> dict:
         return {
-            "graph_id": self.graph_id,
             "parameter": self.parameter,
             "value": self.value,
             "witness": list(self.witness),
@@ -173,7 +174,6 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
         raise InternalCheckError("position witness failed verification")
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
-        graph_id=emit_graph6(g),
         parameter=name,
         value=value,
         witness=to_tuple(found),
@@ -184,13 +184,15 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
 
 
 class GraphSolver:
-    """The one front end for every parameter in :data:`PARAMETERS`.
+    """The one front end for every parameter in :data:`PARAMETERS` and
+    :data:`CLOSED_FORMS`.
 
-    Reports are memoized, and one interval cache and one triple index per
-    mode are shared between them.  ``cap`` bounds every exact routine but
-    the polynomial hm; an invariant with a cap of its own gets the smaller
-    of the two.  A limit raises, so callers that want a partial bundle
-    catch ``LimitError``.
+    Reports are memoized, and one triple index per mode is shared between
+    them.  ``report`` is the one place a report is finished: it times the
+    builder, so ``ms`` covers any triple index the report built.  ``cap``
+    bounds every exact routine but the polynomial hm; an invariant with a
+    cap of its own gets the smaller of the two.  A limit raises, so callers
+    that want a partial bundle catch ``LimitError``.
     """
 
     def __init__(self, g: Graph, node_limit: int = NODE_LIMIT, lexmin: bool = False,
@@ -199,20 +201,23 @@ class GraphSolver:
         self.node_limit = node_limit
         self.lexmin = lexmin
         self.cap = cap
-        self.cache = IntervalCache(g)
         self._indexes: dict[PathMode, TripleIndex] = {}
         self._reports: dict[str, ParameterReport] = {}
 
     def triple_index(self, mode: PathMode) -> TripleIndex:
         if mode not in self._indexes:
-            self._indexes[mode] = build_triple_index(self.g, mode, self.cache, cap=self.cap)
+            self._indexes[mode] = build_triple_index(self.g, mode, cap=self.cap)
         return self._indexes[mode]
 
     def report(self, name: str) -> ParameterReport:
         if name not in self._reports:
-            if name not in PARAMETERS:
+            build = PARAMETERS.get(name) or CLOSED_FORMS.get(name)
+            if build is None:
                 raise InputError(f"unknown parameter {name!r}")
-            self._reports[name] = PARAMETERS[name](self, name)
+            t0 = time.perf_counter()
+            rep = build(self, name)
+            rep.ms = (time.perf_counter() - t0) * 1000.0
+            self._reports[name] = rep
         return self._reports[name]
 
     def value(self, name: str) -> int:
@@ -220,27 +225,40 @@ class GraphSolver:
 
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
-    """Search report whose ``ms`` also covers the triple index it built."""
-    t0 = time.perf_counter()
     mode, independent = POSITION_PARAMS[name]
-    rep = max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
-    rep.ms = (time.perf_counter() - t0) * 1000.0
-    return rep
+    return max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
 
 
 def _invariant(method: str, fn):
     """Report builder for ``fn(g, cap, node_limit) -> (value, witness mask)``."""
     def compute(s: GraphSolver, name: str) -> ParameterReport:
-        t0 = time.perf_counter()
         value, mask = fn(s.g, s.cap, s.node_limit)
-        ms = (time.perf_counter() - t0) * 1000.0
-        return ParameterReport(emit_graph6(s.g), name, value, to_tuple(mask), method, 0, ms)
+        return ParameterReport(name, value, to_tuple(mask), method, 0, 0.0)
     return compute
 
 
 def _simplicial(g: Graph, *_) -> tuple[int, int]:
     mask = simplicial_vertices(g)
     return mask.bit_count(), mask
+
+
+def _cuts(g: Graph, *_) -> tuple[int, int]:
+    mask = cut_vertices(g)
+    return mask.bit_count(), mask
+
+
+def _psi(g: Graph, *_) -> tuple[int, int]:
+    bp, odd = bipartition(g)
+    if bp is None:
+        raise InputError(f"graph is not bipartite (odd cycle {odd})")
+    return psi_uniform(g, bp)
+
+
+def _phi(g: Graph, *_) -> tuple[int, int]:
+    sp = split_partition(g)
+    if sp is None:
+        raise InputError("graph is not a split graph")
+    return phi_separated(g, sp)
 
 
 #: Parameter name -> report builder, in the order parameter_suite computes
@@ -260,6 +278,19 @@ PARAMETERS = {
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g),
+}
+
+#: Closed forms that ``report`` answers besides :data:`PARAMETERS`; psi and
+#: phi are defined only on bipartite and split graphs, so
+#: ``parameter_suite`` leaves all of them out.
+CLOSED_FORMS = {
+    name: _invariant("closed_form", fn) for name, fn in (
+        ("cuts", _cuts),
+        ("dh", lambda g, *_: (int(is_distance_hereditary(g)), 0)),
+        ("diam", lambda g, *_: (diameter(g), 0)),
+        ("psi", _psi),
+        ("phi", _phi),
+    )
 }
 
 
@@ -293,7 +324,6 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) ->
     best, best_mask = oracle_max_subset(g, admissible, BRUTE_FORCE_CAP)
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
-        graph_id=emit_graph6(g),
         parameter=name,
         value=best,
         witness=to_tuple(best_mask),
@@ -357,7 +387,7 @@ def hull_number(g: Graph) -> ParameterReport:
     if convex_hull(g, found) != g.full():
         raise InternalCheckError("hull witness failed verification")
     ms = (time.perf_counter() - t0) * 1000.0
-    return ParameterReport(emit_graph6(g), "hm", found.bit_count(), to_tuple(found),
+    return ParameterReport("hm", found.bit_count(), to_tuple(found),
                            "separator_atoms", len(atoms), ms)
 
 

@@ -249,6 +249,46 @@ def test_cli_compute_closed_forms(tmp_path, capsys):
     assert code == 2 and "not bipartite" in err
 
 
+def test_cli_compute_answers_closed_forms_through_the_solver(tmp_path, capsys, monkeypatch):
+    from monopos.graph import path_graph
+    from monopos.graph6 import emit_graph6
+    from monopos.solvers import GraphSolver
+
+    real = GraphSolver.report
+    asked = []
+
+    def report(self, name):
+        asked.append(name)
+        return real(self, name)
+
+    monkeypatch.setattr(GraphSolver, "report", report)
+    path = tmp_path / "p4.g6"
+    path.write_text(emit_graph6(path_graph(4)) + "\n")
+    code, out, _ = run_cli(capsys, "compute", str(path), "--param", "cuts,psi,phi",
+                           "--format", "json")
+    assert code == 0 and asked == ["cuts", "psi", "phi"]
+    assert [p["parameter"] for p in json.loads(out)["parameters"]] == asked
+
+
+def test_cli_json_names_the_graph_once(tmp_path, capsys):
+    from monopos.graph import cycle_graph
+    from monopos.graph6 import emit_graph6
+
+    token = emit_graph6(cycle_graph(6))
+    path = tmp_path / "c6.g6"
+    path.write_text(token + "\n")
+    for param in ("mp,hm,cuts", "all"):
+        code, out, _ = run_cli(capsys, "compute", str(path), "--param", param,
+                               "--format", "json")
+        doc = json.loads(out)
+        assert code == 0 and doc["graph6"] == token and doc["parameters"], param
+        assert all("graph_id" not in p for p in doc["parameters"]), param
+    code, out, _ = run_cli(capsys, "oracle", str(path), "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["graph6"] == token and "graph_id" not in doc
+    assert (doc["parameter"], doc["value"]) == ("mp", 2)
+
+
 def test_cli_paths(tmp_path, capsys):
     from monopos.graph import cycle_graph
     from monopos.graph6 import emit_graph6

@@ -1,6 +1,6 @@
 import pytest
 
-from monopos.errors import InputError
+from monopos.errors import InputError, NodeLimitExceeded
 from monopos.graph import complete_graph, cycle_graph
 from monopos.invariants import clique_number
 from monopos.reduction import reduce_clique_to_mp, verify_reduction
@@ -71,3 +71,9 @@ def test_report_dict():
     assert doc["identity_holds"] and doc["answers_agree"]
     assert set(doc) >= {"source", "product", "n", "k", "k_prime",
                         "omega_source", "mp_product"}
+
+
+def test_node_limit_bounds_the_clique_search_too():
+    inst = reduce_clique_to_mp(cycle_graph(5), 2)
+    with pytest.raises(NodeLimitExceeded, match="clique search"):
+        verify_reduction(inst, node_limit=1)

@@ -233,6 +233,7 @@ def test_report_serialization():
     doc = rep.to_dict()
     assert doc["parameter"] == "mp" and doc["value"] == 2
     assert doc["witness"] == [0, 1] and doc["method"] == "branch_and_bound"
+    assert set(doc) == {"parameter", "value", "witness", "method", "expansions", "ms"}
 
 
 def test_branch_and_bound_label_marks_exactly_the_node_limited_maxima():
@@ -378,10 +379,41 @@ def _assert_walk_agrees(g):
     assert (rep.value, mask_of(rep.witness)) == (walk.bit_count(), walk), emit_graph6(g)
 
 
-def test_hull_search_reads_no_interval_row():
+def test_hull_search_reads_no_interval_row(monkeypatch):
+    import monopos.paths as paths
+
+    real = paths.interval_row
+    rows = []
+
+    def counted(g, u, *args, **kwargs):
+        rows.append(u)
+        return real(g, u, *args, **kwargs)
+
+    monkeypatch.setattr(paths, "interval_row", counted)
     for g in (petersen_graph(), grid_graph(8, 8), hypercube(6)):
-        s = GraphSolver(g)
-        assert s.report("hm").value == 2 and s.cache.expansions == 0, emit_graph6(g)
+        assert GraphSolver(g).report("hm").value == 2 and rows == [], emit_graph6(g)
+    s = GraphSolver(petersen_graph())
+    s.report("mp")
+    s.report("imp")
+    assert rows == list(range(10))  # the mono index reads each row once
+
+
+def test_closed_forms_are_timed_and_memoized_by_the_solver(monkeypatch):
+    import time
+
+    import monopos.solvers as solvers
+
+    real = solvers.cut_vertices
+
+    def slow(g):
+        time.sleep(0.05)
+        return real(g)
+
+    monkeypatch.setattr(solvers, "cut_vertices", slow)
+    s = GraphSolver(path_graph(4))
+    assert s.report("cuts").ms >= 50.0 and s.report("cuts").witness == (1, 2)
+    assert s.report("psi") is s.report("psi")
+    assert set(solvers.CLOSED_FORMS).isdisjoint(parameter_suite(path_graph(4)).reports)
 
 
 def test_hull_number_at_order_64():
