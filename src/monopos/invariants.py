@@ -3,9 +3,12 @@ for clique-like parameters, bipartite machinery and split graph analysis.
 
 It also holds the one forbidden-triple branch and bound, ``_PositionSearch``:
 the largest vertex set holding no triple (x, y, z) with y a witness of the
-pair {x,z}.  The position solvers feed it interval or geodesic witnesses;
-here it computes alphaomega and dissociation from common-neighbour
-witnesses (see :func:`common_neighbour_witnesses`).
+pair {x,z}.  It runs in order space, where bit i is the i-th vertex by
+descending witness participation, over one table per triple system
+(:func:`pair_table`): for each pair of vertices, the mask of the third
+members of their triples.  The position solvers build that table from
+interval or geodesic witnesses; here alphaomega and dissociation build it
+from common-neighbour witnesses (see :func:`common_neighbour_witnesses`).
 
 Solver conventions
 ------------------
@@ -370,80 +373,114 @@ def common_neighbour_witnesses(g: Graph, include_adjacent: bool) -> list[list[in
     return witness
 
 
-def invert_witnesses(witness: list[list[int]]) -> list[list[int]]:
-    """wit_of[u][y] = mask of w such that y witnesses the pair {u,w}."""
+#: ``(order, pos, pair)``, see :func:`pair_table`.
+PairTable = tuple[list[int], list[int], list[list[int]]]
+
+
+def pair_table(witness: list[list[int]]) -> PairTable:
+    """``(order, pos, pair)`` of a symmetric triple system, for ``_PositionSearch``.
+
+    ``order`` lists the vertices by descending witness participation (an
+    end of a pair counts its witnesses, a witness counts its pairs), ties
+    by label, and ``pos`` inverts it.  In order space bit i stands for
+    ``order[i]``, and ``pair[i][j]`` is the mask of every w such that
+    {order[i], order[j], w} holds a triple.  Two passes over the witness
+    masks: the counts, then the table.
+    """
     n = len(witness)
-    wit_of = [[0] * n for _ in range(n)]
+    count = [sum(w.bit_count() for w in row) for row in witness]
+    for x in range(n):
+        for w in witness[x][x + 1:]:
+            while w:
+                b = w & -w
+                count[b.bit_length() - 1] += 1
+                w ^= b
+    order = sorted(range(n), key=lambda v: (-count[v], v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    pair = [[0] * n for _ in range(n)]
     for x in range(n):
         wx = witness[x]
-        for z in range(n):
-            if z == x:
+        px = pos[x]
+        bx = 1 << px
+        for z in range(x + 1, n):
+            w = wx[z]
+            if not w:
                 continue
-            for y in iter_bits(wx[z]):
-                wit_of[x][y] |= bit(z)
-    return wit_of
+            pz = pos[z]
+            bz = 1 << pz
+            m = 0
+            while w:
+                b = w & -w
+                py = pos[b.bit_length() - 1]
+                m |= 1 << py
+                row = pair[py]
+                row[px] |= bz
+                row[pz] |= bx
+                w ^= b
+            pair[px][pz] |= m
+    for i in range(n):
+        row = pair[i]
+        for j in range(i + 1, n):
+            row[j] = pair[j][i] = row[j] | pair[j][i]
+    return order, pos, pair
 
 
 class _PositionSearch:
-    """Largest vertex set meeting no triple (x, y, z) with y in
-    ``witness[x][z]``, by branch and bound.
+    """Largest vertex set meeting no triple, by branch and bound over the
+    ``(order, pos, pair)`` table of :func:`pair_table`.
 
-    Candidates are ordered by descending witness participation.  Taking a
-    vertex v kills, for every already chosen u: the witnesses of {u,v}, the
-    vertices w whose pair {u,w} is witnessed by v, and the vertices w whose
-    pair {v,w} is witnessed by u; with ``independent`` it also kills the
-    neighbours of v.  The bound is chosen + surviving candidates not yet
-    passed over.
+    The search runs in order space: bit i is ``order[i]``, so the next
+    candidate is the lowest bit of ``cand`` and the candidates go by
+    descending witness participation.  Taking i kills ``pair[i][j]`` for
+    every chosen j; with ``independent`` it also kills the neighbours of
+    ``order[i]``.  The bound is chosen + surviving candidates, all of
+    which lie past i.  ``run`` maps ``forced`` and ``allowed`` into order
+    space and the best set back out; ``nodes`` counts every node of every
+    run so far, also after a limit or a target stops one.
     """
 
-    def __init__(self, adj: tuple[int, ...], witness: list[list[int]], wit_of: list[list[int]],
-                 independent: bool = False, node_limit: int = NODE_LIMIT):
-        self.adj = adj
-        self.witness = witness
-        self.wit_of = wit_of
-        self.independent = independent
+    def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
+                 node_limit: int = NODE_LIMIT):
+        self.order, self.pos, self.pair = table
+        self.nbr = [self._to_order(adj[v]) if independent else 0 for v in self.order]
         self.node_limit = node_limit
         self.nodes = 0
-        n = len(adj)
-        # witness participation: an end of a pair counts its witnesses, a
-        # witness counts its pairs (wit_of lists each pair from both ends)
-        deg = [sum(w.bit_count() for w in witness[v])
-               + sum(wit_of[u][v].bit_count() for u in range(n)) // 2 for v in range(n)]
-        self.order = sorted(range(n), key=lambda v: (-deg[v], v))
-        self.suffix = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            self.suffix[i] = self.suffix[i + 1] | bit(self.order[i])
 
-    def _kill_mask(self, chosen: list[int], v: int) -> int:
-        kill = 0
-        wv = self.witness[v]
-        wov = self.wit_of[v]
-        for u in chosen:
-            kill |= wv[u] | self.wit_of[u][v] | wov[u]
-        if self.independent:
-            kill |= self.adj[v]
-        return kill
+    def _to_order(self, mask: int) -> int:
+        pos = self.pos
+        out = 0
+        for v in iter_bits(mask):
+            out |= 1 << pos[v]
+        return out
 
     def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         """Best (size, mask) with forced included; with a target, the first
         set that reaches it, or a size below it (see ``_lexmin``)."""
+        pair, nbr = self.pair, self.nbr
+        smask = self._to_order(forced)
         chosen: list[int] = []
         kill = 0
-        for v in iter_bits(forced):
-            kill |= self._kill_mask(chosen, v)
-            chosen.append(v)
-        if kill & forced:
+        for i in iter_bits(smask):
+            row = pair[i]
+            kill |= nbr[i]
+            for j in chosen:
+                kill |= row[j]
+            chosen.append(i)
+        if kill & smask:
             return 0, 0
         self.best = len(chosen) if target is None else max(len(chosen), target - 1)
-        self.best_mask = forced
+        self.best_mask = smask
         self.target = target
         try:
-            self._rec(chosen, forced, allowed & ~forced & ~kill, 0)
+            self._rec(chosen, smask, self._to_order(allowed) & ~smask & ~kill)
         except _Found:
             pass
-        return self.best, self.best_mask
+        order = self.order
+        return self.best, sum(1 << order[i] for i in iter_bits(self.best_mask))
 
-    def _rec(self, chosen: list[int], smask: int, cand: int, oi: int):
+    def _rec(self, chosen: list[int], smask: int, cand: int):
         self.nodes += 1
         if self.nodes > self.node_limit:
             raise NodeLimitExceeded(f"position solver node limit {self.node_limit} exceeded")
@@ -453,27 +490,25 @@ class _PositionSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
-        order = self.order
-        suffix = self.suffix
-        i = oi
-        n = len(order)
-        while i < n:
-            if size + (cand & suffix[i]).bit_count() <= self.best:
+        pair, nbr = self.pair, self.nbr
+        while cand:
+            if size + cand.bit_count() <= self.best:
                 return
-            v = order[i]
-            vb = bit(v)
-            if cand & vb:
-                kill = self._kill_mask(chosen, v)
-                chosen.append(v)
-                self._rec(chosen, smask | vb, (cand & ~kill) & ~vb, i + 1)
-                chosen.pop()
-                cand &= ~vb
-            i += 1
+            b = cand & -cand
+            i = b.bit_length() - 1
+            cand ^= b
+            row = pair[i]
+            kill = nbr[i]
+            for j in chosen:
+                kill |= row[j]
+            chosen.append(i)
+            self._rec(chosen, smask | b, cand & ~kill)
+            chosen.pop()
 
 
 def _common_neighbour_max(g: Graph, include_adjacent: bool, node_limit: int) -> tuple[int, int]:
-    witness = common_neighbour_witnesses(g, include_adjacent)
-    search = _PositionSearch(g.adj, witness, invert_witnesses(witness), node_limit=node_limit)
+    table = pair_table(common_neighbour_witnesses(g, include_adjacent))
+    search = _PositionSearch(g.adj, table, node_limit=node_limit)
     return _lexmin(g.n, search.run, g.full())
 
 

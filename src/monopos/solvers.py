@@ -38,11 +38,11 @@ from itertools import combinations
 from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import CapExceeded, InputError, InternalCheckError, LimitError
 from .graph import SOLVER_CAP, Graph
-from .invariants import (NODE_LIMIT, ORACLE_CAP, _lexmin, _PositionSearch, alpha_omega_number,
-                         bipartition, clique_number, clique_separator_atoms,
+from .invariants import (NODE_LIMIT, ORACLE_CAP, PairTable, _lexmin, _PositionSearch,
+                         alpha_omega_number, bipartition, clique_number, clique_separator_atoms,
                          common_neighbour_witnesses, cut_vertices, diameter, dissociation_number,
-                         independence_number, invert_witnesses, is_distance_hereditary,
-                         oracle_max_subset, phi_separated, psi_uniform, simplicial_vertices,
+                         independence_number, is_distance_hereditary, oracle_max_subset,
+                         pair_table, phi_separated, psi_uniform, simplicial_vertices,
                          split_partition)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
                     induced_path_partition, longest_induced_path_length, monophonic_hull)
@@ -87,13 +87,14 @@ class TripleIndex:
     graph: Graph
     mode: PathMode
     witness: list[list[int]]
-    _wit_of: list[list[int]] | None = field(default=None, repr=False)
+    _table: PairTable | None = field(default=None, repr=False)
 
-    def witness_of(self) -> list[list[int]]:
-        """wit_of[u][y] = mask of w such that y witnesses the pair {u,w}."""
-        if self._wit_of is None:
-            self._wit_of = invert_witnesses(self.witness)
-        return self._wit_of
+    def table(self) -> PairTable:
+        """The search's ``(order, pos, pair)`` table, shared by both variants
+        of the mode (see :func:`invariants.pair_table`)."""
+        if self._table is None:
+            self._table = pair_table(self.witness)
+        return self._table
 
 
 def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = None,
@@ -106,7 +107,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
     witness = [[0] * n for _ in range(n)]
     if mode is PathMode.MONOPHONIC:
         cache = cache_for(g, cache)
-        for x in range(n):
+        for x in range(n - 1):
             row = cache.row(x)
             for z in range(x + 1, n):
                 w = row[z] & ~(bit(x) | bit(z))
@@ -167,7 +168,7 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     t0 = time.perf_counter()
     name = _position_name(idx.mode, independent)
     g = idx.graph
-    search = _PositionSearch(g.adj, idx.witness, idx.witness_of(), independent, node_limit)
+    search = _PositionSearch(g.adj, idx.table(), independent, node_limit)
     value, found = _lexmin(g.n, search.run, g.full() if allowed is None else allowed, lexmin)
     ok, _ = is_position_set(idx, found)
     if not ok or (independent and not g.is_independent_mask(found)):

@@ -10,14 +10,19 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from monopos.bitset import mask_of
+from monopos.errors import NodeLimitExceeded
 from monopos.families import grid_graph, petersen_graph
 from monopos.graph import cycle_graph
 from monopos.graph6 import emit_graph6, parse_graph6
+from monopos.invariants import _lexmin, alpha_omega_number, common_neighbour_witnesses, pair_table
 from monopos.paths import (IntervalCache, induced_path_partition, longest_induced_path_length,
                            monophonic_hull)
 from monopos.solvers import (PARAMETERS, GraphSolver, PathMode, TripleIndex, _PositionSearch,
-                             build_triple_index)
+                             build_triple_index, max_position_set)
+from test_position_search import _invert_witnesses, _LabelSpaceSearch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,6 +39,50 @@ def test_traced_boundaries_resolve():
     for modname, attr, _ in spans.BOUNDARIES:
         assert callable(getattr(importlib.import_module(modname), attr)), (modname, attr)
     assert callable(_PositionSearch.run)
+
+
+def _traced_nodes(work) -> int:
+    """Search nodes that the tracer's ``_PositionSearch.run`` wrapper counts
+    while ``work()`` runs, whether it returns or raises."""
+    spans = _load("spans")
+    tracer = spans.Tracer()
+    remove = spans.instrument(tracer)
+    try:
+        work()
+    finally:
+        remove()
+    counts = tracer.totals()[1]
+    return counts.get("solvers.search.nodes", 0) + counts.get("solvers.lexmin.nodes", 0)
+
+
+def test_traced_search_nodes_equal_the_search_counters():
+    g = petersen_graph()
+    for name in ("gp", "imp"):
+        reports = []
+        nodes = _traced_nodes(lambda: reports.append(GraphSolver(g, lexmin=True).report(name)))
+        assert nodes == reports[0].expansions > 0, name
+    witness = common_neighbour_witnesses(g, include_adjacent=False)
+    table = pair_table(witness)
+    untraced = _PositionSearch(g.adj, table)
+    assert _lexmin(g.n, untraced.run, g.full()) == alpha_omega_number(g)
+    assert _traced_nodes(lambda: alpha_omega_number(g)) == untraced.nodes > 0
+    # a run that stops at its target, by _Found, against the twin's count
+    twin = _LabelSpaceSearch(g.adj, witness, _invert_witnesses(witness))
+    search = _PositionSearch(g.adj, table)
+    hits = []
+    assert _traced_nodes(lambda: hits.append(search.run(0, g.full(), 3))) == search.nodes
+    assert hits == [twin.run(0, g.full(), 3)] and hits[0][0] >= 3
+    assert search.nodes == twin.nodes > 0
+
+
+def test_traced_search_nodes_count_a_run_stopped_by_the_node_limit():
+    idx = build_triple_index(petersen_graph(), PathMode.GEODESIC)
+    total = max_position_set(idx).expansions
+
+    def limited():
+        with pytest.raises(NodeLimitExceeded):
+            max_position_set(idx, node_limit=total - 1)
+    assert _traced_nodes(limited) == total
 
 
 def test_gate_call_shapes():

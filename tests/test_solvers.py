@@ -54,10 +54,10 @@ def test_search_refuses_forced_sets_that_meet_a_triple():
     p3 = path_graph(3)
     for mode in PathMode:
         idx = build_triple_index(p3, mode)
-        search = _PositionSearch(p3.adj, idx.witness, idx.witness_of())
+        search = _PositionSearch(p3.adj, idx.table())
         assert search.run(full_mask(3), full_mask(3), None) == (0, 0)
         assert search.run(mask_of([0, 2]), full_mask(3), None) == (2, mask_of([0, 2]))
-    indep = _PositionSearch(p3.adj, idx.witness, idx.witness_of(), independent=True)
+    indep = _PositionSearch(p3.adj, idx.table(), independent=True)
     assert indep.run(mask_of([0, 1]), full_mask(3), None) == (0, 0)
 
 
@@ -395,7 +395,25 @@ def test_hull_search_reads_no_interval_row(monkeypatch):
     s = GraphSolver(petersen_graph())
     s.report("mp")
     s.report("imp")
-    assert rows == list(range(10))  # the mono index reads each row once
+    assert rows == list(range(9))  # the mono index reads each row but the last once
+
+
+def test_mono_index_reads_every_interval_row_but_the_last(monkeypatch):
+    """Row x fills the pairs {x, z} with z > x, so row n - 1 would fill none."""
+    import monopos.paths as paths
+
+    real = paths.interval_row
+    rows = []
+
+    def counted(g, u, *args, **kwargs):
+        rows.append(u)
+        return real(g, u, *args, **kwargs)
+
+    monkeypatch.setattr(paths, "interval_row", counted)
+    for g in (path_graph(1), cycle_graph(5), petersen_graph(), hypercube(4), grid_graph(3, 5)):
+        rows.clear()
+        build_triple_index(g, PathMode.MONOPHONIC)
+        assert rows == list(range(g.n - 1)), g.n
 
 
 def test_closed_forms_are_timed_and_memoized_by_the_solver(monkeypatch):
