@@ -19,6 +19,12 @@ and the induced path partition read.  ``interval_row`` runs the same search
 with its own inline loop, because interval rows dominate the mp cost and a
 generator in between slows them down (see its docstring).
 
+``monophonic_witnesses`` builds the witness system that mp and imp search,
+from narrowed rows: only over the 2-core, each row exact only for the later
+vertices of its core component, and the pendant trees composed on
+afterwards.  Full rows, from ``interval_row`` with its defaults, stay its
+twin in the tests.
+
 Hulls have two routines.  ``convex_hull`` runs Duchet's component test in
 polynomial time and reads no interval row; the hull number uses it.
 ``monophonic_hull`` iterates interval closures, reports the round count
@@ -44,7 +50,8 @@ PARTITION_CAP = 16
 # ---------------------------------------------------------------------------
 
 
-def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET) -> tuple[list[int], int]:
+def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -1,
+                 targets: int | None = None, inner: int = 0) -> tuple[list[int], int]:
     """For every w, the union of vertices over induced u,w-paths.
 
     Returns ``(row, expansions)``; ``row[w] == 0`` when w is unreachable
@@ -55,18 +62,43 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET) -> tuple[list[i
     through the generator, rows took 1.2-1.5x as long on the benchmark's
     ``mono-rows`` graphs, where rows are over 95% of the time.  A test keeps
     the two in step (same rows, one walk node per expansion).
+
+    With its defaults the walk visits every induced path from u.
+    :func:`monophonic_witnesses` narrows it: paths never leave ``region``,
+    and only ``row[z]`` for z in ``targets`` has to be exact.  ``inner``
+    must hold every vertex that can be interior to an induced path in
+    ``region``.  A target adjacent to u is exact at once (the edge is its
+    only induced path); any other target z is settled once ``row[z]``
+    reaches its bound ``inner | u | z``.  A path is extended only while
+    some unsettled target lies outside its forbidden set, and the walk
+    stops when none is left.
     """
     adj = g.adj
     n = g.n
     row = [0] * n
-    row[u] = bit(u)
+    ub = bit(u)
+    row[u] = ub
+    if targets is None:
+        live = bit(n)  # a target no path reaches: nothing settles or is pruned
+    else:
+        near = targets & adj[u]
+        while near:
+            b = near & -near
+            near ^= b
+            row[b.bit_length() - 1] = ub | b
+        live = targets & ~adj[u] & ~ub
+        if not live:
+            return row, 0
+    cap = inner | ub
     expansions = 0
-    lasts = [0] * (n + 1)
+    # Level k holds the path p0..pk as a mask, the neighbours of pk still
+    # to try, and ``free``: the vertices outside N[p0..pk], where every
+    # extension of a child of pk must stay.
     pmasks = [0] * (n + 1)
-    forbs = [0] * (n + 1)
+    frees = [0] * (n + 1)
     exts = [0] * (n + 1)
     top = 0
-    lasts[0], pmasks[0], forbs[0], exts[0] = u, bit(u), bit(u), adj[u]
+    pmasks[0], frees[0], exts[0] = ub, (region | live) & ~ub & ~adj[u], adj[u] & region
     while top >= 0:
         ext = exts[top]
         if not ext:
@@ -80,12 +112,95 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET) -> tuple[list[i
         expansions += 1
         if expansions > budget:
             raise BudgetExceeded(f"induced-path budget {budget} exhausted at source {u}")
-        nforb = forbs[top] | adj[lasts[top]] | b
-        nxt = adj[w] & ~nforb
-        if nxt:
+        if live & b and row[w] == cap | b:
+            live ^= b
+            if not live:
+                break
+        free = frees[top]
+        nxt = adj[w] & free
+        if nxt and live & free:
             top += 1
-            lasts[top], pmasks[top], forbs[top], exts[top] = w, npm, nforb, nxt
+            pmasks[top], frees[top], exts[top] = npm, free & ~adj[w], nxt
     return row, expansions
+
+
+def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[int]]:
+    """``witness[x][z]``: the interior vertices of induced x,z-paths, for
+    every pair; 0 for adjacent pairs and pairs in different components.
+
+    Equals ``interval_row(g, x)[0][z]`` less x and z, from fewer rows.
+    Vertices of degree at most one are peeled off down to the 2-core, each
+    with the neighbour p it hangs from.  A pendant vertex is interior to no
+    path between two others, so an induced path between core vertices stays
+    in the core: core rows are read in label order, each walk kept inside
+    its component of the core with only the later vertices of that
+    component as targets.  A core vertex whose core neighbourhood is a
+    clique is interior to no induced path, which bounds every target.
+    Then, in reverse peel order, every induced t,z-path of a peeled t is t
+    followed by an induced p,z-path, so ``witness[t][z] = witness[p][z] | p``
+    for each z already done in t's component.  ``budget`` bounds each row,
+    as in :func:`interval_row`.
+    """
+    adj = g.adj
+    n = g.n
+    witness = [[0] * n for _ in range(n)]
+    core = full_mask(n)
+    deg = [a.bit_count() for a in adj]
+    leaves = [v for v in range(n) if deg[v] <= 1]
+    peeled = []
+    while leaves:
+        t = leaves.pop()
+        core ^= 1 << t
+        hang = adj[t] & core
+        p = hang.bit_length() - 1
+        if hang:
+            deg[p] -= 1
+            if deg[p] == 1:
+                leaves.append(p)
+        peeled.append((t, p))
+    verts = to_tuple(core)
+    # Inline clique test: ``Graph.is_clique_mask`` made the indexes that
+    # ``verify`` builds on 1-16 vertices about 15% slower.
+    inner = 0
+    for v in verts:
+        rest = adj[v] & core
+        while rest:
+            a = rest & -rest
+            rest ^= a
+            if rest & ~adj[a.bit_length() - 1]:
+                inner |= 1 << v
+                break
+    spent = 0
+    comp = 0
+    for i, x in enumerate(verts[:-1]):
+        if not comp >> x & 1:
+            comp = g.component_of(x, within=core)
+        try:
+            row, exp = interval_row(g, x, budget, comp, comp & ~full_mask(x + 1), inner & comp)
+        except BudgetExceeded as exc:
+            # the row that ran out made budget + 1 expansions
+            raise BudgetExceeded(f"monophonic witness index: {exc} after {i} of "
+                                 f"{len(verts) - 1} rows, {spent + budget + 1} "
+                                 f"expansions so far") from exc
+        spent += exp
+        wx = witness[x]
+        xb = 1 << x
+        for z in verts[i + 1:]:
+            if row[z]:
+                wx[z] = witness[z][x] = row[z] ^ xb ^ 1 << z
+    done = list(verts)
+    for t, p in reversed(peeled):
+        if p >= 0:
+            wp = witness[p]
+            wt = witness[t]
+            pb = 1 << p
+            near = adj[p]
+            for z in done:
+                w = wp[z]
+                if w or near >> z & 1 and z != p:  # z is in t's component
+                    wt[z] = witness[z][t] = w | pb
+        done.append(t)
+    return witness
 
 
 def walk_induced_paths(g: Graph, u: int):
@@ -93,22 +208,22 @@ def walk_induced_paths(g: Graph, u: int):
     edge that starts at u, in ``interval_row``'s order: neighbors ascending,
     depth first, each path before its extensions."""
     adj = g.adj
-    stack = [[u, bit(u), bit(u), adj[u]]]
+    stack = [[bit(u), ~(bit(u) | adj[u]), adj[u]]]
     while stack:
         top = stack[-1]
-        ext = top[3]
+        ext = top[2]
         if not ext:
             stack.pop()
             continue
         b = ext & -ext
-        top[3] = ext ^ b
+        top[2] = ext ^ b
         w = b.bit_length() - 1
-        mask = top[1] | b
+        mask = top[0] | b
         yield w, mask, len(stack)
-        forb = top[2] | adj[top[0]] | b
-        nxt = adj[w] & ~forb
+        free = top[1]
+        nxt = adj[w] & free
         if nxt:
-            stack.append([w, mask, forb, nxt])
+            stack.append([mask, free & ~adj[w], nxt])
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,8 @@ from .invariants import (NODE_LIMIT, ORACLE_CAP, PairTable, _lexmin, _PositionSe
                          pair_table, phi_separated, psi_uniform, simplicial_vertices,
                          split_partition)
 from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
-                    induced_path_partition, longest_induced_path_length, monophonic_hull)
+                    induced_path_partition, longest_induced_path_length, monophonic_hull,
+                    monophonic_witnesses)
 
 
 class PathMode(Enum):
@@ -99,31 +100,29 @@ class TripleIndex:
 
 def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = None,
                        cap: int = SOLVER_CAP) -> TripleIndex:
+    """The witness system of ``mode``.  A ``cache`` is only checked against
+    ``g``: the mono index reads narrowed rows and stores none in it."""
     if g.n > cap:
         raise CapExceeded(f"triple index cap {cap} exceeded by order {g.n}")
     if mode is PathMode.GEODESIC_LEN2:
         return TripleIndex(g, mode, common_neighbour_witnesses(g, include_adjacent=False))
+    if mode is PathMode.MONOPHONIC:
+        if cache is not None:
+            cache_for(g, cache)
+        return TripleIndex(g, mode, monophonic_witnesses(g))
+    # y lies on a shortest x,z-path iff d(x,y) = k, d(y,z) = d - k, 0 < k < d.
     n = g.n
     witness = [[0] * n for _ in range(n)]
-    if mode is PathMode.MONOPHONIC:
-        cache = cache_for(g, cache)
-        for x in range(n - 1):
-            row = cache.row(x)
-            for z in range(x + 1, n):
-                w = row[z] & ~(bit(x) | bit(z))
+    layers = [g.layers(v) for v in range(n)]
+    for x, lx in enumerate(layers):
+        above = ~full_mask(x + 1)
+        for d in range(2, len(lx)):
+            for z in iter_bits(lx[d] & above):
+                lz = layers[z]
+                w = 0
+                for k in range(1, d):
+                    w |= lx[k] & lz[d - k]
                 witness[x][z] = witness[z][x] = w
-    else:
-        # y lies on a shortest x,z-path iff d(x,y) = k, d(y,z) = d - k, 0 < k < d.
-        layers = [g.layers(v) for v in range(n)]
-        for x, lx in enumerate(layers):
-            above = ~full_mask(x + 1)
-            for d in range(2, len(lx)):
-                for z in iter_bits(lx[d] & above):
-                    lz = layers[z]
-                    w = 0
-                    for k in range(1, d):
-                        w |= lx[k] & lz[d - k]
-                    witness[x][z] = witness[z][x] = w
     return TripleIndex(g, mode, witness)
 
 

@@ -15,11 +15,11 @@ import pytest
 from monopos.bitset import mask_of
 from monopos.errors import NodeLimitExceeded
 from monopos.families import grid_graph, petersen_graph
-from monopos.graph import cycle_graph
+from monopos.graph import complete_graph, corona, cycle_graph
 from monopos.graph6 import emit_graph6, parse_graph6
 from monopos.invariants import _lexmin, alpha_omega_number, common_neighbour_witnesses, pair_table
-from monopos.paths import (IntervalCache, induced_path_partition, longest_induced_path_length,
-                           monophonic_hull)
+from monopos.paths import (IntervalCache, convex_hull, induced_path_partition,
+                           longest_induced_path_length, monophonic_hull)
 from monopos.solvers import (PARAMETERS, GraphSolver, PathMode, TripleIndex, _PositionSearch,
                              build_triple_index, max_position_set)
 from test_position_search import _invert_witnesses, _LabelSpaceSearch
@@ -86,11 +86,19 @@ def test_traced_search_nodes_count_a_run_stopped_by_the_node_limit():
 
 
 def test_gate_call_shapes():
+    """The gate passes its cache to ``build_triple_index`` and then reads hm's
+    hull through it, so the index may leave no partial row in it."""
     g = cycle_graph(5)
     cache = IntervalCache(g)
     for mode in ("mono", "geo", "geo2"):
         assert isinstance(build_triple_index(g, PathMode.from_string(mode), cache), TripleIndex)
     assert monophonic_hull(g, mask_of([0, 2]), cache)[0] == g.full()
+    g = corona(cycle_graph(5), complete_graph(1))  # a leaf at every cycle vertex
+    cache = IntervalCache(g)
+    build_triple_index(g, PathMode.MONOPHONIC, cache)
+    assert cache.expansions == 0
+    for m in (mask_of([0, 2]), mask_of([5, 7]), mask_of([6, 9]), mask_of([1, 7, 9])):
+        assert monophonic_hull(g, m, cache)[0] == convex_hull(g, m), m
 
 
 def test_gate_accepts_lexmin_answers_for_every_parameter(monkeypatch):

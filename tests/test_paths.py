@@ -1,17 +1,21 @@
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
-from monopos.graph import Graph, complete_graph, cycle_graph, path_graph
+from monopos.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from monopos.invariants import distance_matrix
-from monopos.families import random_block_graph, random_split_graph, random_tree
+from monopos.families import (hypercube, random_block_graph, random_connected_graph,
+                              random_split_graph, random_tree, random_unicyclic)
 from monopos.paths import (IntervalCache, _chordless_simple_paths, convex_hull,
                            count_induced_paths_oracle, induced_path_partition, interior_vertices,
                            interval_row, longest_induced_path_length, monophonic_closure,
-                           monophonic_hull, monophonic_interval, simple_path_interval,
-                           walk_induced_paths)
+                           monophonic_hull, monophonic_interval, monophonic_witnesses,
+                           simple_path_interval, walk_induced_paths)
 
 
 def _paths_to(g, u, v):
@@ -87,6 +91,66 @@ def test_interval_equals_simple_path_oracle(g):
             assert rows[u][v] == rows[v][u]
             got = rows[u][v] or (bit(u) | bit(v))
             assert got == simple_path_interval(g, u, v)
+
+
+def _full_row_witnesses(g):
+    """The mono witness system read off full rows, one per source: the twin
+    of ``monophonic_witnesses``."""
+    out = []
+    for x in range(g.n):
+        row = interval_row(g, x)[0]
+        out.append([row[z] & ~(bit(x) | bit(z)) for z in range(g.n)])
+    return out
+
+
+@st.composite
+def forests_plus_edges(draw, max_n=14):
+    """A forest, each vertex hanging from an earlier one or from none, plus up
+    to three more edges, under a random labelling: trees, cycles with
+    pendant trees and disconnected graphs."""
+    n = draw(st.integers(1, max_n))
+    label = draw(st.permutations(range(n)))
+    edges = [(draw(st.integers(-1, v - 1)), v) for v in range(1, n)]
+    ends = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return Graph.from_edges(n, {tuple(sorted((label[u], label[v])))
+                                for u, v in edges if u >= 0 and u != v})
+
+
+def test_witnesses_equal_full_rows_on_small_connected_graphs():
+    checked = 0
+    for g in connected_graphs(7):
+        assert monophonic_witnesses(g) == _full_row_witnesses(g), g.adj
+        checked += 1
+    assert checked == 996
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(min_n=1, max_n=14), forests_plus_edges()))
+def test_witnesses_equal_full_rows(g):
+    assert monophonic_witnesses(g) == _full_row_witnesses(g)
+
+
+@pytest.mark.parametrize("make", [
+    random_tree, random_unicyclic, random_block_graph,
+    lambda n, rng: random_connected_graph(n, rng, 0.1),
+    lambda n, rng: disjoint_union(random_unicyclic(n // 2, rng), random_tree(n // 2, rng)),
+], ids=["tree", "unicyclic", "block", "gnp", "cycle-and-tree"])
+def test_witnesses_equal_full_rows_on_larger_graphs(make):
+    rng = random.Random(3)
+    for n in (30, 40):
+        g = make(n, rng)
+        assert monophonic_witnesses(g) == _full_row_witnesses(g), n
+
+
+def test_witness_budget_names_rows_done_and_expansions():
+    # Rows 0 and 1 of the C4 on 0..3 take four expansions each, rows 2 and 3
+    # none (each later C4 vertex is adjacent, so exact at once); row 4, the
+    # first row of Q4, runs out after 51.
+    g = disjoint_union(cycle_graph(4), hypercube(4))
+    with pytest.raises(BudgetExceeded, match=r"at source 4 after 4 of 19 rows, "
+                                             r"59 expansions so far"):
+        monophonic_witnesses(g, budget=50)
 
 
 @settings(max_examples=40, deadline=None)
@@ -342,8 +406,6 @@ def test_partition_leaves_no_cyclic_garbage():
 
 
 def test_budget_exhaustion_is_loud():
-    from monopos.families import hypercube
-
     g = hypercube(4)
     with pytest.raises(BudgetExceeded):
         interval_row(g, 0, budget=50)

@@ -399,7 +399,9 @@ def test_hull_search_reads_no_interval_row(monkeypatch):
 
 
 def test_mono_index_reads_every_interval_row_but_the_last(monkeypatch):
-    """Row x fills the pairs {x, z} with z > x, so row n - 1 would fill none."""
+    """The rows read are those of the 2-core in label order, but its last:
+    row x fills the core pairs {x, z} with z > x, so the last core row would
+    fill none.  A vertex peeled off the 2-core reads no row."""
     import monopos.paths as paths
 
     real = paths.interval_row
@@ -414,6 +416,17 @@ def test_mono_index_reads_every_interval_row_but_the_last(monkeypatch):
         rows.clear()
         build_triple_index(g, PathMode.MONOPHONIC)
         assert rows == list(range(g.n - 1)), g.n
+    # the cycle 2..6 with pendant paths 6-1-0 and 4-7-8-9
+    unicyclic = Graph.from_edges(10, [(2, 3), (3, 4), (4, 5), (5, 6), (6, 2), (6, 1), (1, 0),
+                                      (4, 7), (7, 8), (8, 9)])
+    # the path 0..3 beside the 4-cycle 4..7, which has a pendant 8 at 5
+    forest_and_cycle = Graph.from_edges(9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7),
+                                            (7, 4), (5, 8)])
+    for g, core_rows in ((random_tree(12, random.Random(1)), []), (unicyclic, [2, 3, 4, 5]),
+                         (forest_and_cycle, [4, 5, 6])):
+        rows.clear()
+        build_triple_index(g, PathMode.MONOPHONIC)
+        assert rows == core_rows, g.n
 
 
 def test_closed_forms_are_timed_and_memoized_by_the_solver(monkeypatch):
