@@ -6,10 +6,12 @@ per family so witnesses stay reproducible.
 
 Predictors return :class:`PredictedValue` records carrying the predicted
 parameter, the rule it came from and the applicability condition that was
-checked.  :data:`FAMILIES` maps every family name to its builder and its
-predictor; ``generate`` (what ``monopos family`` prints) and the
-verification harness, which compares the predictions against the exact
-solvers, both read them from there.
+checked.  :data:`GRAPH_FORMS` holds the closed forms keyed by the graph
+alone, each raising :class:`InputError` outside its class.  :data:`FAMILIES`
+maps every family name to its builder and its predictor, the graph-keyed
+ones read from :data:`GRAPH_FORMS`.  ``generate`` (what ``monopos family``
+prints) and the harness's formula runner, which compares the predictions
+with the exact solvers, read both tables.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .errors import CapExceeded, InputError
 from .graph import (Graph, add_pendant, cartesian_product, complete_graph,
                     complete_multipartite, corona, cycle_graph, join, path_graph)
 from .invariants import (alpha_omega_number, bipartition, blocks, clique_number,
-                         deficiency_witness, diameter, independence_number,
-                         is_block_graph, leaves, phi_separated, psi_uniform,
+                         deficiency_witness, diameter, independence_number, is_block_graph,
+                         is_distance_hereditary, leaves, phi_separated, psi_uniform,
                          simplicial_vertices, split_partition, SplitPartition)
 from .solvers import GraphSolver
 
@@ -627,6 +629,14 @@ def predict_split(g: Graph) -> tuple[PredictedValue, bool]:
             hall_equality_condition(g, sp))
 
 
+def predict_distance_hereditary(g: Graph) -> list[PredictedValue]:
+    """Distance-hereditary graphs: mp equals gp, which is solved exactly."""
+    if not is_distance_hereditary(g):
+        raise InputError("not a distance-hereditary graph")
+    return [PredictedValue("mp", GraphSolver(g).value("gp"), "dh-mp-equals-gp",
+                           "distance-hereditary graph")]
+
+
 def predict_realization(spec: FamilySpec) -> list[PredictedValue]:
     """The closed forms of one family instance, as ``generate`` attaches
     them; raises :class:`InputError` where no rule applies."""
@@ -646,8 +656,26 @@ def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
 # ---------------------------------------------------------------------------
 
 
-def _block(g: Graph, *_) -> list[PredictedValue]:
-    return predict_block_graph(g)
+#: Every closed form keyed by the graph alone, by row name: a row lists its
+#: values on ``g`` and raises :class:`InputError` where ``g`` is outside its
+#: class.  A ``<p>_complement`` value is ``p`` of the complement of ``g``.
+GRAPH_FORMS: dict[str, Callable[[Graph], list[PredictedValue]]] = {
+    "block": predict_block_graph,
+    "unicyclic": lambda g: [predict_unicyclic(g)],
+    "split": lambda g: [predict_split(g)[0]],
+    "bipartite_complement": lambda g: [predict_bipartite_complement(g)],
+    "tree_complement": lambda g: [predict_tree_complement(g)],
+    "distance_hereditary": predict_distance_hereditary,
+}
+
+
+def _by_graph(row: str):
+    """A family predictor that reads the graph alone, through its GRAPH_FORMS row."""
+    form = GRAPH_FORMS[row]
+    return lambda g, *_: form(g)
+
+
+_block = _by_graph("block")
 
 
 def _small_product(predict):
@@ -723,7 +751,7 @@ def _cage_values(girth: int, **values: int):
 #: Every family a spec can name: parameter count, builder, predictor.
 FAMILIES: dict[str, Family] = {
     "path": Family(1, path_graph, _block),
-    "cycle": Family(1, cycle_graph, lambda g, _: [predict_unicyclic(g)]),
+    "cycle": Family(1, cycle_graph, _by_graph("unicyclic")),
     "complete": Family(1, complete_graph, _block),
     "complete_multipartite": Family(None, lambda *parts: complete_multipartite(list(parts)),
                                     lambda _g, *parts: predict_multipartite(list(parts))),
@@ -742,12 +770,10 @@ FAMILIES: dict[str, Family] = {
     "mcgee": Family(0, mcgee_graph, _cage_values(7, mp=2)),
     "random_tree": Family(1, random_tree, _block, seeded=True),
     "random_block": Family(1, random_block_graph, _block, seeded=True),
-    "random_unicyclic": Family(1, random_unicyclic, lambda g, _: [predict_unicyclic(g)],
+    "random_unicyclic": Family(1, random_unicyclic, _by_graph("unicyclic"), seeded=True),
+    "random_split": Family(1, random_split_graph, _by_graph("split"), seeded=True),
+    "random_bipartite": Family(2, random_bipartite_graph, _by_graph("bipartite_complement"),
                                seeded=True),
-    "random_split": Family(1, random_split_graph, lambda g, _: [predict_split(g)[0]],
-                           seeded=True),
-    "random_bipartite": Family(2, random_bipartite_graph,
-                               lambda g, *_: [predict_bipartite_complement(g)], seeded=True),
     "corona_of": Family(0, corona, _small_product(predict_corona), factors=2),
     "join_of": Family(0, join, _small_product(predict_join), factors=2),
 }

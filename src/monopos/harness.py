@@ -26,10 +26,9 @@ from .errors import InputError, LimitError
 from .graph import (Graph, add_pendant, complement, complete_graph, complete_multipartite,
                     corona, cycle_graph, disjoint_union, join, path_graph)
 from .graph6 import emit_graph6, parse_graph6
-from .invariants import (clique_number, cut_vertices,
-                         dissociation_number, has_triangle, independence_number,
-                         is_block_graph, is_distance_hereditary, leaves, phi_separated,
-                         simplicial_vertices, split_partition)
+from .invariants import (clique_number, cut_vertices, dissociation_number, has_triangle,
+                         independence_number, is_distance_hereditary, leaves, phi_separated,
+                         simplicial_vertices, split_partition, unions_of_cliques)
 from .paths import (_chordless_simple_paths, induced_path_partition, interval_row,
                     longest_induced_path_length)
 from .reduction import reduce_clique_to_mp, verify_reduction
@@ -110,6 +109,40 @@ def check(check_id: str, description: str):
     return wrap
 
 
+def formula(check_id: str, description: str, predict, notes=dict):
+    """Register a closed-form check around its sampler.
+
+    ``sample(rng, scale)`` lists ``(g, args)`` cases.  Every value of
+    ``predict(g, *args)`` is compared with the exact solver on ``g``, a
+    ``<p>_complement`` value with ``p`` on the complement of ``g``.  A case
+    fails where the predictor raises :class:`InputError` or lists no value.
+    """
+    def wrap(sample):
+        def run(rng: random.Random, scale: float):
+            cases = sample(rng, scale)
+            failures: list[dict] = []
+            for g, args in cases:
+                try:
+                    predictions, reason = predict(g, *args), "no closed form applies"
+                except InputError as exc:
+                    predictions, reason = [], str(exc)
+                if not predictions:
+                    _fail(failures, g, args=_shown(args), reason=reason)
+                solvers = (GraphSolver(g), GraphSolver(complement(g)))
+                for pv in predictions:
+                    name = pv.parameter.removesuffix("_complement")
+                    got = solvers[name != pv.parameter].value(name)
+                    if got != pv.value:
+                        _fail(failures, g, args=_shown(args), parameter=pv.parameter,
+                              got=got, want=pv.value)
+            return len(cases), failures, notes()
+
+        check(check_id, description)(run)
+        return sample
+
+    return wrap
+
+
 def available_checks() -> list[tuple[str, str]]:
     return [(cid, desc) for cid, (desc, _) in _REGISTRY.items()]
 
@@ -118,21 +151,19 @@ def _count(scale: float, base: int, floor: int = 3) -> int:
     return max(floor, int(round(base * scale)))
 
 
-def _fail(failures: list[dict], g: Graph | None, **ctx):
-    entry = dict(ctx)
-    if g is not None:
-        entry["graph6"] = emit_graph6(g)
-    failures.append(entry)
+def _fail(failures: list[dict], g: Graph, **ctx):
+    failures.append({**ctx, "graph6": emit_graph6(g)})
 
 
-def _predicted(predictions: list[fam.PredictedValue]) -> dict[str, int]:
-    return {pv.parameter: pv.value for pv in predictions}
+def _shown(args: tuple) -> list:
+    """A case's predictor arguments as report data: graphs by graph6 string."""
+    return [emit_graph6(a) if isinstance(a, Graph) else a for a in args]
 
 
 def _realization(text: str) -> tuple[Graph, dict[str, int]]:
     """A family instance and the closed forms ``monopos family`` prints for it."""
     spec = fam.parse_family_spec(text)
-    return fam.generate(spec)[0], _predicted(fam.predict_realization(spec))
+    return fam.generate(spec)[0], {pv.parameter: pv.value for pv in fam.predict_realization(spec)}
 
 
 # ---------------------------------------------------------------------------
@@ -296,63 +327,39 @@ def _check_chains(rng: random.Random, scale: float):
 # ---------------------------------------------------------------------------
 
 
-@check("dh-mp-equals-gp", "distance-hereditary graphs have equal mp and gp")
-def _check_dh(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 200)
-    for _ in range(count):
-        g = fam.random_distance_hereditary(rng.randint(2, 12), rng)
-        if not is_distance_hereditary(g):
-            _fail(failures, g, reason="generator produced a non-recognized graph")
-            continue
-        s = GraphSolver(g)
-        if s.value("mp") != s.value("gp"):
-            _fail(failures, g, mp=s.value("mp"), gp=s.value("gp"))
-    notes = {}
+def _dh_converse() -> dict:
+    """C5 with a leaf on every vertex: mp = gp, yet not distance-hereditary."""
     g = corona(cycle_graph(5), complete_graph(1))
     s = GraphSolver(g)
-    notes["converse_counterexample"] = {
-        "graph6": emit_graph6(g),
-        "mp": s.value("mp"),
-        "gp": s.value("gp"),
-        "distance_hereditary": is_distance_hereditary(g),
-    }
-    return count, failures, notes
+    return {"converse_counterexample": {"graph6": emit_graph6(g), "mp": s.value("mp"),
+            "gp": s.value("gp"), "distance_hereditary": is_distance_hereditary(g)}}
 
 
-@check("block-graph-simplicial", "block graphs: mp and gp equal the simplicial count")
-def _check_block(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@formula("dh-mp-equals-gp", "distance-hereditary graphs have equal mp and gp",
+         fam.GRAPH_FORMS["distance_hereditary"], notes=_dh_converse)
+def _sample_dh(rng: random.Random, scale: float):
+    return [(fam.random_distance_hereditary(rng.randint(2, 12), rng), ())
+            for _ in range(_count(scale, 200))]
+
+
+@formula("block-graph-simplicial", "block graphs: mp and gp equal the simplicial count",
+         fam.GRAPH_FORMS["block"])
+def _sample_block(rng: random.Random, scale: float):
     graphs = [fam.random_block_graph(rng.randint(2, 12), rng) for _ in range(_count(scale, 90))]
     graphs += [fam.random_tree(rng.randint(2, 12), rng) for _ in range(_count(scale, 40))]
-    graphs += [fam.star_graph(5), complete_graph(6), path_graph(8)]
-    for g in graphs:
-        if not is_block_graph(g):
-            _fail(failures, g, reason="corpus graph not a block graph")
-            continue
-        want = _predicted(fam.predict_block_graph(g))
-        s = GraphSolver(g)
-        if s.value("mp") != want["mp"] or s.value("gp") != want["gp"]:
-            _fail(failures, g, mp=s.value("mp"), gp=s.value("gp"), simplicial=want["mp"])
-    return len(graphs), failures, {}
+    return [(g, ()) for g in graphs + [fam.star_graph(5), complete_graph(6), path_graph(8)]]
 
 
-@check("multipartite-formula", "complete multipartite: mp and gp equal max(part, parts)")
-def _check_multipartite(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 120)
-    for _ in range(count):
-        t = rng.randint(1, 5)
-        parts = sorted((rng.randint(1, 5) for _ in range(t)), reverse=True)
-        while sum(parts) > 14 or sum(parts) < 2:
-            t = rng.randint(1, 5)
-            parts = sorted((rng.randint(1, 5) for _ in range(t)), reverse=True)
-        g = complete_multipartite(parts)
-        want = _predicted(fam.predict_multipartite(parts))
-        s = GraphSolver(g)
-        if s.value("mp") != want["mp"] or s.value("gp") != want["gp"]:
-            _fail(failures, g, parts=parts, mp=s.value("mp"), gp=s.value("gp"), want=want)
-    return count, failures, {}
+@formula("multipartite-formula", "complete multipartite: mp and gp equal max(part, parts)",
+         fam.FAMILIES["complete_multipartite"].predict)
+def _sample_multipartite(rng: random.Random, scale: float):
+    cases = []
+    for _ in range(_count(scale, 120)):
+        parts: list[int] = []
+        while not 2 <= sum(parts) <= 14:  # the part count is drawn before the parts
+            parts = sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 5))), reverse=True)
+        cases.append((complete_multipartite(parts), tuple(parts)))
+    return cases
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +390,6 @@ def _is_order_minus_one_shape(g: Graph) -> bool:
     """Recognize the two shapes with mp = n - 1: a dominating vertex over a
     disjoint union of at least two cliques, or a clique missing 1..n-2
     edges at a single vertex."""
-    from .invariants import unions_of_cliques
-
     n = g.n
     complete = g.edge_count() == n * (n - 1) // 2
     if complete:
@@ -535,8 +540,6 @@ def _check_pendant(rng: random.Random, scale: float):
 @check("mp-witness-clique-structure",
        "maximum position sets induce disjoint cliques with shared outside neighbors")
 def _check_structure(rng: random.Random, scale: float):
-    from .invariants import unions_of_cliques
-
     failures: list[dict] = []
     count = _count(scale, 200)
     for _ in range(count):
@@ -622,113 +625,66 @@ def _check_cages(rng: random.Random, scale: float):
 # ---------------------------------------------------------------------------
 
 
-@check("unicyclic-formula", "the case formula for unicyclic graphs matches the solver")
-def _check_unicyclic(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 220)
-    for _ in range(count):
-        g = fam.random_unicyclic(rng.randint(4, 14), rng)
-        pred = fam.predict_unicyclic(g)
-        mp = GraphSolver(g).value("mp")
-        if pred.value != mp:
-            _fail(failures, g, predicted=pred.value, case=pred.applies, mp=mp)
-    for k in (3, 4, 5, 8):
-        g = cycle_graph(k)
-        pred = fam.predict_unicyclic(g)
-        mp = GraphSolver(g).value("mp")
-        if pred.value != mp:
-            _fail(failures, g, predicted=pred.value, case=pred.applies, mp=mp)
-    return count + 4, failures, {}
+@formula("unicyclic-formula", "the case formula for unicyclic graphs matches the solver",
+         fam.GRAPH_FORMS["unicyclic"])
+def _sample_unicyclic(rng: random.Random, scale: float):
+    graphs = [fam.random_unicyclic(rng.randint(4, 14), rng) for _ in range(_count(scale, 220))]
+    return [(g, ()) for g in graphs + [cycle_graph(k) for k in (3, 4, 5, 8)]]
 
 
-@check("corona-formula", "corona products scale mp by the base order")
-def _check_corona(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 100)
-    for _ in range(count):
-        base = fam.random_connected_graph(rng.randint(2, 4), rng)
-        inner = fam.random_graph(rng.randint(1, 3), rng)
-        product = corona(base, inner)
-        want = _predicted(fam.predict_corona(base, inner, ("mp",)))["mp"]
-        got = GraphSolver(product).value("mp")
-        if got != want:
-            _fail(failures, product, base_g6=emit_graph6(base), inner_g6=emit_graph6(inner),
-                  got=got, want=want)
-    return count, failures, {}
+def _product(name: str):
+    """Predicts ``name`` of a ``(kind, first, second)`` product from its factors alone."""
+    rules = {"corona": fam.predict_corona, "join": fam.predict_join}
+    return lambda _g, kind, first, second: rules[kind](first, second, (name,))
 
 
-@check("join-formula", "joins: mp is the larger of the clique sum and the factor values")
-def _check_join(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 110)
-    for _ in range(count):
-        g = fam.random_graph(rng.randint(1, 7), rng)
-        h = fam.random_graph(rng.randint(1, 7), rng)
-        product = join(g, h)
-        want = _predicted(fam.predict_join(g, h, ("mp",)))["mp"]
-        got = GraphSolver(product).value("mp")
-        if got != want:
-            _fail(failures, product, g6=emit_graph6(g), h6=emit_graph6(h), got=got, want=want)
-    return count, failures, {}
+def _corona_case(rng: random.Random):
+    base = fam.random_connected_graph(rng.randint(2, 4), rng)
+    inner = fam.random_graph(rng.randint(1, 3), rng)
+    return corona(base, inner), ("corona", base, inner)
 
 
-@check("gp-join-corona-formula",
-       "cited gp formulas for joins and coronas agree with the solver")
-def _check_gp_products(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 60)
-    for _ in range(count):
-        g = fam.random_graph(rng.randint(1, 6), rng)
-        h = fam.random_graph(rng.randint(1, 6), rng)
-        product = join(g, h)
-        want = _predicted(fam.predict_join(g, h, ("gp",)))["gp"]
-        got = GraphSolver(product).value("gp")
-        if got != want:
-            _fail(failures, product, kind="join", got=got, want=want,
-                  g6=emit_graph6(g), h6=emit_graph6(h))
-        base = fam.random_connected_graph(rng.randint(2, 4), rng)
-        inner = fam.random_graph(rng.randint(1, 3), rng)
-        product = corona(base, inner)
-        want = _predicted(fam.predict_corona(base, inner, ("gp",)))["gp"]
-        got = GraphSolver(product).value("gp")
-        if got != want:
-            _fail(failures, product, kind="corona", got=got, want=want,
-                  base_g6=emit_graph6(base), inner_g6=emit_graph6(inner))
-    return 2 * count, failures, {}
+def _join_case(rng: random.Random, most: int):
+    g, h = (fam.random_graph(rng.randint(1, most), rng) for _ in range(2))
+    return join(g, h), ("join", g, h)
 
 
-@check("bipartite-complement-formula",
-       "complements of connected bipartite graphs: mp is max(alpha, psi)")
-def _check_bipartite_complement(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    graphs: list[Graph] = []
-    for _ in range(_count(scale, 110)):
-        graphs.append(fam.random_bipartite_graph(rng.randint(1, 7), rng.randint(1, 7), rng))
-    for m in range(2, 5):
-        for n in range(m, 6):
-            graphs.append(complete_multipartite([m, n]))
+@formula("corona-formula", "corona products scale mp by the base order", _product("mp"))
+def _sample_corona(rng: random.Random, scale: float):
+    return [_corona_case(rng) for _ in range(_count(scale, 100))]
+
+
+@formula("join-formula", "joins: mp is the larger of the clique sum and the factor values",
+         _product("mp"))
+def _sample_join(rng: random.Random, scale: float):
+    return [_join_case(rng, 7) for _ in range(_count(scale, 110))]
+
+
+@formula("gp-join-corona-formula",
+         "cited gp formulas for joins and coronas agree with the solver", _product("gp"))
+def _sample_gp_products(rng: random.Random, scale: float):
+    return [case for _ in range(_count(scale, 60))
+            for case in (_join_case(rng, 6), _corona_case(rng))]
+
+
+@formula("bipartite-complement-formula",
+         "complements of connected bipartite graphs: mp is max(alpha, psi)",
+         fam.GRAPH_FORMS["bipartite_complement"])
+def _sample_bipartite_complement(rng: random.Random, scale: float):
+    graphs = [fam.random_bipartite_graph(rng.randint(1, 7), rng.randint(1, 7), rng)
+              for _ in range(_count(scale, 110))]
+    graphs += [complete_multipartite([m, n]) for m in range(2, 5) for n in range(m, 6)]
     graphs += [fam.star_graph(4), cycle_graph(6), cycle_graph(8), fam.hypercube(3)]
-    for g in graphs:
-        pred = fam.predict_bipartite_complement(g)
-        got = GraphSolver(complement(g)).value("mp")
-        if got != pred.value:
-            _fail(failures, g, predicted=pred.value, mp_complement=got)
-    return len(graphs), failures, {}
+    return [(g, ()) for g in graphs]
 
 
-@check("tree-complement-formula",
-       "tree complements: order when the diameter is small, alpha otherwise")
-def _check_tree_complement(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@formula("tree-complement-formula",
+         "tree complements: order when the diameter is small, alpha otherwise",
+         fam.GRAPH_FORMS["tree_complement"])
+def _sample_tree_complement(rng: random.Random, scale: float):
     graphs = [fam.random_tree(rng.randint(3, 12), rng) for _ in range(_count(scale, 110))]
     graphs += [fam.star_graph(k) for k in range(2, 6)]
-    graphs += [path_graph(2 + k) for k in range(1, 6)]
-    for t in graphs:
-        pred = fam.predict_tree_complement(t)
-        got = GraphSolver(complement(t)).value("mp")
-        if got != pred.value:
-            _fail(failures, t, predicted=pred.value, mp_complement=got, applies=pred.applies)
-    return len(graphs), failures, {}
+    return [(t, ()) for t in graphs + [path_graph(2 + k) for k in range(1, 6)]]
 
 
 @check("grid-complement-convention",
@@ -755,16 +711,10 @@ def _check_grid_complement(rng: random.Random, scale: float):
     return len(cases), failures, notes
 
 
-@check("hypercube-complement-formula", "hypercube complements: mp is half the order")
-def _check_hypercube_complement(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    for k in (3, 4):
-        g = fam.hypercube(k)
-        got = GraphSolver(complement(g)).value("mp")
-        want = fam.predict_hypercube_complement(k).value
-        if got != want:
-            _fail(failures, g, k=k, got=got, want=want)
-    return 2, failures, {}
+@formula("hypercube-complement-formula", "hypercube complements: mp is half the order",
+         lambda _g, k: [fam.predict_hypercube_complement(k)])
+def _sample_hypercube_complement(rng: random.Random, scale: float):
+    return [(fam.hypercube(k), (k,)) for k in (3, 4)]
 
 
 @check("split-phi-formula", "split graphs: mp equals the separated-subgraph maximum")

@@ -1,9 +1,10 @@
 import pytest
+from conftest import connected_graphs
 
 from monopos.errors import InputError
 from monopos.graph import complement, complete_graph, cycle_graph, path_graph
 from monopos.graph6 import emit_graph6
-from monopos.families import (FAMILIES, caterpillar_graph, g_abl, generate,
+from monopos.families import (FAMILIES, GRAPH_FORMS, caterpillar_graph, g_abl, generate,
                               half_wheel, half_wheel_pendant, hall_equality_condition,
                               heawood_graph, mcgee_graph, p_graph,
                               parse_family_spec, petersen_graph, predict_bipartite_complement,
@@ -321,3 +322,23 @@ def test_family_table_predictions_match_solver():
             assert got == pred["value"], (text, name)
             checked += 1
     assert checked >= 200
+
+
+def test_graph_forms_census_on_small_connected_graphs():
+    """Every graph-keyed row, on every connected graph of up to 7 vertices:
+    where the row applies, each value is the solver's (on the complement
+    for a ``_complement`` value), and every row applies somewhere."""
+    applied = dict.fromkeys(GRAPH_FORMS, 0)
+    for g in connected_graphs(7):
+        solvers = (GraphSolver(g), GraphSolver(complement(g)))
+        for row, predict in GRAPH_FORMS.items():
+            try:
+                predictions = predict(g)
+            except InputError:
+                continue
+            applied[row] += 1
+            for pv in predictions:
+                name = pv.parameter.removesuffix("_complement")
+                got = solvers[name != pv.parameter].value(name)
+                assert got == pv.value, (row, emit_graph6(g), pv)
+    assert all(applied.values()), applied

@@ -1,9 +1,13 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import monopos.harness as harness
 from monopos.cli import main
 from monopos.errors import InputError
+from monopos.families import GRAPH_FORMS
 from monopos.harness import available_checks, run_check, run_suite
 
 
@@ -30,10 +34,16 @@ def test_run_report_determinism():
     assert a.outcome("cages-mp").status == c.outcome("cages-mp").status == "pass"
 
 
+def test_check_order_matches_the_verify_corpus():
+    """The benchmark's verify workload lists every check in registry order."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "verify.json"
+    requests = json.loads(corpus.read_text())["requests"]
+    assert [cid for cid, _ in available_checks()] == [r["check"] for r in requests]
+
+
 def test_interval_check_catches_a_geo_witness_mutant(monkeypatch):
     """A geo index that drops vertex n-1 from every witness fails the check
     that lists each pair's chordless paths."""
-    import monopos.harness as harness
     from monopos.solvers import PathMode, build_triple_index
 
     def mutant(g, mode, *args, **kwargs):
@@ -47,6 +57,55 @@ def test_interval_check_catches_a_geo_witness_mutant(monkeypatch):
     out = run_check("interval-oracle-agreement", profile="quick")
     assert out.status == "fail"
     assert {f["mode"] for f in out.failures} == {"geo"}
+
+
+FORMULA_CHECKS = ["dh-mp-equals-gp", "block-graph-simplicial", "multipartite-formula",
+                  "unicyclic-formula", "corona-formula", "join-formula",
+                  "gp-join-corona-formula", "bipartite-complement-formula",
+                  "tree-complement-formula", "hypercube-complement-formula"]
+
+
+def test_formula_checks_read_the_complement_exactly_where_named(monkeypatch):
+    """With the complement replaced by the graph itself, the three checks of
+    ``_complement`` values fail and the other formula checks still pass."""
+    assert run_suite(FORMULA_CHECKS, profile="quick").passed
+    monkeypatch.setattr(harness, "complement", lambda g: g)
+    report = run_suite(FORMULA_CHECKS, profile="quick")
+    assert {o.check_id for o in report.outcomes if o.status == "fail"} == {
+        "bipartite-complement-formula", "tree-complement-formula",
+        "hypercube-complement-formula"}
+
+
+def _rewired(monkeypatch, check_id, sample, predict):
+    """Run ``check_id`` over its own sampler with ``predict`` in place of its
+    predictor, in a copy of the registry."""
+    monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+    harness.formula(check_id, dict(available_checks())[check_id], predict)(sample)
+    return run_check(check_id, profile="quick")
+
+
+def test_formula_check_fails_an_off_by_one_predictor(monkeypatch):
+    form = GRAPH_FORMS["block"]
+    out = _rewired(monkeypatch, "block-graph-simplicial", harness._sample_block,
+                   lambda g: [replace(pv, value=pv.value + 1) for pv in form(g)])
+    assert out.status == "fail"
+    assert len(out.failures) == 2 * out.instances  # mp and gp of every case
+    assert all(f["want"] == f["got"] + 1 and f["args"] == [] for f in out.failures)
+
+
+def _refuses(*_):
+    raise InputError("outside the class")
+
+
+@pytest.mark.parametrize("predict, reason", [(lambda *_: [], "no closed form applies"),
+                                             (_refuses, "outside the class")],
+                         ids=["empty", "refused"])
+def test_formula_check_fails_a_case_with_no_prediction(monkeypatch, predict, reason):
+    out = _rewired(monkeypatch, "corona-formula", harness._sample_corona, predict)
+    assert out.status == "fail" and len(out.failures) == out.instances
+    assert {f["reason"] for f in out.failures} == {reason}
+    kind, base, inner = out.failures[0]["args"]
+    assert kind == "corona" and isinstance(base, str) and isinstance(inner, str)
 
 
 def test_multi_seed_merge():
