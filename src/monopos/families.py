@@ -4,14 +4,14 @@ Generators are pure functions of (family, params, seed); identical specs
 produce identical graph6 strings.  Vertex layouts are fixed and documented
 per family so witnesses stay reproducible.
 
-Predictors return :class:`PredictedValue` records carrying the predicted
-parameter, the rule it came from and the applicability condition that was
-checked.  :data:`GRAPH_FORMS` holds the closed forms keyed by the graph
-alone, each raising :class:`InputError` outside its class.  :data:`FAMILIES`
-maps every family name to its builder and its predictor, the graph-keyed
-ones read from :data:`GRAPH_FORMS`.  ``generate`` (what ``monopos family``
-prints) and the harness's formula runner, which compares the predictions
-with the exact solvers, read both tables.
+Predictors return lists of :class:`PredictedValue` records carrying the
+predicted parameter, the rule it came from and the applicability condition
+that was checked.  :data:`GRAPH_FORMS` holds the closed forms keyed by the
+graph alone, each raising :class:`InputError` outside its class.
+:data:`FAMILIES` maps every family name to its builder and its predictor,
+the graph-keyed ones read from :data:`GRAPH_FORMS`.  ``generate`` (what
+``monopos family`` prints) and the harness's formula runner, which compares
+the predictions with the exact solvers, read both tables.
 """
 
 from __future__ import annotations
@@ -489,12 +489,16 @@ def predict_multipartite(parts: list[int]) -> list[PredictedValue]:
             PredictedValue("gp", value, "multipartite-max", why)]
 
 
-def predict_unicyclic(g: Graph) -> PredictedValue:
+def predict_unicyclic(g: Graph) -> list[PredictedValue]:
     """Case formula for connected graphs with exactly one cycle."""
     if not g.is_connected() or g.edge_count() != g.n:
         raise InputError("not a connected unicyclic graph")
+
+    def mp(value: int, why: str) -> list[PredictedValue]:
+        return [PredictedValue("mp", value, "unicyclic-cases", why)]
+
     if g.n == 3:
-        return PredictedValue("mp", 3, "unicyclic-cases", "triangle")
+        return mp(3, "triangle")
     cycle = next(b for b in blocks(g) if b.bit_count() >= 3)  # the only non-bridge block
     s = cycle.bit_count()
     leaf_mask = leaves(g)
@@ -502,13 +506,13 @@ def predict_unicyclic(g: Graph) -> PredictedValue:
     branch = [v for v in iter_bits(cycle) if g.degree(v) >= 3]
     r = len(branch)
     if r == 0:
-        return PredictedValue("mp", 2, "unicyclic-cases", f"pure cycle of length {s}")
+        return mp(2, f"pure cycle of length {s}")
     if r == 1:
-        return PredictedValue("mp", lv + 2, "unicyclic-cases", "one branch vertex")
+        return mp(lv + 2, "one branch vertex")
     if r == 2:
         i, j = branch
         if g.has_edge(i, j):  # the cycle has no chord
-            return PredictedValue("mp", lv + 1, "unicyclic-cases", "two adjacent branch vertices")
+            return mp(lv + 1, "two adjacent branch vertices")
 
         def hangs_one_leaf(v: int) -> bool:
             # the tree at v, cut off from v's two cycle neighbours, is a path
@@ -517,11 +521,9 @@ def predict_unicyclic(g: Graph) -> PredictedValue:
             return (comp & leaf_mask).bit_count() == 1
 
         if hangs_one_leaf(i) or hangs_one_leaf(j):
-            return PredictedValue("mp", lv + 1, "unicyclic-cases",
-                                  "two branch vertices, one hanging tree is a pendant path")
-        return PredictedValue("mp", lv, "unicyclic-cases",
-                              "two non-adjacent branch vertices, no pendant-path tree")
-    return PredictedValue("mp", lv, "unicyclic-cases", f"{r} branch vertices")
+            return mp(lv + 1, "two branch vertices, one hanging tree is a pendant path")
+        return mp(lv, "two non-adjacent branch vertices, no pendant-path tree")
+    return mp(lv, f"{r} branch vertices")
 
 
 def predict_corona(g: Graph, h: Graph,
@@ -564,42 +566,44 @@ def predict_join(g: Graph, h: Graph,
     return out
 
 
-def predict_bipartite_complement(g: Graph) -> PredictedValue:
+def predict_bipartite_complement(g: Graph) -> list[PredictedValue]:
     """mp of the complement of a connected bipartite graph."""
     bp, odd = bipartition(g)
     if bp is None:
         raise InputError(f"graph is not bipartite (odd cycle {odd})")
     alpha, _ = independence_number(g)
     psi, _ = psi_uniform(g, bp)
-    return PredictedValue("mp_complement", max(alpha, psi), "bipartite-complement-max",
-                          "connected bipartite base graph")
+    return [PredictedValue("mp_complement", max(alpha, psi), "bipartite-complement-max",
+                           "connected bipartite base graph")]
 
 
-def predict_tree_complement(t: Graph) -> PredictedValue:
+def predict_tree_complement(t: Graph) -> list[PredictedValue]:
     if not t.is_connected() or t.edge_count() != t.n - 1:
         raise InputError("not a tree")
     if t.n < 3:
         raise InputError("tree complement rule needs order >= 3")
     if diameter(t) <= 2:
-        return PredictedValue("mp_complement", t.n, "tree-complement", "diameter <= 2")
+        return [PredictedValue("mp_complement", t.n, "tree-complement", "diameter <= 2")]
     alpha, _ = independence_number(t)
-    return PredictedValue("mp_complement", alpha, "tree-complement", "diameter >= 3")
+    return [PredictedValue("mp_complement", alpha, "tree-complement", "diameter >= 3")]
 
 
-def predict_grid_complement(n: int, m: int) -> PredictedValue:
+def predict_grid_complement(n: int, m: int) -> list[PredictedValue]:
     """mp of the complement of the n*m-vertex grid (vertex-count convention)."""
     if n < 2 or m < 2:
         raise InputError("grid complement rule needs both sides >= 2")
     if n == 2 and m == 2:
-        return PredictedValue("mp_complement", 4, "grid-complement", "2x2 grid (disconnected complement)")
+        return [PredictedValue("mp_complement", 4, "grid-complement",
+                               "2x2 grid (disconnected complement)")]
     value = -(-n // 2) * -(-m // 2) + (n // 2) * (m // 2)
-    return PredictedValue("mp_complement", value, "grid-complement", f"{n}x{m} vertex grid")
+    return [PredictedValue("mp_complement", value, "grid-complement", f"{n}x{m} vertex grid")]
 
 
-def predict_hypercube_complement(k: int) -> PredictedValue:
+def predict_hypercube_complement(k: int) -> list[PredictedValue]:
     if k < 3:
         raise InputError("hypercube complement rule needs k >= 3")
-    return PredictedValue("mp_complement", 2 ** (k - 1), "hypercube-complement", f"dimension {k}")
+    return [PredictedValue("mp_complement", 2 ** (k - 1), "hypercube-complement",
+                           f"dimension {k}")]
 
 
 def hall_equality_condition(g: Graph, sp: SplitPartition) -> bool:
@@ -616,17 +620,15 @@ def hall_equality_condition(g: Graph, sp: SplitPartition) -> bool:
     return msize == cmask.bit_count() or msize == imask.bit_count()
 
 
-def predict_split(g: Graph) -> tuple[PredictedValue, bool]:
-    """mp of a connected split graph, plus whether equality with
-    max(omega, alpha) is predicted by the saturating-matching condition."""
+def predict_split(g: Graph) -> list[PredictedValue]:
+    """mp of a connected split graph: the separated-subgraph maximum."""
     if not g.is_connected():
         raise InputError("split prediction needs a connected graph")
     sp = split_partition(g)
     if sp is None:
         raise InputError("not a split graph")
     value, _ = phi_separated(g, sp)
-    return (PredictedValue("mp", value, "split-separated", "connected split graph"),
-            hall_equality_condition(g, sp))
+    return [PredictedValue("mp", value, "split-separated", "connected split graph")]
 
 
 def predict_distance_hereditary(g: Graph) -> list[PredictedValue]:
@@ -637,16 +639,17 @@ def predict_distance_hereditary(g: Graph) -> list[PredictedValue]:
                            "distance-hereditary graph")]
 
 
-def predict_realization(spec: FamilySpec) -> list[PredictedValue]:
-    """The closed forms of one family instance, as ``generate`` attaches
-    them; raises :class:`InputError` where no rule applies."""
-    return _predictions(spec, *_build(spec))
+def predict_realization(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
+    """The closed forms of the graph ``g`` built from ``spec``, as
+    ``generate`` attaches them; raises :class:`InputError` where no rule
+    applies."""
+    return _predictions(spec, g, tuple(_build(s)[0] for s in spec.subspecs))
 
 
 def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
     """Predictions for the graph ``g`` built from ``spec``; empty when no rule applies."""
     try:
-        return _predictions(spec, g, tuple(_build(s)[0] for s in spec.subspecs))
+        return predict_realization(spec, g)
     except (InputError, CapExceeded):
         return []
 
@@ -661,10 +664,10 @@ def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
 #: class.  A ``<p>_complement`` value is ``p`` of the complement of ``g``.
 GRAPH_FORMS: dict[str, Callable[[Graph], list[PredictedValue]]] = {
     "block": predict_block_graph,
-    "unicyclic": lambda g: [predict_unicyclic(g)],
-    "split": lambda g: [predict_split(g)[0]],
-    "bipartite_complement": lambda g: [predict_bipartite_complement(g)],
-    "tree_complement": lambda g: [predict_tree_complement(g)],
+    "unicyclic": predict_unicyclic,
+    "split": predict_split,
+    "bipartite_complement": predict_bipartite_complement,
+    "tree_complement": predict_tree_complement,
     "distance_hereditary": predict_distance_hereditary,
 }
 

@@ -109,18 +109,22 @@ def check(check_id: str, description: str):
     return wrap
 
 
-def formula(check_id: str, description: str, predict, notes=dict):
+def formula(check_id: str, description: str, predict, notes=lambda solved: {}):
     """Register a closed-form check around its sampler.
 
     ``sample(rng, scale)`` lists ``(g, args)`` cases.  Every value of
     ``predict(g, *args)`` is compared with the exact solver on ``g``, a
     ``<p>_complement`` value with ``p`` on the complement of ``g``.  A case
     fails where the predictor raises :class:`InputError` or lists no value.
+    ``notes(solved)`` makes the check's notes from ``(args, got)`` per case,
+    in case order, where ``got`` maps each predicted parameter to its solved
+    value.
     """
     def wrap(sample):
         def run(rng: random.Random, scale: float):
             cases = sample(rng, scale)
             failures: list[dict] = []
+            solved = []
             for g, args in cases:
                 try:
                     predictions, reason = predict(g, *args), "no closed form applies"
@@ -128,14 +132,18 @@ def formula(check_id: str, description: str, predict, notes=dict):
                     predictions, reason = [], str(exc)
                 if not predictions:
                     _fail(failures, g, args=_shown(args), reason=reason)
-                solvers = (GraphSolver(g), GraphSolver(complement(g)))
+                solvers, got = {}, {}
                 for pv in predictions:
                     name = pv.parameter.removesuffix("_complement")
-                    got = solvers[name != pv.parameter].value(name)
-                    if got != pv.value:
+                    co = name != pv.parameter
+                    if co not in solvers:
+                        solvers[co] = GraphSolver(complement(g) if co else g)
+                    got[pv.parameter] = solvers[co].value(name)
+                    if got[pv.parameter] != pv.value:
                         _fail(failures, g, args=_shown(args), parameter=pv.parameter,
-                              got=got, want=pv.value)
-            return len(cases), failures, notes()
+                              got=got[pv.parameter], want=pv.value)
+                solved.append((args, got))
+            return len(cases), failures, notes(solved)
 
         check(check_id, description)(run)
         return sample
@@ -160,10 +168,24 @@ def _shown(args: tuple) -> list:
     return [emit_graph6(a) if isinstance(a, Graph) else a for a in args]
 
 
-def _realization(text: str) -> tuple[Graph, dict[str, int]]:
-    """A family instance and the closed forms ``monopos family`` prints for it."""
-    spec = fam.parse_family_spec(text)
-    return fam.generate(spec)[0], {pv.parameter: pv.value for pv in fam.predict_realization(spec)}
+def _case(text: str, *pair: int) -> tuple[Graph, tuple]:
+    """A realization case: the graph of the spec ``text``, with arguments
+    ``(*pair, text)`` for :func:`_realized`."""
+    return fam.generate(fam.parse_family_spec(text))[0], (*pair, text)
+
+
+def _realized(first: str, second: str):
+    """Predicts a realization case ``(a, b, text)``: ``first = a`` and
+    ``second = b`` by the table, and both by the closed forms ``monopos
+    family`` prints for ``text``.  A case ``(text,)`` has no table pair."""
+    names = (first, second)
+
+    def predict(g: Graph, *args) -> list[fam.PredictedValue]:
+        *pair, text = args
+        table = [fam.PredictedValue(p, v, "realization-table", text) for p, v in zip(names, pair)]
+        return table + [pv for pv in fam.predict_for_spec(fam.parse_family_spec(text), g)
+                        if pv.parameter in names]
+    return predict
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +254,15 @@ def _check_graph6(rng: random.Random, scale: float):
        "pruned induced-path intervals equal the simple-path filter oracle")
 def _check_intervals(rng: random.Random, scale: float):
     """One listing of each pair's chordless paths: their union is the interval,
-    the interiors of the shortest ones the geo (at distance 2, geo2) witnesses."""
+    its interior the mono witnesses that the position search reads, and the
+    interiors of the shortest ones the geo (at distance 2, geo2) witnesses."""
     failures: list[dict] = []
     graphs = _random_connected(rng, _count(scale, 110), 2, 8)
     graphs += _random_connected(rng, _count(scale, 20), 9, 9)
     graphs += [cycle_graph(5), cycle_graph(6), path_graph(7), complete_graph(5)]
     for g in graphs:
         rows = [interval_row(g, u)[0] for u in range(g.n)]
-        geo = build_triple_index(g, PathMode.GEODESIC).witness
-        geo2 = build_triple_index(g, PathMode.GEODESIC_LEN2).witness
+        index = {mode: build_triple_index(g, mode).witness for mode in PathMode}
         for u in range(g.n):
             for v in range(u + 1, g.n):
                 if rows[u][v] != rows[v][u]:
@@ -256,13 +278,13 @@ def _check_intervals(rng: random.Random, scale: float):
                 if got != want:
                     _fail(failures, g, reason="interval differs from oracle", pair=[u, v],
                           got=to_tuple(got), want=to_tuple(want))
-                for mode, index, geo_want in ((PathMode.GEODESIC, geo, inner),
-                                              (PathMode.GEODESIC_LEN2, geo2,
-                                               inner if shortest == 3 else 0)):
-                    if index[u][v] != geo_want:
-                        _fail(failures, g, reason="geodesic witnesses differ from oracle",
+                for mode, mode_want in ((PathMode.MONOPHONIC, want & ~(bit(u) | bit(v))),
+                                        (PathMode.GEODESIC, inner),
+                                        (PathMode.GEODESIC_LEN2, inner if shortest == 3 else 0)):
+                    if index[mode][u][v] != mode_want:
+                        _fail(failures, g, reason="witnesses differ from oracle",
                               mode=mode.value, pair=[u, v],
-                              got=to_tuple(index[u][v]), want=to_tuple(geo_want))
+                              got=to_tuple(index[mode][u][v]), want=to_tuple(mode_want))
     return len(graphs), failures, {}
 
 
@@ -327,7 +349,7 @@ def _check_chains(rng: random.Random, scale: float):
 # ---------------------------------------------------------------------------
 
 
-def _dh_converse() -> dict:
+def _dh_converse(_solved) -> dict:
     """C5 with a leaf on every vertex: mp = gp, yet not distance-hereditary."""
     g = corona(cycle_graph(5), complete_graph(1))
     s = GraphSolver(g)
@@ -609,14 +631,16 @@ def _check_cages(rng: random.Random, scale: float):
     failures: list[dict] = []
     notes = {}
     for name in ("petersen", "heawood", "mcgee"):
-        g, want = _realization(name)
+        spec = fam.parse_family_spec(name)
+        g = fam.generate(spec)[0]
         s = GraphSolver(g, lexmin=True)
-        for parameter, value in want.items():
-            rep = s.report(parameter)
-            key = name if parameter == "mp" else f"{name}_{parameter}"
+        for pv in fam.predict_realization(spec, g):
+            rep = s.report(pv.parameter)
+            key = name if pv.parameter == "mp" else f"{name}_{pv.parameter}"
             notes[key] = {"value": rep.value, "witness": list(rep.witness)}
-            if rep.value != value:
-                _fail(failures, g, cage=name, parameter=parameter, got=rep.value, want=value)
+            if rep.value != pv.value:
+                _fail(failures, g, cage=name, parameter=pv.parameter, got=rep.value,
+                      want=pv.value)
     return len(notes), failures, notes
 
 
@@ -687,17 +711,11 @@ def _sample_tree_complement(rng: random.Random, scale: float):
     return [(t, ()) for t in graphs + [path_graph(2 + k) for k in range(1, 6)]]
 
 
-@check("grid-complement-convention",
-       "grid complements match the checkerboard formula under the vertex-count convention")
-def _check_grid_complement(rng: random.Random, scale: float):
-    failures: list[dict] = []
+def _grid_conventions(solved) -> dict:
     notes: dict = {"order_convention_mismatches": [], "vertex_convention_mismatches": []}
-    cases = [(n, m) for n in range(2, 5) for m in range(n, 9) if n * m <= 16]
-    for n, m in cases:
-        got = GraphSolver(complement(fam.grid_graph(n, m))).value("mp")
-        want = fam.predict_grid_complement(n, m).value
-        if got != want:
-            _fail(failures, fam.grid_graph(n, m), n=n, m=m, got=got, want=want)
+    for (n, m), got in solved:
+        want = fam.predict_grid_complement(n, m)[0].value
+        if got["mp_complement"] != want:
             notes["vertex_convention_mismatches"].append([n, m])
         # the same formula read with path-length parameters names the
         # (n+1) x (m+1)-vertex grid; record how that convention fares
@@ -706,13 +724,20 @@ def _check_grid_complement(rng: random.Random, scale: float):
             if other != want:
                 notes["order_convention_mismatches"].append(
                     {"n": n, "m": m, "formula": want, "actual": other})
-    notes["conclusion"] = ("vertex-count convention matches everywhere"
-                           if not failures else "vertex-count convention fails")
-    return len(cases), failures, notes
+    notes["conclusion"] = ("vertex-count convention fails" if notes["vertex_convention_mismatches"]
+                           else "vertex-count convention matches everywhere")
+    return notes
+
+
+@formula("grid-complement-convention",
+         "grid complements match the checkerboard formula under the vertex-count convention",
+         lambda _g, n, m: fam.predict_grid_complement(n, m), notes=_grid_conventions)
+def _sample_grid_complement(rng: random.Random, scale: float):
+    return [(fam.grid_graph(n, m), (n, m)) for n in (2, 3, 4) for m in range(n, 9) if n * m <= 16]
 
 
 @formula("hypercube-complement-formula", "hypercube complements: mp is half the order",
-         lambda _g, k: [fam.predict_hypercube_complement(k)])
+         lambda _g, k: fam.predict_hypercube_complement(k))
 def _sample_hypercube_complement(rng: random.Random, scale: float):
     return [(fam.hypercube(k), (k,)) for k in (3, 4)]
 
@@ -763,10 +788,12 @@ def _check_hall(rng: random.Random, scale: float):
 # ---------------------------------------------------------------------------
 
 
-@check("mp-gp-realization", "every pair 2 <= a <= b <= 8 is realized by a generated graph")
-def _check_mp_gp_realization(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    realized = []
+@formula("mp-gp-realization", "every pair 2 <= a <= b <= 8 is realized by a generated graph",
+         _realized("mp", "gp"), notes=lambda solved: {"table": [
+             {"a": a, "b": b, "spec": text, "got": [got["mp"], got["gp"]]}
+             for (a, b, text), got in solved]})
+def _sample_mp_gp_realization(rng: random.Random, scale: float):
+    cases = []
     for a in range(2, 9):
         for b in range(a, 9):
             if a == b:
@@ -779,26 +806,26 @@ def _check_mp_gp_realization(rng: random.Random, scale: float):
                 spec = f"wheel_pendant_W:{a}"
             else:
                 spec = f"half_wheel_pendant:{b},{a}"
-            g, _ = fam.generate(fam.parse_family_spec(spec))
-            s = GraphSolver(g)
-            got = (s.value("mp"), s.value("gp"))
-            realized.append({"a": a, "b": b, "spec": spec, "got": list(got)})
-            if got != (a, b):
-                _fail(failures, g, spec=spec, want=[a, b], got=list(got))
-    return len(realized), failures, {"table": realized}
+            cases.append(_case(spec, a, b))
+    return cases
 
 
-@check("igp-mp-realization", "igp/mp pairs from the leafed-clique and apexed constructions")
-def _check_igp_realization(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    table = []
-    for b in range(1, 9):
-        g = complete_graph(b)
-        s = GraphSolver(g)
-        got = (s.value("igp"), s.value("mp"))
-        table.append({"a": 1, "b": b, "spec": f"complete:{b}", "got": list(got)})
-        if got != (1, b):
-            _fail(failures, g, want=[1, b], got=list(got))
+def _igp_notes(solved) -> dict:
+    built = [(fam.parse_family_spec(text), got) for (*pair, text), got in solved if not pair]
+    return {"pairs": len(solved) - len(built),
+            "leafless_apex_note": "P(0,s) is degenerate (independent position s+1 for "
+                                  "s >= 3, a bare path at s = 2); the (a,2) pairs are "
+                                  "realized by half-wheels, whose alternate-rim optimum "
+                                  "is an independent set",
+            "construction_values": [{"family": spec.family[0], "r": spec.params[0],
+                                     "s": spec.params[1], "mp": got.get("mp"),
+                                     "igp": got.get("igp")} for spec, got in built]}
+
+
+@formula("igp-mp-realization", "igp/mp pairs from the leafed-clique and apexed constructions",
+         _realized("igp", "mp"), notes=_igp_notes)
+def _sample_igp_realization(rng: random.Random, scale: float):
+    cases = [_case(f"complete:{b}", 1, b) for b in range(1, 9)]
     for a in range(2, 9):
         for b in range(2, 9):
             if a <= b:
@@ -810,61 +837,30 @@ def _check_igp_realization(rng: random.Random, scale: float):
                 spec = "cycle:6" if a == 3 else f"half_wheel:{a}"
             else:
                 spec = f"P_graph:{b - 2},{a - b + 2}"
-            g, _ = fam.generate(fam.parse_family_spec(spec))
-            s = GraphSolver(g)
-            got = (s.value("igp"), s.value("mp"))
-            table.append({"a": a, "b": b, "spec": spec, "got": list(got)})
-            if got != (a, b):
-                _fail(failures, g, spec=spec, want=[a, b], got=list(got))
+            cases.append(_case(spec, a, b))
     # the constructions' own value formulas, verified over their domain
-    formulas = []
-    for family, label, s_range in (("R_graph", "R", range(1, 5)), ("P_graph", "P", range(2, 5))):
-        for r in range(0, 4):
-            for s_par in s_range:
-                g, pred = _realization(f"{family}:{r},{s_par}")
-                sv = GraphSolver(g)
-                got, want = [sv.value("igp"), sv.value("mp")], [pred["igp"], pred["mp"]]
-                formulas.append({"family": label, "r": r, "s": s_par, "mp": got[1], "igp": got[0]})
-                if got != want:
-                    _fail(failures, g, family=label, r=r, s=s_par, got=got, want=want)
-    notes = {"pairs": len(table),
-             "leafless_apex_note": "P(0,s) is degenerate (independent position s+1 for "
-                                   "s >= 3, a bare path at s = 2); the (a,2) pairs are "
-                                   "realized by half-wheels, whose alternate-rim optimum "
-                                   "is an independent set",
-             "construction_values": formulas}
-    return len(table) + len(formulas), failures, notes
+    return cases + [_case(f"{family}:{r},{s}")
+                    for family, s_range in (("R_graph", range(1, 5)), ("P_graph", range(2, 5)))
+                    for r in range(0, 4) for s in s_range]
 
 
-@check("dissociation-gp2-values", "leafed cliques realize the dissociation/gp2 table")
-def _check_diss_gp2(rng: random.Random, scale: float):
+@formula("dissociation-gp2-values", "leafed cliques realize the dissociation/gp2 table",
+         _realized("diss", "gp2"), notes=lambda solved: {
+             "corrected_row": [{"a": a, "b": b - 1, "gp2": got["gp2"]}
+                               for (a, b, _), got in solved if a == 2],
+             "note": "for a = 2 the construction is a complete graph and gp2 is b+1, "
+                     "not b; dissociation still equals a on every row"})
+def _sample_diss_gp2(rng: random.Random, scale: float):
     # The claimed table reads diss = a and gp2 = b on the graph with a-2
     # leaves on a clique of order b-a+3.  The a = 2 row is the bare clique,
     # which has no geodesic of length two at all, so every vertex set is in
     # 2-position and gp2 is b+1 there, one above the claim.  The check pins
-    # the corrected row and the table everywhere else, and diss <= gp2 on
-    # every row: strict except where a = b >= 3, which has diss = gp2.
-    failures: list[dict] = []
-    count = 0
-    corrected = []
-    for a in range(2, 9):
-        for b in range(a, 9):
-            g, pred = _realization(f"R_graph:{a - 2},{b - a + 2}")
-            count += 1
-            diss, _ = dissociation_number(g)
-            gp2 = GraphSolver(g).value("gp2")
-            want_gp2 = b if a >= 3 else b + 1
-            if a == 2:
-                corrected.append({"a": a, "b": b, "gp2": gp2})
-            if (diss, gp2) != (a, want_gp2) or (diss, gp2) != (pred["diss"], pred["gp2"]):
-                _fail(failures, g, a=a, b=b, diss=diss, gp2=gp2, want_gp2=want_gp2,
-                      predicted=pred)
-            if diss > gp2:
-                _fail(failures, g, a=a, b=b, reason="dissociation exceeds gp2")
-    notes = {"corrected_row": corrected,
-             "note": "for a = 2 the construction is a complete graph and gp2 is b+1, "
-                     "not b; dissociation still equals a on every row"}
-    return count, failures, notes
+    # the corrected row and the table everywhere else.  diss <= gp2 needs no
+    # check of its own: diss = a <= b <= the wanted gp2 on every row, so a
+    # case with diss > gp2 already fails an equality.  The relation is
+    # strict except where a = b >= 3, which has diss = gp2.
+    return [_case(f"R_graph:{a - 2},{b - a + 2}", a, b if a >= 3 else b + 1)
+            for a in range(2, 9) for b in range(a, 9)]
 
 
 @check("hull-invariants",
@@ -901,30 +897,15 @@ def _check_hull(rng: random.Random, scale: float):
     return instances, failures, {"tree_instances": trees}
 
 
-@check("hull-realization", "clique-with-tail graphs realize (hull, mp) pairs up to order 14")
-def _check_hull_realization(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    realized = set()
-    count = 0
-    for a in range(2, 9):
-        for b in range(a, 9):
-            for length in (1, 2):
-                if b + length + 1 > 14:
-                    continue
-                g = fam.g_abl(a, b, length)
-                count += 1
-                s = GraphSolver(g)
-                hm, mp = s.value("hm"), s.value("mp")
-                if (hm, mp) != (a, b):
-                    _fail(failures, g, a=a, b=b, length=length, hm=hm, mp=mp)
-                else:
-                    realized.add((a, b))
-    notes = {
-        "realized_pairs": sorted(list(p) for p in realized),
-        "observation": "the construction realizes every 2 <= a <= b with order b + length + 1, "
-                       "including pairs with a < b",
-    }
-    return count, failures, notes
+@formula("hull-realization", "clique-with-tail graphs realize (hull, mp) pairs up to order 14",
+         _realized("hm", "mp"), notes=lambda solved: {
+             "realized_pairs": [list(p) for p in sorted(
+                 {(a, b) for (a, b, _), got in solved if (got["hm"], got["mp"]) == (a, b)})],
+             "observation": "the construction realizes every 2 <= a <= b with order "
+                            "b + length + 1, including pairs with a < b"})
+def _sample_hull_realization(rng: random.Random, scale: float):
+    return [_case(f"G_abl:{a},{b},{length}", a, b) for a in range(2, 9) for b in range(a, 9)
+            for length in (1, 2) if b + length + 1 <= 14]
 
 
 @check("clique-reduction", "the clique-to-position reduction is answer-preserving")

@@ -194,3 +194,24 @@ def test_package_imports_only_the_standard_library():
             foreign |= {f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"monopos"}}
     assert not foreign, sorted(foreign)
+
+
+def test_package_modules_read_every_name_they_import():
+    """Each module under src/monopos but ``__init__.py``, which re-exports,
+    reads every name it imports."""
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "monopos"
+    unused = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {f"{path.name}: {name}" for name in imported - read}
+    assert not unused, sorted(unused)

@@ -5,7 +5,7 @@ from monopos.errors import InputError
 from monopos.graph import complement, complete_graph, cycle_graph, path_graph
 from monopos.graph6 import emit_graph6
 from monopos.families import (FAMILIES, GRAPH_FORMS, caterpillar_graph, g_abl, generate,
-                              half_wheel, half_wheel_pendant, hall_equality_condition,
+                              half_wheel, half_wheel_pendant,
                               heawood_graph, mcgee_graph, p_graph,
                               parse_family_spec, petersen_graph, predict_bipartite_complement,
                               predict_block_graph, predict_corona, predict_grid_complement,
@@ -172,15 +172,15 @@ def test_predict_unicyclic_cases(rng):
     from monopos.graph import add_pendant
 
     g1 = add_pendant(g, 0)
-    assert predict_unicyclic(g1).value == 3 == GraphSolver(g1).value("mp")
+    assert predict_unicyclic(g1)[0].value == 3 == GraphSolver(g1).value("mp")
     # two antipodal pendant paths on a hexagon
     g2 = add_pendant(add_pendant(cycle_graph(6), 0), 3)
-    assert predict_unicyclic(g2).value == 3 == GraphSolver(g2).value("mp")
-    assert predict_unicyclic(cycle_graph(4)).value == 2
-    assert predict_unicyclic(cycle_graph(3)).value == 3
+    assert predict_unicyclic(g2)[0].value == 3 == GraphSolver(g2).value("mp")
+    assert predict_unicyclic(cycle_graph(4))[0].value == 2
+    assert predict_unicyclic(cycle_graph(3))[0].value == 3
     for _ in range(25):
         g = random_unicyclic(rng.randint(4, 12), rng)
-        assert predict_unicyclic(g).value == GraphSolver(g).value("mp")
+        assert predict_unicyclic(g)[0].value == GraphSolver(g).value("mp")
     with pytest.raises(InputError):
         predict_unicyclic(path_graph(5))
 
@@ -220,15 +220,15 @@ def test_product_predictors_compute_only_named_entries(monkeypatch):
 
 
 def test_predict_complements():
-    assert predict_hypercube_complement(3).value == 4
-    assert predict_grid_complement(2, 2).value == 4
-    assert predict_grid_complement(3, 3).value == 5
+    assert predict_hypercube_complement(3)[0].value == 4
+    assert predict_grid_complement(2, 2)[0].value == 4
+    assert predict_grid_complement(3, 3)[0].value == 5
     star = star_graph(4)
-    assert predict_tree_complement(star).value == 5
+    assert predict_tree_complement(star)[0].value == 5
     long_path = path_graph(6)
-    assert predict_tree_complement(long_path).value == 3
+    assert predict_tree_complement(long_path)[0].value == 3
     c6 = cycle_graph(6)
-    assert predict_bipartite_complement(c6).value == max(3, 2)
+    assert predict_bipartite_complement(c6)[0].value == max(3, 2)
     with pytest.raises(InputError):
         predict_bipartite_complement(cycle_graph(5))
     with pytest.raises(InputError):
@@ -238,30 +238,24 @@ def test_predict_complements():
 def test_predict_split(rng):
     for _ in range(15):
         g = random_split_graph(rng.randint(2, 12), rng)
-        pv, equality = predict_split(g)
-        mp = GraphSolver(g).value("mp")
-        assert pv.value == mp
-        sp = split_partition(g)
-        assert equality == hall_equality_condition(g, sp)
+        [pv] = predict_split(g)
+        assert pv.value == GraphSolver(g).value("mp")
     with pytest.raises(InputError):
         predict_split(cycle_graph(5))
 
 
 def test_predict_realization_values():
-    preds = {p.parameter: p.value for p in predict_realization(parse_family_spec("half_wheel:5"))}
-    assert preds == {"mp": 2, "gp": 5}
-    preds = {p.parameter: p.value
-             for p in predict_realization(parse_family_spec("wheel_pendant_W:4"))}
-    assert preds == {"mp": 4, "gp": 5}
-    preds = {p.parameter: p.value
-             for p in predict_realization(parse_family_spec("half_wheel_pendant:7,3"))}
-    assert preds == {"mp": 3, "gp": 7}
-    preds = {p.parameter: p.value for p in predict_realization(parse_family_spec("R_graph:2,3"))}
-    assert preds == {"mp": 5, "igp": 3, "diss": 4, "gp2": 5}
-    preds = {p.parameter: p.value for p in predict_realization(parse_family_spec("P_graph:1,3"))}
-    assert preds == {"mp": 3, "igp": 4}
+    def preds(text):
+        spec = parse_family_spec(text)
+        return {p.parameter: p.value for p in predict_realization(spec, generate(spec)[0])}
+
+    assert preds("half_wheel:5") == {"mp": 2, "gp": 5}
+    assert preds("wheel_pendant_W:4") == {"mp": 4, "gp": 5}
+    assert preds("half_wheel_pendant:7,3") == {"mp": 3, "gp": 7}
+    assert preds("R_graph:2,3") == {"mp": 5, "igp": 3, "diss": 4, "gp2": 5}
+    assert preds("P_graph:1,3") == {"mp": 3, "igp": 4}
     with pytest.raises(InputError):
-        predict_realization(parse_family_spec("half_wheel:3"))
+        predict_realization(parse_family_spec("half_wheel:3"), half_wheel(3))
 
 
 def test_realization_predictions_match_solver():

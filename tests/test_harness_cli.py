@@ -4,10 +4,13 @@ from pathlib import Path
 
 import pytest
 
+import monopos.families as fam
 import monopos.harness as harness
 from monopos.cli import main
 from monopos.errors import InputError
-from monopos.families import GRAPH_FORMS
+from monopos.families import GRAPH_FORMS, PredictedValue
+from monopos.graph import complement, cycle_graph
+from monopos.solvers import GraphSolver
 from monopos.harness import available_checks, run_check, run_suite
 
 
@@ -59,6 +62,28 @@ def test_interval_check_catches_a_geo_witness_mutant(monkeypatch):
     assert {f["mode"] for f in out.failures} == {"geo"}
 
 
+def test_interval_check_catches_a_mono_witness_mutant(monkeypatch):
+    """The mono index that the position search reads is diffed too: one
+    witness bit dropped from it fails the check."""
+    import monopos.solvers as solvers
+
+    real = solvers.monophonic_witnesses
+
+    def mutant(g, *args):
+        witness = real(g, *args)
+        for x, row in enumerate(witness):
+            for z, w in enumerate(row):
+                if w:
+                    witness[x][z] = witness[z][x] = w & (w - 1)
+                    return witness
+        return witness
+
+    monkeypatch.setattr(solvers, "monophonic_witnesses", mutant)
+    out = run_check("interval-oracle-agreement", profile="quick")
+    assert out.status == "fail"
+    assert {f["mode"] for f in out.failures} == {"mono"}
+
+
 FORMULA_CHECKS = ["dh-mp-equals-gp", "block-graph-simplicial", "multipartite-formula",
                   "unicyclic-formula", "corona-formula", "join-formula",
                   "gp-join-corona-formula", "bipartite-complement-formula",
@@ -106,6 +131,51 @@ def test_formula_check_fails_a_case_with_no_prediction(monkeypatch, predict, rea
     assert {f["reason"] for f in out.failures} == {reason}
     kind, base, inner = out.failures[0]["args"]
     assert kind == "corona" and isinstance(base, str) and isinstance(inner, str)
+
+
+def test_formula_notes_see_the_solved_values(monkeypatch):
+    """``notes`` gets ``(args, got)`` per case, with the solver's values, also
+    where they differ from the prediction."""
+    def predict(g, k):
+        return [PredictedValue("mp", 2, "cycle", ""),
+                PredictedValue("gp_complement", 0, "none", "")]
+
+    monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+    harness.formula("throwaway", "notes list what was solved", predict,
+                    notes=lambda solved: {"solved": solved})(
+        lambda rng, scale: [(cycle_graph(k), (k,)) for k in (4, 5, 6)])
+    out = run_check("throwaway")
+    assert out.notes["solved"] == [
+        ((k,), {"mp": 2, "gp_complement": GraphSolver(complement(cycle_graph(k))).value("gp")})
+        for k in (4, 5, 6)]
+    assert [f["parameter"] for f in out.failures] == ["gp_complement"] * 3
+
+
+def _bumped(monkeypatch, family, parameter):
+    """Replace ``family``'s closed forms by a copy with ``parameter`` one higher."""
+    entry = fam.FAMILIES[family]
+
+    def predict(*args):
+        return [replace(pv, value=pv.value + (pv.parameter == parameter))
+                for pv in entry.predict(*args)]
+
+    monkeypatch.setitem(fam.FAMILIES, family, entry._replace(predict=predict))
+
+
+@pytest.mark.parametrize("family, parameter, check_id", [
+    ("half_wheel", "gp", "mp-gp-realization"),
+    ("G_abl", "hm", "hull-realization"),
+    ("R_graph", "igp", "igp-mp-realization")])
+def test_realization_checks_compare_what_family_prints(monkeypatch, family, parameter, check_id):
+    """A family's closed form one off fails the realization table that
+    names the family."""
+    assert run_check(check_id, profile="quick").status == "pass"
+    _bumped(monkeypatch, family, parameter)
+    out = run_check(check_id, profile="quick")
+    assert out.status == "fail"
+    assert {(f["parameter"], f["args"][-1].split(":")[0]) for f in out.failures} == {
+        (parameter, family)}
+    assert all(f["want"] == f["got"] + 1 for f in out.failures)
 
 
 def test_multi_seed_merge():
