@@ -99,8 +99,13 @@ def _cmd_verify(args) -> int:
             print(f"{cid}: {desc}")
         return 0
     selection = None if args.check in (None, "all") else [c.strip() for c in args.check.split(",")]
-    seeds = tuple(int(s) for s in args.seed.split(","))
-    report = run_suite(selection, seeds=seeds, profile=args.profile, jobs=args.jobs)
+    seeds = []
+    for token in args.seed.split(","):
+        try:
+            seeds.append(int(token))
+        except ValueError:
+            raise InputError(f"--seed: {token!r} is not an integer") from None
+    report = run_suite(selection, seeds=tuple(seeds), profile=args.profile, jobs=args.jobs)
     doc = json.loads(report.to_json(stable=not args.timing))
     if args.out:
         Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -156,6 +161,10 @@ def _cmd_paths(args) -> int:
     if len(graphs) != 1:
         raise InputError("paths expects exactly one graph")
     g = graphs[0]
+    for flag in ("interval", "closure", "hull", "interior"):
+        for v in getattr(args, flag) or ():
+            if not 0 <= v < g.n:
+                raise InputError(f"--{flag}: vertex {v} is not in 0..{g.n - 1}")
     cache = IntervalCache(g)
     doc: dict = {"graph6": emit_graph6(g)}
     lines: list[str] = []

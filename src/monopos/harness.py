@@ -2,10 +2,14 @@
 implements, each run over a generated corpus against the exact solvers and
 brute-force oracles.
 
-Checks are data: an id, a corpus recipe and an assertion.  A failing check
-always carries reproducible witnesses (graph6 string, parameters, expected
-and actual values).  Failures are data, not exceptions; a check only raises
-when the toolkit itself is broken.
+Checks are data: an id, a corpus recipe and an assertion.  Most checks are
+samplers around one of two runners: ``formula`` compares a predictor's
+closed forms with the exact solvers, and ``relation`` evaluates rows of
+:data:`BOUNDS`, the paper's bounds and characterizations, one table of
+``row(solver) -> bool``.  A failing check always carries reproducible
+witnesses (graph6 string, parameters, expected and actual values).
+Failures are data, not exceptions; a check only raises when the toolkit
+itself is broken.
 
 Determinism: every check derives its RNG from (check id, base seed), so a
 run is reproducible given the seed list regardless of selection order or
@@ -19,6 +23,9 @@ import random
 import time
 import zlib
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from typing import Callable
 
 from . import __version__
 from .bitset import bit, mask_of, to_tuple
@@ -26,11 +33,9 @@ from .errors import InputError, LimitError
 from .graph import (Graph, add_pendant, complement, complete_graph, complete_multipartite,
                     corona, cycle_graph, disjoint_union, join, path_graph)
 from .graph6 import emit_graph6, parse_graph6
-from .invariants import (clique_number, cut_vertices, dissociation_number, has_triangle,
-                         independence_number, is_distance_hereditary, leaves, phi_separated,
-                         simplicial_vertices, split_partition, unions_of_cliques)
-from .paths import (_chordless_simple_paths, induced_path_partition, interval_row,
-                    longest_induced_path_length)
+from .invariants import (has_triangle, is_distance_hereditary, leaves, simplicial_vertices,
+                         split_partition, unions_of_cliques)
+from .paths import _chordless_simple_paths, induced_path_partition, interval_row
 from .reduction import reduce_clique_to_mp, verify_reduction
 from .solvers import (POSITION_PARAMS, GraphSolver, PathMode, brute_force_position,
                       build_triple_index, hull_number_oracle, is_position_set,
@@ -144,6 +149,36 @@ def formula(check_id: str, description: str, predict, notes=lambda solved: {}):
                               got=got[pv.parameter], want=pv.value)
                 solved.append((args, got))
             return len(cases), failures, notes(solved)
+
+        check(check_id, description)(run)
+        return sample
+
+    return wrap
+
+
+def relation(check_id: str, description: str, notes=None):
+    """Register a check of :data:`BOUNDS` rows around its sampler.
+
+    ``sample(rng, scale)`` lists ``(g, rows)`` cases, ``rows`` naming
+    :data:`BOUNDS` labels.  Each case gets one :class:`GraphSolver`, and every
+    row that reads false fails the case with the values the rows solved.
+    ``notes(solved)``, if given, makes the check's notes from ``(g, rows,
+    values)`` per case, in case order.  No solver outlives its case, and
+    without ``notes`` no values do either.
+    """
+    def wrap(sample):
+        def run(rng: random.Random, scale: float):
+            cases = sample(rng, scale)
+            failures: list[dict] = []
+            solved = []
+            for g, rows in cases:
+                s = GraphSolver(g)
+                false = [label for label in rows if not BOUNDS[label](s)]
+                for label in false:
+                    _fail(failures, g, relation=label, values=s.values())
+                if notes:
+                    solved.append((g, rows, s.values()))
+            return len(cases), failures, notes(solved) if notes else {}
 
         check(check_id, description)(run)
         return sample
@@ -307,41 +342,17 @@ def _check_solver_oracle(rng: random.Random, scale: float):
     return len(graphs), failures, {}
 
 
-@check("position-chains", "parameter chains and the full-set characterization")
-def _check_chains(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@relation("position-chains", "parameter chains and the full-set characterization")
+def _sample_chains(rng: random.Random, scale: float):
     graphs = _mixed_corpus(rng, scale)
     # disconnected inputs exercise the cross-component interval convention
     for _ in range(_count(scale, 12)):
         a = fam.random_graph(rng.randint(1, 5), rng)
-        b = fam.random_graph(rng.randint(1, 5), rng)
-        graphs.append(disjoint_union(a, b))
+        graphs.append(disjoint_union(a, fam.random_graph(rng.randint(1, 5), rng)))
     graphs.append(complement(complete_multipartite([3, 4])))
-    for g in graphs:
-        s = GraphSolver(g)
-        values = {name: s.value(name) for name in ("mp", "gp", "gp2", "imp", "igp")}
-        n = g.n
-        checks = [
-            ("imp <= mp", values["imp"] <= values["mp"]),
-            ("mp <= gp", values["mp"] <= values["gp"]),
-            ("imp <= igp", values["imp"] <= values["igp"]),
-            ("igp <= gp", values["igp"] <= values["gp"]),
-            ("gp <= gp2", values["gp"] <= values["gp2"]),
-        ]
-        if n >= 2:
-            checks.append(("2 <= mp <= n", 2 <= values["mp"] <= n))
-        complete = g.edge_count() == n * (n - 1) // 2
-        if g.is_connected():
-            checks.append(("mp == n iff complete", (values["mp"] == n) == complete))
-        try:
-            d, _ = dissociation_number(g)
-            checks.append(("diss <= gp2", d <= values["gp2"]))
-        except LimitError:
-            pass
-        for label, ok in checks:
-            if not ok:
-                _fail(failures, g, relation=label, values=values)
-    return len(graphs), failures, {}
+    rows = ("imp <= mp", "mp <= gp", "imp <= igp", "igp <= gp", "gp <= gp2", "diss <= gp2",
+            "2 <= mp <= n", "mp == n iff complete")
+    return [(g, rows) for g in graphs]
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +400,8 @@ def _sample_multipartite(rng: random.Random, scale: float):
 # ---------------------------------------------------------------------------
 
 
-@check("longest-path-bound", "mp is at most n - L + 1, sharp on cliques and paths")
-def _check_longest(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    graphs = _mixed_corpus(rng, scale)
-    graphs += [fam.petersen_graph(), fam.heawood_graph()]
-    for g in graphs:
-        length = longest_induced_path_length(g)
-        mp = GraphSolver(g).value("mp")
-        if mp > g.n - length + 1:
-            _fail(failures, g, mp=mp, longest=length)
-    for k in range(2, 9):
-        for g, kind in ((complete_graph(k), "clique"), (path_graph(k + 1), "path")):
-            length = longest_induced_path_length(g)
-            mp = GraphSolver(g).value("mp")
-            if mp != g.n - length + 1:
-                _fail(failures, g, kind=kind, mp=mp, longest=length, reason="bound not sharp")
-    return len(graphs) + 14, failures, {}
+def _complete(g: Graph) -> bool:
+    return g.edge_count() == g.n * (g.n - 1) // 2
 
 
 def _is_order_minus_one_shape(g: Graph) -> bool:
@@ -413,8 +409,7 @@ def _is_order_minus_one_shape(g: Graph) -> bool:
     disjoint union of at least two cliques, or a clique missing 1..n-2
     edges at a single vertex."""
     n = g.n
-    complete = g.edge_count() == n * (n - 1) // 2
-    if complete:
+    if _complete(g):
         return False
     for u in range(n):
         rest = g.full() & ~bit(u)
@@ -427,44 +422,137 @@ def _is_order_minus_one_shape(g: Graph) -> bool:
     return False
 
 
-@check("order-minus-one-structure", "graphs with mp = n - 1 are exactly the two known shapes")
-def _check_nminus1(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    instances = 0
-    for _ in range(_count(scale, 350)):
-        g = fam.random_connected_graph(rng.randint(3, 8), rng)
-        instances += 1
-        mp = GraphSolver(g).value("mp")
-        if (mp == g.n - 1) != _is_order_minus_one_shape(g):
-            _fail(failures, g, mp=mp, recognized=_is_order_minus_one_shape(g))
-    for _ in range(_count(scale, 40)):
+def _cubic(g: Graph) -> bool:
+    """The class of the cubic bound: connected, 3-regular, order at least 7."""
+    return g.n >= 7 and g.is_connected() and all(g.degree(v) == 3 for v in range(g.n))
+
+
+def _triangle_free(g: Graph) -> bool:
+    """The class of the alpha bound: connected, triangle-free, order at least 3."""
+    return g.n >= 3 and g.is_connected() and not has_triangle(g)
+
+
+def _in_position(s: GraphSolver, witness) -> bool:
+    return is_position_set(s.triple_index(PathMode.MONOPHONIC), mask_of(witness))[0]
+
+
+def _path_partition(s: GraphSolver) -> bool:
+    rho, parts = induced_path_partition(s.g)
+    covered = [v for part in parts for v in part]
+    return (mask_of(covered) == s.g.full() and len(covered) == s.g.n and len(parts) == rho
+            and s.value("mp") <= 2 * rho)
+
+
+def _cut_free_optimum(s: GraphSolver) -> bool:
+    allowed = s.g.full() & ~mask_of(s.report("cuts").witness)
+    idx = s.triple_index(PathMode.MONOPHONIC)
+    return max_position_set(idx, allowed=allowed, lexmin=False).value == s.value("mp")
+
+
+def _optima_are_clique_unions(s: GraphSolver) -> bool:
+    """Every maximum position set of a connected graph induces disjoint
+    cliques, and when there are two or more, any two vertices of one clique
+    share a neighbour outside the set.  Walks every vertex subset."""
+    g, best = s.g, s.value("mp")
+    if not g.is_connected():
+        return True
+    idx = s.triple_index(PathMode.MONOPHONIC)
+    for m in range(1 << g.n):
+        if m.bit_count() != best or not is_position_set(idx, m)[0]:
+            continue
+        if not unions_of_cliques(g, m):
+            return False
+        comps, rest = [], m
+        while rest:
+            comps.append(g.component_of((rest & -rest).bit_length() - 1, within=m))
+            rest &= ~comps[-1]
+        if len(comps) >= 2 and any(not g.adj[a] & g.adj[b] & ~m for comp in comps
+                                   for a, b in combinations(to_tuple(comp), 2)):
+            return False
+    return True
+
+
+def _hall(s: GraphSolver) -> bool:
+    sp = split_partition(s.g)
+    return sp is None or (s.value("mp") == max(s.value("omega"), s.value("alpha"))) == (
+        fam.hall_equality_condition(s.g, sp))
+
+
+#: The paper's bounds and characterizations, by label.  A row reads the graph
+#: and its parameters through one :class:`GraphSolver` and is true outside
+#: the class it is stated for, so every row runs on every graph.
+BOUNDS: dict[str, Callable[[GraphSolver], bool]] = {
+    "imp <= mp": lambda s: s.value("imp") <= s.value("mp"),
+    "mp <= gp": lambda s: s.value("mp") <= s.value("gp"),
+    "imp <= igp": lambda s: s.value("imp") <= s.value("igp"),
+    "igp <= gp": lambda s: s.value("igp") <= s.value("gp"),
+    "gp <= gp2": lambda s: s.value("gp") <= s.value("gp2"),
+    "diss <= gp2": lambda s: s.value("diss") <= s.value("gp2"),
+    "2 <= mp <= n": lambda s: s.g.n < 2 or 2 <= s.value("mp") <= s.g.n,
+    "mp == n iff complete": lambda s: not s.g.is_connected() or (
+        s.value("mp") == s.g.n) == _complete(s.g),
+    "mp <= n - L + 1": lambda s: s.value("mp") <= s.g.n - s.value("L") + 1,
+    "mp = n - L + 1 on cliques and paths": lambda s: s.g.n < 2 or not (
+        _complete(s.g) or s.value("L") == s.g.n - 1) or s.value("mp") == s.g.n - s.value("L") + 1,
+    "mp = n - 1 iff one of the two shapes": lambda s: not s.g.is_connected() or (
+        s.value("mp") == s.g.n - 1) == _is_order_minus_one_shape(s.g),
+    "mp <= 2 rho over a partition into rho induced paths": _path_partition,
+    "3 mp <= 2 (n - 1) on cubic graphs": lambda s: not _cubic(s.g) or (
+        3 * s.value("mp") <= 2 * (s.g.n - 1)),
+    "mp <= n - cuts": lambda s: s.value("mp") <= s.g.n - s.value("cuts"),
+    "some maximum position set avoids the cut vertices": _cut_free_optimum,
+    "mp >= simplicial": lambda s: s.value("mp") >= s.value("simplicial"),
+    "maximum position sets are unions of cliques": _optima_are_clique_unions,
+    "mp <= alpha on triangle-free graphs": lambda s: not _triangle_free(s.g) or (
+        s.value("mp") <= s.value("alpha")),
+    "mp = alpha on triangle-free graphs with L <= 3": lambda s: not _triangle_free(s.g) or (
+        s.value("L") > 3 or s.value("mp") == s.value("alpha")),
+    "mp = phi on split graphs": lambda s: split_partition(s.g) is None or (
+        s.value("mp") == s.value("phi")),
+    "phi's witness is a position set of phi vertices": lambda s: split_partition(s.g) is None or (
+        len(s.report("phi").witness) == s.value("phi")
+        and _in_position(s, s.report("phi").witness)),
+    "mp = max(omega, alpha) iff Hall's condition holds on split graphs": _hall,
+    "hm = leaf count on trees": lambda s: s.g.n < 2 or not s.g.is_connected() or (
+        s.g.edge_count() != s.g.n - 1 or s.value("hm") == leaves(s.g).bit_count()),
+    "hm = the hull oracle's": lambda s: s.value("hm") == hull_number_oracle(s.g),
+    "the hull witness holds every simplicial vertex": lambda s: not mask_of(
+        s.report("simplicial").witness) & ~mask_of(s.report("hm").witness),
+    "the hull witness is in position": lambda s: _in_position(s, s.report("hm").witness),
+    "hm <= mp": lambda s: s.value("hm") <= s.value("mp"),
+}
+
+
+@relation("longest-path-bound", "mp is at most n - L + 1, sharp on cliques and paths")
+def _sample_longest(rng: random.Random, scale: float):
+    graphs = _mixed_corpus(rng, scale) + [fam.petersen_graph(), fam.heawood_graph()]
+    graphs += [h for k in range(2, 9) for h in (complete_graph(k), path_graph(k + 1))]
+    return [(g, ("mp <= n - L + 1", "mp = n - L + 1 on cliques and paths")) for g in graphs]
+
+
+def _order_minus_one_shapes(rng: random.Random, count: int) -> list[Graph]:
+    """``count`` pairs of the two shapes: a vertex over two or three disjoint
+    cliques, and a clique of order k missing 1..k-2 edges at vertex 0."""
+    graphs = []
+    for _ in range(count):
         cliques = [complete_graph(rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
-        h = cliques[0]
-        for extra in cliques[1:]:
-            h = disjoint_union(h, extra)
-        g = join(complete_graph(1), h)
-        instances += 1
-        mp = GraphSolver(g).value("mp")
-        if mp != g.n - 1:
-            _fail(failures, g, mp=mp, reason="dominated clique union missed n-1")
+        graphs.append(join(complete_graph(1), reduce(disjoint_union, cliques)))
         k = rng.randint(4, 8)
-        g = complete_graph(k)
         removed = rng.randint(1, k - 2)
-        adj = list(g.adj)
-        for v in range(1, removed + 1):
-            adj[0] &= ~bit(v)
-            adj[v] &= ~bit(0)
-        g = Graph(k, tuple(adj))
-        instances += 1
-        mp = GraphSolver(g).value("mp")
-        if mp != g.n - 1:
-            _fail(failures, g, mp=mp, reason="edge-deleted clique missed n-1")
-    return instances, failures, {}
+        graphs.append(Graph.from_edges(k, [(u, v) for u in range(k) for v in range(u + 1, k)
+                                           if u or v > removed]))
+    return graphs
 
 
-@check("path-partition-bound", "mp is at most twice the induced path partition number")
-def _check_rho(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@relation("order-minus-one-structure", "graphs with mp = n - 1 are exactly the two known shapes")
+def _sample_nminus1(rng: random.Random, scale: float):
+    graphs = _random_connected(rng, _count(scale, 350), 3, 8)
+    graphs += _order_minus_one_shapes(rng, _count(scale, 40))
+    return [(g, ("mp = n - 1 iff one of the two shapes",)) for g in graphs]
+
+
+@relation("path-partition-bound", "mp is at most twice the induced path partition number")
+def _sample_rho(rng: random.Random, scale: float):
     graphs: list[Graph] = []
     for mask in range(1 << 10):
         n = 5
@@ -477,65 +565,32 @@ def _check_rho(rng: random.Random, scale: float):
     graphs += _random_connected(rng, _count(scale, 120), 6, 10)
     graphs += [fam.random_tree(rng.randint(11, 16), rng) for _ in range(_count(scale, 8))]
     graphs += [fam.random_unicyclic(rng.randint(11, 16), rng) for _ in range(_count(scale, 8))]
-    for g in graphs:
-        rho, parts = induced_path_partition(g)
-        mp = GraphSolver(g).value("mp")
-        if mp > 2 * rho:
-            _fail(failures, g, mp=mp, rho=rho)
-        covered = 0
-        for part in parts:
-            covered |= mask_of(part)
-        if covered != g.full() or sum(map(len, parts)) != g.n or len(parts) != rho:
-            _fail(failures, g, reason="parts are not rho disjoint sets covering V", parts=parts)
-    return len(graphs), failures, {}
+    return [(g, ("mp <= 2 rho over a partition into rho induced paths",)) for g in graphs]
 
 
-@check("cubic-bound", "connected cubic graphs of order at least 7: 3 mp <= 2 (n - 1)")
-def _check_cubic(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@relation("cubic-bound", "connected cubic graphs of order at least 7: 3 mp <= 2 (n - 1)")
+def _sample_cubic(rng: random.Random, scale: float):
     graphs = [fam.petersen_graph(), fam.heawood_graph(), fam.mcgee_graph()]
-    for _ in range(_count(scale, 12)):
-        graphs.append(fam.random_cubic_graph(rng.choice((8, 10, 12, 14)), rng))
-    for g in graphs:
-        mp = GraphSolver(g).value("mp")
-        if 3 * mp > 2 * (g.n - 1):
-            _fail(failures, g, mp=mp)
-    return len(graphs), failures, {}
+    graphs += [fam.random_cubic_graph(rng.choice((8, 10, 12, 14)), rng)
+               for _ in range(_count(scale, 12))]
+    return [(g, ("3 mp <= 2 (n - 1) on cubic graphs",)) for g in graphs]
 
 
-@check("cut-vertex-bound", "mp <= n - cuts, witnessed by a cut-free optimum")
-def _check_cut(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@relation("cut-vertex-bound", "mp <= n - cuts, witnessed by a cut-free optimum")
+def _sample_cut(rng: random.Random, scale: float):
     graphs = [fam.random_tree(rng.randint(3, 11), rng) for _ in range(_count(scale, 40))]
     graphs += [fam.random_unicyclic(rng.randint(4, 11), rng) for _ in range(_count(scale, 30))]
     graphs += [fam.random_block_graph(rng.randint(3, 11), rng) for _ in range(_count(scale, 30))]
     for _ in range(_count(scale, 40)):
         g = fam.random_connected_graph(rng.randint(3, 9), rng)
         graphs.append(add_pendant(g, rng.randrange(g.n)))
-    for g in graphs:
-        cuts = cut_vertices(g)
-        s = GraphSolver(g)
-        mp = s.value("mp")
-        if mp > g.n - cuts.bit_count():
-            _fail(failures, g, mp=mp, cuts=to_tuple(cuts))
-            continue
-        restricted = max_position_set(s.triple_index(PathMode.MONOPHONIC),
-                                      allowed=g.full() & ~cuts, lexmin=False)
-        if restricted.value != mp:
-            _fail(failures, g, mp=mp, cut_free=restricted.value,
-                  reason="no cut-free maximum witness")
-    return len(graphs), failures, {}
+    return [(g, ("mp <= n - cuts", "some maximum position set avoids the cut vertices"))
+            for g in graphs]
 
 
-@check("simplicial-lower-bound", "mp is at least the number of simplicial vertices")
-def _check_simplicial(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    graphs = _mixed_corpus(rng, scale)
-    for g in graphs:
-        mp = GraphSolver(g).value("mp")
-        if mp < simplicial_vertices(g).bit_count():
-            _fail(failures, g, mp=mp, simplicial=simplicial_vertices(g).bit_count())
-    return len(graphs), failures, {}
+@relation("simplicial-lower-bound", "mp is at least the number of simplicial vertices")
+def _sample_simplicial(rng: random.Random, scale: float):
+    return [(g, ("mp >= simplicial",)) for g in _mixed_corpus(rng, scale)]
 
 
 @check("pendant-step", "adding a pendant changes mp by 0 or 1; 0 at simplicial anchors")
@@ -559,47 +614,18 @@ def _check_pendant(rng: random.Random, scale: float):
     return count, failures, {"simplicial_anchor_samples": simplicial_hits}
 
 
-@check("mp-witness-clique-structure",
-       "maximum position sets induce disjoint cliques with shared outside neighbors")
-def _check_structure(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 200)
-    for _ in range(count):
-        g = fam.random_connected_graph(rng.randint(2, 7), rng)
-        s = GraphSolver(g)
-        idx = s.triple_index(PathMode.MONOPHONIC)
-        best = s.value("mp")
-        for m in range(1 << g.n):
-            if m.bit_count() != best:
-                continue
-            ok, _ = is_position_set(idx, m)
-            if not ok:
-                continue
-            if not unions_of_cliques(g, m):
-                _fail(failures, g, witness=to_tuple(m), reason="not a union of cliques")
-                continue
-            comps = []
-            rest = m
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                comp = g.component_of(v, within=m)
-                comps.append(comp)
-                rest &= ~comp
-            if len(comps) >= 2:
-                for comp in comps:
-                    verts = to_tuple(comp)
-                    for i, a in enumerate(verts):
-                        for b in verts[i + 1:]:
-                            if not (g.adj[a] & g.adj[b] & ~m):
-                                _fail(failures, g, witness=to_tuple(m), pair=[a, b],
-                                      reason="no common neighbor outside the set")
-    return count, failures, {}
+@relation("mp-witness-clique-structure",
+          "maximum position sets induce disjoint cliques with shared outside neighbors")
+def _sample_structure(rng: random.Random, scale: float):
+    return [(g, ("maximum position sets are unions of cliques",))
+            for g in _random_connected(rng, _count(scale, 200), 2, 7)]
 
 
-@check("triangle-free-alpha",
-       "triangle-free graphs: mp at most alpha, equal when induced paths are short")
-def _check_triangle_free(rng: random.Random, scale: float):
-    failures: list[dict] = []
+@relation("triangle-free-alpha",
+          "triangle-free graphs: mp at most alpha, equal when induced paths are short",
+          notes=lambda solved: {"short_path_equality_cases": sum(
+              _triangle_free(g) and values["L"] <= 3 for g, _, values in solved)})
+def _sample_triangle_free(rng: random.Random, scale: float):
     graphs: list[Graph] = [cycle_graph(k) for k in range(4, 9)]
     graphs += [fam.petersen_graph(), fam.heawood_graph(), fam.hypercube(3),
                complete_multipartite([3, 3]), complete_multipartite([4, 4]),
@@ -611,19 +637,8 @@ def _check_triangle_free(rng: random.Random, scale: float):
         graphs.append(fam.random_bipartite_graph(na, nb, rng))
     for _ in range(_count(scale, 30)):
         graphs.append(fam.random_tree(rng.randint(3, 12), rng))
-    equality_cases = 0
-    for g in graphs:
-        if has_triangle(g) or not g.is_connected() or g.n < 3:
-            continue
-        alpha, _ = independence_number(g)
-        mp = GraphSolver(g).value("mp")
-        if mp > alpha:
-            _fail(failures, g, mp=mp, alpha=alpha)
-        if longest_induced_path_length(g) <= 3:
-            equality_cases += 1
-            if mp != alpha:
-                _fail(failures, g, mp=mp, alpha=alpha, reason="short paths but mp < alpha")
-    return len(graphs), failures, {"short_path_equality_cases": equality_cases}
+    return [(g, ("mp <= alpha on triangle-free graphs",
+                 "mp = alpha on triangle-free graphs with L <= 3")) for g in graphs]
 
 
 @check("cages-mp", "the three cubic cages have position numbers 3, 3, 2")
@@ -742,45 +757,21 @@ def _sample_hypercube_complement(rng: random.Random, scale: float):
     return [(fam.hypercube(k), (k,)) for k in (3, 4)]
 
 
-@check("split-phi-formula", "split graphs: mp equals the separated-subgraph maximum")
-def _check_split(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 220)
-    for _ in range(count):
-        g = fam.random_split_graph(rng.randint(3, 16), rng)
-        sp = split_partition(g)
-        phi, witness = phi_separated(g, sp)
-        s = GraphSolver(g)
-        mp = s.value("mp")
-        if phi != mp:
-            _fail(failures, g, phi=phi, mp=mp)
-            continue
-        ok, _ = is_position_set(s.triple_index(PathMode.MONOPHONIC), witness)
-        if not ok or witness.bit_count() != phi:
-            _fail(failures, g, reason="separated witness is not a position optimum",
-                  witness=to_tuple(witness))
-    return count, failures, {}
+@relation("split-phi-formula", "split graphs: mp equals the separated-subgraph maximum")
+def _sample_split(rng: random.Random, scale: float):
+    return [(fam.random_split_graph(rng.randint(3, 16), rng),
+             ("mp = phi on split graphs", "phi's witness is a position set of phi vertices"))
+            for _ in range(_count(scale, 220))]
 
 
-@check("hall-equality-condition",
-       "mp equals max(omega, alpha) exactly when a side is saturated by a matching")
-def _check_hall(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    count = _count(scale, 220)
-    divided_seen = 0
-    for _ in range(count):
-        g = fam.random_split_graph(rng.randint(2, 16), rng)
-        sp = split_partition(g)
-        if sp.divided is not None:
-            divided_seen += 1
-        cond = fam.hall_equality_condition(g, sp)
-        omega, _ = clique_number(g)
-        alpha, _ = independence_number(g)
-        mp = GraphSolver(g).value("mp")
-        if (mp == max(omega, alpha)) != cond:
-            _fail(failures, g, mp=mp, omega=omega, alpha=alpha, condition=cond,
-                  divided=sp.divided)
-    return count, failures, {"instances_with_divided_vertex": divided_seen}
+@relation("hall-equality-condition",
+          "mp equals max(omega, alpha) exactly when a side is saturated by a matching",
+          notes=lambda solved: {"instances_with_divided_vertex": sum(
+              split_partition(g).divided is not None for g, _, _ in solved)})
+def _sample_hall(rng: random.Random, scale: float):
+    return [(fam.random_split_graph(rng.randint(2, 16), rng),
+             ("mp = max(omega, alpha) iff Hall's condition holds on split graphs",))
+            for _ in range(_count(scale, 220))]
 
 
 # ---------------------------------------------------------------------------
@@ -863,38 +854,19 @@ def _sample_diss_gp2(rng: random.Random, scale: float):
             for a in range(2, 9) for b in range(a, 9)]
 
 
-@check("hull-invariants",
-       "hull number: below mp, above the simplicial seed, leaf count on trees")
-def _check_hull(rng: random.Random, scale: float):
-    failures: list[dict] = []
-    instances = 0
-    trees = _count(scale, 110)
-    for _ in range(trees):
-        t = fam.random_tree(rng.randint(2, 12), rng)
-        instances += 1
-        rep = GraphSolver(t).report("hm")
-        want = leaves(t).bit_count()
-        if rep.value != want:
-            _fail(failures, t, hm=rep.value, leaf_count=want)
-    for _ in range(_count(scale, 60)):
-        g = fam.random_connected_graph(rng.randint(2, 9), rng)
-        instances += 1
-        s = GraphSolver(g)
-        rep = s.report("hm")
-        if rep.value != hull_number_oracle(g):
-            _fail(failures, g, hm=rep.value, oracle=hull_number_oracle(g))
-            continue
-        witness = mask_of(rep.witness)
-        if witness & simplicial_vertices(g) != simplicial_vertices(g):
-            _fail(failures, g, reason="hull witness misses a simplicial vertex",
-                  witness=list(rep.witness))
-        ok, _ = is_position_set(s.triple_index(PathMode.MONOPHONIC), witness)
-        if not ok:
-            _fail(failures, g, reason="hull witness is not in position",
-                  witness=list(rep.witness))
-        if rep.value > s.value("mp"):
-            _fail(failures, g, hm=rep.value, mp=s.value("mp"))
-    return instances, failures, {"tree_instances": trees}
+_TREE_HULL = ("hm = leaf count on trees",)
+
+
+@relation("hull-invariants",
+          "hull number: below mp, above the simplicial seed, leaf count on trees",
+          notes=lambda solved: {"tree_instances": sum(rows == _TREE_HULL
+                                                      for _, rows, _ in solved)})
+def _sample_hull(rng: random.Random, scale: float):
+    trees = [fam.random_tree(rng.randint(2, 12), rng) for _ in range(_count(scale, 110))]
+    rows = ("hm = the hull oracle's", "the hull witness holds every simplicial vertex",
+            "the hull witness is in position", "hm <= mp")
+    return [(t, _TREE_HULL) for t in trees] + [
+        (g, rows) for g in _random_connected(rng, _count(scale, 60), 2, 9)]
 
 
 @formula("hull-realization", "clique-with-tail graphs realize (hull, mp) pairs up to order 14",

@@ -223,6 +223,10 @@ class GraphSolver:
     def value(self, name: str) -> int:
         return self.report(name).value
 
+    def values(self) -> dict[str, int]:
+        """The value of every report made so far, by parameter name."""
+        return {name: rep.value for name, rep in self._reports.items()}
+
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
     mode, independent = POSITION_PARAMS[name]

@@ -215,3 +215,49 @@ def test_package_modules_read_every_name_they_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {f"{path.name}: {name}" for name in imported - read}
     assert not unused, sorted(unused)
+
+
+def test_package_definitions_are_named_elsewhere():
+    """Every top-level function and class under src/monopos is named somewhere
+    besides its own definition, in src/, tests/ or perfbench/: as a name, an
+    attribute, an import or a string such as the tracer's function names.
+    Dunders and functions registered by a decorator of their module are exempt,
+    and a re-export in ``__init__.py`` is not a use."""
+    import ast
+
+    root = Path(__file__).resolve().parents[1]
+    trees = {path: ast.parse(path.read_text())
+             for folder in ("src", "tests", "perfbench") for path in (root / folder).rglob("*.py")
+             if path.name != "__init__.py"}
+
+    def named(nodes) -> set[str]:
+        out = set()
+        for node in nodes:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    out.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    out.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    out.add(sub.name)
+                elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    out.add(sub.value)
+        return out
+
+    everywhere = {path: named([tree]) for path, tree in trees.items()}
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != root / "src" / "monopos":
+            continue
+        local = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
+                continue
+            if any(isinstance(d, ast.Call) and getattr(d.func, "id", None) in local
+                   for d in node.decorator_list):
+                continue
+            others = [names for other, names in everywhere.items() if other != path]
+            others.append(named(n for n in tree.body if n is not node))
+            if not any(node.name in names for names in others):
+                unused.append(f"{path.name}: {node.name}")
+    assert not unused, unused

@@ -1,17 +1,21 @@
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from conftest import connected_graphs
 
 import monopos.families as fam
 import monopos.harness as harness
+import monopos.solvers as solvers
 from monopos.cli import main
 from monopos.errors import InputError
 from monopos.families import GRAPH_FORMS, PredictedValue
 from monopos.graph import complement, cycle_graph
+from monopos.graph6 import emit_graph6
 from monopos.solvers import GraphSolver
-from monopos.harness import available_checks, run_check, run_suite
+from monopos.harness import BOUNDS, available_checks, run_check, run_suite
 
 
 def test_registry_nonempty_unique():
@@ -176,6 +180,58 @@ def test_realization_checks_compare_what_family_prints(monkeypatch, family, para
     assert {(f["parameter"], f["args"][-1].split(":")[0]) for f in out.failures} == {
         (parameter, family)}
     assert all(f["want"] == f["got"] + 1 for f in out.failures)
+
+
+def test_bounds_census_on_small_connected_graphs():
+    """Every BOUNDS row holds on every connected graph of up to 7 vertices:
+    a row is true outside the class it is stated for."""
+    for g in connected_graphs(7):
+        s = GraphSolver(g)
+        assert [label for label, row in BOUNDS.items() if not row(s)] == [], emit_graph6(g)
+
+
+def test_relation_check_fails_a_false_row(monkeypatch):
+    """With mp reported one too high, the chain rows that bound mp from above
+    fail, each entry naming its relation and the values the rows solved."""
+    real = solvers.PARAMETERS["mp"]
+
+    def one_high(s, name):
+        rep = real(s, name)
+        return replace(rep, value=rep.value + 1)
+
+    assert run_check("position-chains", profile="quick").status == "pass"
+    monkeypatch.setitem(solvers.PARAMETERS, "mp", one_high)
+    out = run_check("position-chains", profile="quick")
+    assert out.status == "fail"
+    assert {f["relation"] for f in out.failures} == {
+        "mp <= gp", "2 <= mp <= n", "mp == n iff complete"}
+    for f in out.failures:
+        assert f.keys() == {"relation", "values", "graph6"}
+        assert f["values"].keys() == {"mp", "gp", "gp2", "imp", "igp", "diss"}
+    assert any(f["values"]["mp"] > f["values"]["gp"] for f in out.failures)
+
+
+def test_relation_notes_see_the_solved_values(monkeypatch):
+    """``notes`` gets ``(g, rows, values)`` per case, in case order, with the
+    value of every parameter a row read."""
+    rows = ("hm <= mp", "mp <= gp")
+    monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+    harness.relation("throwaway", "notes list what was solved",
+                     notes=lambda solved: {"solved": solved})(
+        lambda rng, scale: [(cycle_graph(k), rows) for k in (4, 5, 6)])
+    out = run_check("throwaway")
+    assert out.status == "pass" and out.instances == 3
+    assert out.notes["solved"] == [
+        (cycle_graph(k), rows, {p: GraphSolver(cycle_graph(k)).value(p)
+                                for p in ("hm", "mp", "gp")}) for k in (4, 5, 6)]
+
+
+def test_order_minus_one_constructions_have_the_shape():
+    """The constructions that order-minus-one-structure samples reach mp = n - 1
+    through its iff row only where the recognizer accepts them."""
+    graphs = harness._order_minus_one_shapes(random.Random(5), 200)
+    assert all(harness._is_order_minus_one_shape(g) for g in graphs)
+    assert all(GraphSolver(g).value("mp") == g.n - 1 for g in graphs)
 
 
 def test_multi_seed_merge():
@@ -432,6 +488,24 @@ def test_cli_paths(tmp_path, capsys):
     assert doc["hull"]["vertices"] == [0, 1, 2, 3, 4] and doc["hull"]["iterations"] == 1
     code, _, err = run_cli(capsys, "paths", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", [["--interval", "0", "99"], ["--interval", "-1", "2"],
+                                  ["--closure", "0,99"], ["--hull", "0,99"],
+                                  ["--interior", "0,99"]],
+                         ids=["interval", "interval-negative", "closure", "hull", "interior"])
+def test_cli_paths_rejects_vertices_outside_the_graph(tmp_path, capsys, flag):
+    path = tmp_path / "c5.g6"
+    path.write_text(emit_graph6(cycle_graph(5)) + "\n")
+    code, out, err = run_cli(capsys, "paths", str(path), *flag)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {flag[0]}: vertex ") and "not in 0..4" in err
+
+
+@pytest.mark.parametrize("seeds, token", [("abc", "'abc'"), ("1,,2", "''")])
+def test_cli_verify_rejects_a_bad_seed(capsys, seeds, token):
+    code, _, err = run_cli(capsys, "verify", "--check", "cages-mp", "--seed", seeds)
+    assert code == 2 and f"--seed: {token} is not an integer" in err
 
 
 def test_cli_bad_input_exit_code(tmp_path, capsys):
