@@ -6,7 +6,7 @@ the length-two variant gp2, the monophonic hull number, and the supporting
 invariants (clique and independence numbers, unions of cliques,
 dissociation, longest induced path, induced path partition).  The position
 numbers, unions of cliques and dissociation share one forbidden-triple
-branch and bound; gp2 and the union-of-cliques number are the same number.
+branch and bound; gp2 is the union-of-cliques number and is computed once.
 Generators and closed-form evaluators cover the classical families where
 these parameters are known exactly, and a verification harness
 cross-checks every closed form against the exact solvers and small

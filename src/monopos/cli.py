@@ -14,14 +14,14 @@ import sys
 from pathlib import Path
 
 from .bitset import mask_of, to_tuple
-from .errors import EXIT_INTERNAL, CapExceeded, InputError, InternalCheckError, MonoposError
+from .errors import EXIT_INTERNAL, InputError, InternalCheckError, MonoposError
 from .graph import SOLVER_CAP, Graph, parse_edgelist
 from .graph6 import emit_graph6, parse_graph6
 from .harness import available_checks, run_suite
 from .paths import (IntervalCache, interior_vertices, monophonic_closure,
                     monophonic_hull, monophonic_interval)
 from .reduction import reduce_clique_to_mp, verify_reduction
-from .solvers import (BRUTE_FORCE_CAP, CLOSED_FORMS, NODE_LIMIT, PARAMETERS, GraphSolver,
+from .solvers import (CLOSED_FORMS, NODE_LIMIT, PARAMETERS, GraphSolver,
                       PathMode, brute_force_position, parameter_suite)
 from . import families
 
@@ -51,6 +51,8 @@ def _emit(doc, args, text_lines=None):
 def _cmd_compute(args) -> int:
     graphs = _read_graphs(args.path, args.input)
     wanted = [p.strip() for p in args.param.split(",") if p.strip()]
+    if not wanted:
+        raise InputError(f"--param {args.param!r} names no parameter")
     for g in graphs:
         gid = emit_graph6(g)
         if wanted == ["all"]:
@@ -144,13 +146,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    graphs = _read_graphs(args.path, args.input)
-    cap = min(args.cap, BRUTE_FORCE_CAP)
-    for g in graphs:
-        if g.n > cap:
-            raise CapExceeded(f"oracle cap {cap} exceeded by order {g.n}")
+    for g in _read_graphs(args.path, args.input):
         gid = emit_graph6(g)
-        rep = brute_force_position(g, PathMode.from_string(args.mode), args.independent)
+        rep = brute_force_position(g, PathMode.from_string(args.mode), args.independent,
+                                   args.cap)
         _emit({"graph6": gid, **rep.to_dict()}, args,
               [f"{rep.parameter}({gid}) = {rep.value}  witness {list(rep.witness)} [oracle]"])
     return 0

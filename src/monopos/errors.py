@@ -56,3 +56,11 @@ class InternalCheckError(MonoposError):
     """A self-check that should be unconditionally true has failed."""
 
     exit_code = EXIT_INTERNAL
+
+
+def require_positive(**limits: int) -> None:
+    """Refuse a cap, node limit or worker count below 1 as bad input: such a
+    value is a malformed request, not a limit that the work ran into."""
+    for name, value in limits.items():
+        if value < 1:
+            raise InputError(f"{name} must be at least 1, got {value}")

@@ -471,13 +471,13 @@ def generate(spec: FamilySpec) -> tuple[Graph, dict]:
 
 
 def predict_block_graph(g: Graph) -> list[PredictedValue]:
-    """Block graphs: mp and gp both equal the number of simplicial vertices."""
+    """Block graphs: mp, gp and hm equal the simplicial count (hm: every other
+    vertex is a cut vertex, on an induced path between simplicial ones)."""
     if not g.is_connected() or not is_block_graph(g):
         raise InputError("not a connected block graph")
     s = simplicial_vertices(g).bit_count()
     why = "connected block graph"
-    return [PredictedValue("mp", s, "block-graph-simplicial", why),
-            PredictedValue("gp", s, "block-graph-simplicial", why)]
+    return [PredictedValue(name, s, "block-graph-simplicial", why) for name in ("mp", "gp", "hm")]
 
 
 def predict_multipartite(parts: list[int]) -> list[PredictedValue]:
@@ -537,11 +537,8 @@ def predict_corona(g: Graph, h: Graph,
     if "mp" in names:
         out.append(PredictedValue("mp", g.n * GraphSolver(h).value("mp"), "corona-product", why))
     if "gp" in names:
-        try:
-            aw, _ = alpha_omega_number(h)
-            out.append(PredictedValue("gp", g.n * aw, "corona-product-gp", why))
-        except CapExceeded:
-            pass
+        aw, _ = alpha_omega_number(h)
+        out.append(PredictedValue("gp", g.n * aw, "corona-product-gp", why))
     return out
 
 
@@ -556,13 +553,10 @@ def predict_join(g: Graph, h: Graph,
         mp_val = max(og + oh, GraphSolver(g).value("mp"), GraphSolver(h).value("mp"))
         out.append(PredictedValue("mp", mp_val, "join-max", "join of the two factors"))
     if "gp" in names:
-        try:
-            ag, _ = alpha_omega_number(g)
-            ah, _ = alpha_omega_number(h)
-            out.append(PredictedValue("gp", max(og + oh, ag, ah), "join-max-gp",
-                                      "join of the two factors"))
-        except CapExceeded:
-            pass
+        ag, _ = alpha_omega_number(g)
+        ah, _ = alpha_omega_number(h)
+        out.append(PredictedValue("gp", max(og + oh, ag, ah), "join-max-gp",
+                                  "join of the two factors"))
     return out
 
 

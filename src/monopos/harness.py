@@ -29,7 +29,7 @@ from typing import Callable
 
 from . import __version__
 from .bitset import bit, mask_of, to_tuple
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, require_positive
 from .graph import (Graph, add_pendant, complement, complete_graph, complete_multipartite,
                     corona, cycle_graph, disjoint_union, join, path_graph)
 from .graph6 import emit_graph6, parse_graph6
@@ -375,7 +375,7 @@ def _sample_dh(rng: random.Random, scale: float):
             for _ in range(_count(scale, 200))]
 
 
-@formula("block-graph-simplicial", "block graphs: mp and gp equal the simplicial count",
+@formula("block-graph-simplicial", "block graphs: mp, gp and hm equal the simplicial count",
          fam.GRAPH_FORMS["block"])
 def _sample_block(rng: random.Random, scale: float):
     graphs = [fam.random_block_graph(rng.randint(2, 12), rng) for _ in range(_count(scale, 90))]
@@ -934,8 +934,10 @@ def run_suite(selection: list[str] | None = None, seeds: tuple[int, ...] = (1,),
     """Run the selected checks (all by default) for each seed.
 
     Results merge deterministically by (check id, seed); with multiple
-    seeds a check passes only if it passes under every seed.
+    seeds a check passes only if it passes under every seed.  ``jobs`` is
+    the number of worker processes; 1 runs in this process.
     """
+    require_positive(jobs=jobs)
     ids = list(_REGISTRY) if selection is None else list(selection)
     for cid in ids:
         if cid not in _REGISTRY:

@@ -30,13 +30,11 @@ from dataclasses import dataclass
 
 from .bitset import bit, iter_bits
 from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
-from .graph import MAX_VERTICES, Graph, complement
+from .graph import MAX_VERTICES, SOLVER_CAP, Graph, complement
 
 #: Sentinel distance between vertices in different components.  Finite so
 #: that sums and comparisons behave, but far above any real distance.
 DIST_INF = 1 << 20
-
-ORACLE_CAP = 20
 
 #: Default node limit of one exact maximum (a position number, clique,
 #: alpha, alphaomega or diss, optimum and lexmin pass together), for every
@@ -512,7 +510,7 @@ def _common_neighbour_max(g: Graph, include_adjacent: bool, node_limit: int) -> 
     return _lexmin(g.n, search.run, g.full())
 
 
-def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP,
+def alpha_omega_number(g: Graph, cap: int = SOLVER_CAP,
                        node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """Largest set inducing a disjoint union of cliques, with lexmin witness."""
     if g.n > cap:
@@ -520,7 +518,7 @@ def alpha_omega_number(g: Graph, cap: int = ORACLE_CAP,
     return _common_neighbour_max(g, include_adjacent=False, node_limit=node_limit)
 
 
-def dissociation_number(g: Graph, cap: int = ORACLE_CAP,
+def dissociation_number(g: Graph, cap: int = SOLVER_CAP,
                         node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """Largest set inducing maximum degree at most one, with lexmin witness."""
     if g.n > cap:

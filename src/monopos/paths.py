@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from .errors import BudgetExceeded, CapExceeded, InputError
-from .graph import Graph
+from .graph import SOLVER_CAP, Graph
 
 #: Node-expansion budget for one enumeration: one interval row, the paths of
 #: one pair, or one longest-induced-path search.
 DEFAULT_BUDGET = 10_000_000
 
-LONGEST_PATH_CAP = 30
+#: rho's DP has no budget and its memo grows with the reachable vertex sets.
 PARTITION_CAP = 16
 
 
@@ -385,8 +385,8 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None) -> i
 # ---------------------------------------------------------------------------
 
 
-def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP) -> int:
-    """Exact maximum length (edges) over all induced paths."""
+def longest_induced_path_length(g: Graph, cap: int = SOLVER_CAP) -> int:
+    """Exact maximum length (edges) over all induced paths, within ``DEFAULT_BUDGET``."""
     if g.n > cap:
         raise CapExceeded(f"longest induced path cap {cap} exceeded by order {g.n}")
     best = 0
@@ -395,7 +395,8 @@ def longest_induced_path_length(g: Graph, cap: int = LONGEST_PATH_CAP) -> int:
         for _, _, length in walk_induced_paths(g, u):
             expansions += 1
             if expansions > DEFAULT_BUDGET:
-                raise BudgetExceeded(f"longest-path budget {DEFAULT_BUDGET} exhausted")
+                raise BudgetExceeded(f"longest-path budget {DEFAULT_BUDGET} exhausted after "
+                                     f"{u} of {g.n} sources, longest induced path so far {best}")
             if length > best:
                 best = length
     return best

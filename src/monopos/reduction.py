@@ -77,11 +77,13 @@ def verify_reduction(inst: ReductionInstance, node_limit: int = NODE_LIMIT,
     """Solve both sides exactly and compare the yes/no answers.
 
     ``node_limit`` bounds the clique search and the position search alike.
-    Solver cap or node-limit failures propagate as limit errors; they are
-    never folded into a verification verdict.
+    The solver is built first, so a bad cap or node limit is refused before
+    any search.  Solver cap or node-limit failures propagate as limit
+    errors; they are never folded into a verification verdict.
     """
+    solver = GraphSolver(inst.product, node_limit, cap=cap)
     omega, _ = clique_number(inst.source, node_limit=node_limit)
-    mp = GraphSolver(inst.product, node_limit, cap=cap).value("mp")
+    mp = solver.value("mp")
     return ReductionReport(
         source_g6=emit_graph6(inst.source),
         product_g6=emit_graph6(inst.product),

@@ -9,11 +9,11 @@ off the breadth-first layers of ``Graph.layers``, and the length-two mode
 takes the common neighbours of non-adjacent pairs, which are the geodesics
 of length two.  ``build_triple_index`` is the one derivation of these
 witness systems.  One branch-and-bound maximizer,
-``invariants._PositionSearch``, serves all modes and also alphaomega and
-dissociation; the independent variants add a neighborhood filter when a
-vertex is taken.  ``invariants._lexmin`` drives its runs to the lexmin
-witness.  The subset oracle ``brute_force_position`` scans the same
-witness systems with neither of the two.
+``invariants._PositionSearch``, serves all modes and dissociation (gp2 is
+alphaomega, computed once); the independent variants add a neighborhood
+filter when a vertex is taken.  ``invariants._lexmin`` drives its runs to
+the lexmin witness.  The subset oracle ``brute_force_position`` scans the
+same witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, and every closed form that ``compute`` answers, is
 computed by name through its table, and ``GraphSolver.report`` finishes
@@ -31,22 +31,21 @@ Node limits are hard failures.  The solver never degrades to a bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 
 from .bitset import bit, full_mask, iter_bits, to_tuple
-from .errors import CapExceeded, InputError, InternalCheckError, LimitError
+from .errors import (CapExceeded, InputError, InternalCheckError, LimitError,
+                     require_positive)
 from .graph import SOLVER_CAP, Graph
-from .invariants import (NODE_LIMIT, ORACLE_CAP, PairTable, _lexmin, _PositionSearch,
-                         alpha_omega_number, bipartition, clique_number, clique_separator_atoms,
-                         common_neighbour_witnesses, cut_vertices, diameter, dissociation_number,
-                         independence_number, is_distance_hereditary, oracle_max_subset,
-                         pair_table, phi_separated, psi_uniform, simplicial_vertices,
-                         split_partition)
-from .paths import (LONGEST_PATH_CAP, PARTITION_CAP, IntervalCache, cache_for, convex_hull,
-                    induced_path_partition, longest_induced_path_length, monophonic_hull,
-                    monophonic_witnesses)
+from .invariants import (NODE_LIMIT, PairTable, _lexmin, _PositionSearch, bipartition,
+                         clique_number, clique_separator_atoms, common_neighbour_witnesses,
+                         cut_vertices, diameter, dissociation_number, independence_number,
+                         is_distance_hereditary, oracle_max_subset, pair_table, phi_separated,
+                         psi_uniform, simplicial_vertices, split_partition)
+from .paths import (PARTITION_CAP, IntervalCache, cache_for, convex_hull, induced_path_partition,
+                    longest_induced_path_length, monophonic_hull, monophonic_witnesses)
 
 
 class PathMode(Enum):
@@ -190,19 +189,22 @@ class GraphSolver:
     Reports are memoized, and one triple index per mode is shared between
     them.  ``report`` is the one place a report is finished: it times the
     builder, so ``ms`` covers any triple index the report built.  ``cap``
-    bounds every exact routine but the polynomial hm; an invariant with a
-    cap of its own gets the smaller of the two.  A limit raises, so callers
-    that want a partial bundle catch ``LimitError``.
+    bounds every exact routine but the polynomial hm; rho gets the smaller
+    of it and ``PARTITION_CAP``.  A limit raises and is kept like a report,
+    so asking again re-raises it with no second search; callers that want
+    a partial bundle catch ``LimitError``.  A cap or node limit below 1 is
+    bad input.
     """
 
     def __init__(self, g: Graph, node_limit: int = NODE_LIMIT, lexmin: bool = False,
                  cap: int = SOLVER_CAP):
+        require_positive(cap=cap, node_limit=node_limit)
         self.g = g
         self.node_limit = node_limit
         self.lexmin = lexmin
         self.cap = cap
         self._indexes: dict[PathMode, TripleIndex] = {}
-        self._reports: dict[str, ParameterReport] = {}
+        self._reports: dict[str, ParameterReport | LimitError] = {}
 
     def triple_index(self, mode: PathMode) -> TripleIndex:
         if mode not in self._indexes:
@@ -215,17 +217,23 @@ class GraphSolver:
             if build is None:
                 raise InputError(f"unknown parameter {name!r}")
             t0 = time.perf_counter()
-            rep = build(self, name)
-            rep.ms = (time.perf_counter() - t0) * 1000.0
+            try:
+                rep = build(self, name)
+                rep.ms = (time.perf_counter() - t0) * 1000.0
+            except LimitError as exc:
+                rep = exc
             self._reports[name] = rep
-        return self._reports[name]
+        rep = self._reports[name]
+        if isinstance(rep, LimitError):
+            raise rep
+        return rep
 
     def value(self, name: str) -> int:
         return self.report(name).value
 
     def values(self) -> dict[str, int]:
-        """The value of every report made so far, by parameter name."""
-        return {name: rep.value for name, rep in self._reports.items()}
+        """The value of every report answered so far, by parameter name."""
+        return {n: r.value for n, r in self._reports.items() if isinstance(r, ParameterReport)}
 
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
@@ -271,13 +279,12 @@ PARAMETERS = {
     "omega": _invariant("branch_and_bound", lambda g, cap, limit: clique_number(g, cap, limit)),
     "alpha": _invariant("branch_and_bound",
                         lambda g, cap, limit: independence_number(g, cap, limit)),
-    "alphaomega": _invariant("branch_and_bound", lambda g, cap, limit: alpha_omega_number(
-        g, min(cap, ORACLE_CAP), limit)),
-    "diss": _invariant("branch_and_bound", lambda g, cap, limit: dissociation_number(
-        g, min(cap, ORACLE_CAP), limit)),
+    "alphaomega": lambda s, name: replace(s.report("gp2"), parameter=name),
+    "diss": _invariant("branch_and_bound",
+                       lambda g, cap, limit: dissociation_number(g, cap, limit)),
     "simplicial": _invariant("closed_form", _simplicial),
     "L": _invariant("induced_path_walk", lambda g, cap, _: (
-        longest_induced_path_length(g, min(cap, LONGEST_PATH_CAP)), 0)),
+        longest_induced_path_length(g, cap), 0)),
     "rho": _invariant("partition_dp", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
@@ -301,18 +308,22 @@ CLOSED_FORMS = {
 BRUTE_FORCE_CAP = 12
 
 
-def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) -> ParameterReport:
+def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
+                         cap: int = BRUTE_FORCE_CAP) -> ParameterReport:
     """Subset-enumeration oracle used to certify the branch and bound.
 
     Scans every subset against the witnesses of :func:`build_triple_index`,
     with no use of ``_PositionSearch`` or ``_lexmin``.  The witness systems
     have twins of their own: the simple-path oracle for mono, and for geo
-    and geo2 the shortest chordless paths (tests only).
+    and geo2 the shortest chordless paths (tests only).  ``cap`` can only
+    lower ``BRUTE_FORCE_CAP``.
     """
     t0 = time.perf_counter()
     name = _position_name(mode, independent)
-    if g.n > BRUTE_FORCE_CAP:
-        raise CapExceeded(f"brute force cap {BRUTE_FORCE_CAP} exceeded by order {g.n}")
+    require_positive(cap=cap)
+    cap = min(cap, BRUTE_FORCE_CAP)
+    if g.n > cap:
+        raise CapExceeded(f"brute force cap {cap} exceeded by order {g.n}")
     witness = build_triple_index(g, mode).witness
     constraints = [(bit(x) | bit(z), witness[x][z])
                    for x in range(g.n) for z in range(x + 1, g.n) if witness[x][z]]
@@ -325,7 +336,7 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False) ->
                 return False
         return True
 
-    best, best_mask = oracle_max_subset(g, admissible, BRUTE_FORCE_CAP)
+    best, best_mask = oracle_max_subset(g, admissible, cap)
     ms = (time.perf_counter() - t0) * 1000.0
     return ParameterReport(
         parameter=name,

@@ -32,6 +32,12 @@ def test_unknown_check_rejected():
         run_check("cages-mp", profile="extreme")
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_suite_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(InputError, match="jobs must be at least 1"):
+        run_suite(["cages-mp"], jobs=jobs)
+
+
 def test_run_report_determinism():
     ids = ["cages-mp", "multipartite-formula", "unicyclic-formula", "graph6-roundtrip"]
     a = run_suite(ids, seeds=(7,), profile="quick")
@@ -118,7 +124,7 @@ def test_formula_check_fails_an_off_by_one_predictor(monkeypatch):
     out = _rewired(monkeypatch, "block-graph-simplicial", harness._sample_block,
                    lambda g: [replace(pv, value=pv.value + 1) for pv in form(g)])
     assert out.status == "fail"
-    assert len(out.failures) == 2 * out.instances  # mp and gp of every case
+    assert len(out.failures) == 3 * out.instances  # mp, gp and hm of every case
     assert all(f["want"] == f["got"] + 1 and f["args"] == [] for f in out.failures)
 
 
@@ -558,6 +564,25 @@ def test_cli_named_parameter_over_cap_exits_3(tmp_path, capsys):
     path.write_text(emit_graph6(path_graph(17)) + "\n")
     code, _, err = run_cli(capsys, "compute", str(path), "--param", "rho")
     assert code == 3 and "cap 16" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("compute", "C5", "--param", ""), "names no parameter"),
+    (("compute", "C5", "--param", ","), "names no parameter"),
+    (("compute", "C5", "--cap", "-1"), "cap must be at least 1"),
+    (("compute", "C5", "--node-limit", "0"), "node_limit must be at least 1"),
+    (("compute", "C5", "--param", "all", "--cap", "0"), "cap must be at least 1"),
+    (("reduce", "C5", "2", "--node-limit", "0"), "node_limit must be at least 1"),
+    (("oracle", "C5", "--cap", "0"), "cap must be at least 1"),
+    (("verify", "--check", "cages-mp", "--jobs", "0"), "jobs must be at least 1"),
+    (("verify", "--check", "cages-mp", "--jobs", "-3"), "jobs must be at least 1"),
+], ids=["param-empty", "param-comma", "compute-cap", "compute-node-limit", "compute-all-cap",
+        "reduce-node-limit", "oracle-cap", "verify-jobs-0", "verify-jobs-negative"])
+def test_cli_refuses_a_bad_option_value_as_bad_input(tmp_path, capsys, argv, message):
+    path = tmp_path / "c5.g6"
+    path.write_text(emit_graph6(cycle_graph(5)) + "\n")
+    code, out, err = run_cli(capsys, *(str(path) if arg == "C5" else arg for arg in argv))
+    assert code == 2 and out == "" and message in err
 
 
 def test_readme_library_example(capsys):

@@ -320,7 +320,7 @@ def test_lexmin_pass_runs_only_for_vertices_of_the_current_witness(rng):
                 witness = mask
         runs += len(settle)
         vertices += allowed.bit_count()
-    assert len(passes) == 9 * len(cases)
+    assert len(passes) == 8 * len(cases)  # alphaomega is the gp2 report
     assert runs < vertices  # the twin runs once per allowed vertex
 
 
@@ -369,7 +369,7 @@ def test_a_target_run_returns_a_set_that_reaches_it_or_a_size_below_it(rng):
                     else:
                         assert size < target
                         misses += 1
-    assert len(runs) == 27 and misses
+    assert len(runs) == 24 and misses  # eight searches per graph: alphaomega is gp2's
 
 
 # -- bipartite machinery ------------------------------------------------------

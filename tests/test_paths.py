@@ -284,7 +284,16 @@ def test_longest_induced_path():
     # frozen from the simple-path filter oracle over all ten start vertices
     assert longest_induced_path_length(petersen_graph()) == 4
     with pytest.raises(CapExceeded):
-        longest_induced_path_length(complete_graph(31))
+        longest_induced_path_length(complete_graph(65))
+
+
+def test_longest_induced_path_budget_names_how_far_it_got(monkeypatch):
+    import monopos.paths as paths
+
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", 60)
+    with pytest.raises(BudgetExceeded, match=r"^longest-path budget 60 exhausted after 4 of 9 "
+                       r"sources, longest induced path so far 7$"):
+        longest_induced_path_length(cycle_graph(9))
 
 
 def test_longest_matches_bruteforce(rng):

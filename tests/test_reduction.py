@@ -73,6 +73,18 @@ def test_report_dict():
                         "omega_source", "mp_product"}
 
 
+@pytest.mark.parametrize("kwargs", [{"node_limit": 0}, {"cap": 0}], ids=["node_limit", "cap"])
+def test_bad_limits_are_refused_before_the_clique_search(monkeypatch, kwargs):
+    import monopos.reduction as reduction
+
+    def no_search(*_, **__):
+        raise AssertionError("the clique search ran")
+
+    monkeypatch.setattr(reduction, "clique_number", no_search)
+    with pytest.raises(InputError, match="must be at least 1"):
+        verify_reduction(reduce_clique_to_mp(cycle_graph(5), 2), **kwargs)
+
+
 def test_node_limit_bounds_the_clique_search_too():
     inst = reduce_clique_to_mp(cycle_graph(5), 2)
     with pytest.raises(NodeLimitExceeded, match="clique search"):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from conftest import connected_graphs, graphs, random_connected
 from monopos.bitset import bit, full_mask, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
-from monopos.graph import (Graph, complete_graph, complete_multipartite, corona,
+from monopos.graph import (SOLVER_CAP, Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
 from monopos.graph6 import emit_graph6, parse_graph6_lines
 from monopos.invariants import DIST_INF, cut_vertices, distance_matrix, leaves, simplicial_vertices
 from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
-                               random_connected_graph, random_tree)
+                               random_connected_graph, random_distance_hereditary, random_tree)
 from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
 from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
                              _PositionSearch, brute_force_position, build_triple_index,
@@ -226,6 +226,67 @@ def test_cap_refusal():
         build_triple_index(big, PathMode.MONOPHONIC)
     with pytest.raises(CapExceeded):
         brute_force_position(path_graph(13), PathMode.MONOPHONIC)
+    with pytest.raises(CapExceeded, match="cap 5 exceeded by order 6"):
+        brute_force_position(path_graph(6), PathMode.MONOPHONIC, cap=5)
+
+
+@pytest.mark.parametrize("kwargs", [{"cap": 0}, {"cap": -1}, {"node_limit": 0}],
+                         ids=["cap0", "cap-1", "node_limit0"])
+def test_a_limit_below_one_is_bad_input(kwargs):
+    with pytest.raises(InputError, match="must be at least 1"):
+        GraphSolver(cycle_graph(5), **kwargs)
+    if "cap" in kwargs:
+        with pytest.raises(InputError, match="must be at least 1"):
+            brute_force_position(cycle_graph(5), PathMode.MONOPHONIC, **kwargs)
+
+
+def test_gp2_and_alphaomega_share_one_search_and_one_refusal(monkeypatch):
+    import monopos.solvers as solvers
+
+    real = solvers.max_position_set
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args[0].mode)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "max_position_set", counting)
+    g = petersen_graph()
+    for first, second in (("gp2", "alphaomega"), ("alphaomega", "gp2")):
+        s = GraphSolver(g, node_limit=5)
+        with pytest.raises(NodeLimitExceeded) as refused:
+            s.report(first)
+        with pytest.raises(NodeLimitExceeded) as again:
+            s.report(second)
+        assert again.value is refused.value and s.values() == {}
+    s = GraphSolver(g, lexmin=True)
+    ao, gp2 = s.report("alphaomega"), s.report("gp2")
+    assert searches == [PathMode.GEODESIC_LEN2] * 3
+    assert (ao.parameter, gp2.parameter) == ("alphaomega", "gp2")
+    assert (ao.value, ao.witness, ao.expansions) == (gp2.value, gp2.witness, gp2.expansions)
+    assert s.values() == {"gp2": gp2.value, "alphaomega": ao.value}
+
+
+def test_parameter_suite_on_forty_vertices_refuses_only_rho():
+    from monopos.invariants import alpha_omega_number, max_degree_le_one
+
+    g = random_connected_graph(40, random.Random(1), 0.1)
+    suite = parameter_suite(g)
+    assert set(suite.skipped) == {"rho"}
+    ao, gp2, diss = (suite.reports[name] for name in ("alphaomega", "gp2", "diss"))
+    assert (ao.value, ao.witness) == (gp2.value, gp2.witness)
+    assert alpha_omega_number(g) == (ao.value, mask_of(ao.witness))
+    assert len(diss.witness) == diss.value and max_degree_le_one(g, mask_of(diss.witness))
+    assert suite.value("mp") <= g.n - suite.value("L") + 1  # L is answered at n = 40
+
+
+@pytest.mark.parametrize("family", [random_tree, random_block_graph, random_distance_hereditary])
+def test_longest_induced_path_is_the_diameter_at_the_solver_cap(family):
+    """Every induced path of a distance-hereditary graph is a geodesic; trees
+    and block graphs are distance hereditary."""
+    for seed in range(1, 6):
+        s = GraphSolver(family(SOLVER_CAP, random.Random(seed)))
+        assert s.value("L") == s.value("diam")
 
 
 def test_report_serialization():
@@ -506,8 +567,8 @@ def test_parameter_suite_bundle():
 def test_parameter_suite_flags_caps():
     g = complete_graph(22)
     suite = parameter_suite(g)
-    assert "alphaomega" in suite.skipped and "diss" in suite.skipped
-    assert suite.reports["mp"].value == 22
+    assert set(suite.skipped) == {"rho"}
+    assert suite.reports["mp"].value == suite.reports["alphaomega"].value == 22
 
 
 def test_mode_parsing():
