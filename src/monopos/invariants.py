@@ -282,14 +282,16 @@ def clique_number(g: Graph, cap: int = MAX_VERTICES,
 
     A search grows the clique ``forced`` inside its common neighbourhood by
     branch and bound, with a greedy colouring of the candidates as bound.
-    Nodes are counted over the optimum search and the lexmin pass together.
+    Nodes are counted over the optimum search and the lexmin pass together;
+    a node-limit refusal names them and the largest clique found so far.
     """
     if g.n > cap:
         raise CapExceeded(f"clique cap {cap} exceeded by order {g.n}")
     adj = g.adj
-    nodes = 0
+    nodes = largest = 0
 
     def run(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
+        nonlocal largest
         if not g.is_clique_mask(forced):
             return 0, 0
         room = allowed & ~forced
@@ -303,7 +305,9 @@ def clique_number(g: Graph, cap: int = MAX_VERTICES,
             nonlocal nodes, best, best_mask
             nodes += 1
             if nodes > node_limit:
-                raise NodeLimitExceeded(f"clique search node limit {node_limit} exceeded")
+                raise NodeLimitExceeded(f"clique search node limit {node_limit} exceeded after "
+                                        f"{nodes} nodes, largest set so far "
+                                        f"{max(largest, best_mask.bit_count())}")
             if not pmask:
                 if rsize > best:
                     best, best_mask = rsize, rmask
@@ -333,6 +337,7 @@ def clique_number(g: Graph, cap: int = MAX_VERTICES,
             expand(forced, forced.bit_count(), room)
         except _Found:
             pass
+        largest = max(largest, best_mask.bit_count())
         return best, best_mask
 
     return _lexmin(g.n, run, g.full())
@@ -436,7 +441,9 @@ class _PositionSearch:
     ``order[i]``.  The bound is chosen + surviving candidates, all of
     which lie past i.  ``run`` maps ``forced`` and ``allowed`` into order
     space and the best set back out; ``nodes`` counts every node of every
-    run so far, also after a limit or a target stops one.
+    run so far, also after a limit or a target stops one, and ``largest``
+    is the size of the largest set a run has returned.  A node-limit
+    refusal names both.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
@@ -445,6 +452,7 @@ class _PositionSearch:
         self.nbr = [self._to_order(adj[v]) if independent else 0 for v in self.order]
         self.node_limit = node_limit
         self.nodes = 0
+        self.largest = 0
 
     def _to_order(self, mask: int) -> int:
         pos = self.pos
@@ -475,13 +483,16 @@ class _PositionSearch:
             self._rec(chosen, smask, self._to_order(allowed) & ~smask & ~kill)
         except _Found:
             pass
+        self.largest = max(self.largest, self.best_mask.bit_count())
         order = self.order
         return self.best, sum(1 << order[i] for i in iter_bits(self.best_mask))
 
     def _rec(self, chosen: list[int], smask: int, cand: int):
         self.nodes += 1
         if self.nodes > self.node_limit:
-            raise NodeLimitExceeded(f"position solver node limit {self.node_limit} exceeded")
+            best = max(self.largest, self.best_mask.bit_count())
+            raise NodeLimitExceeded(f"position solver node limit {self.node_limit} exceeded "
+                                    f"after {self.nodes} nodes, largest set so far {best}")
         size = len(chosen)
         if size > self.best:
             self.best = size

@@ -22,8 +22,11 @@ generator in between slows them down (see its docstring).
 ``monophonic_witnesses`` builds the witness system that mp and imp search,
 from narrowed rows: only over the 2-core, each row exact only for the later
 vertices of its core component, and the pendant trees composed on
-afterwards.  Full rows, from ``interval_row`` with its defaults, stay its
-twin in the tests.
+afterwards.  Once a row proves costly, random chordless walks seed the
+rows after it with the sub-paths they pass, so most targets are settled
+before any walk of the row; the row's walk stays the exact fallback, and
+the walks are this module's one random walk.  Full rows, from
+``interval_row`` with its defaults, stay its twin in the tests.
 
 Hulls have two routines.  ``convex_hull`` runs Duchet's component test in
 polynomial time and reads no interval row; the hull number uses it.
@@ -33,6 +36,8 @@ and is the oracle that ``convex_hull`` is checked against.
 
 from __future__ import annotations
 
+import random
+
 from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from .errors import BudgetExceeded, CapExceeded, InputError
 from .graph import SOLVER_CAP, Graph
@@ -40,6 +45,16 @@ from .graph import SOLVER_CAP, Graph
 #: Node-expansion budget for one enumeration: one interval row, the paths of
 #: one pair, or one longest-induced-path search.
 DEFAULT_BUDGET = 10_000_000
+
+#: A core row of :func:`monophonic_witnesses` that takes more expansions
+#: than this seeds the rows after it from random induced walks.
+SEED_AFTER = 10_000
+#: The seed walks: at most this many from each core vertex, a source
+#: stopping after ``SEED_IDLE`` walks in a row that add nothing, drawn
+#: from ``random.Random(WALK_SEED)``.  The seed moves only the cost.
+SEED_WALKS = 40
+SEED_IDLE = 3
+WALK_SEED = 0
 
 #: rho's DP has no budget and its memo grows with the reachable vertex sets.
 PARTITION_CAP = 16
@@ -51,7 +66,8 @@ PARTITION_CAP = 16
 
 
 def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -1,
-                 targets: int | None = None, inner: int = 0) -> tuple[list[int], int]:
+                 targets: int | None = None, inner: int = 0,
+                 known: list[list[int]] | None = None) -> tuple[list[int], int]:
     """For every w, the union of vertices over induced u,w-paths.
 
     Returns ``(row, expansions)``; ``row[w] == 0`` when w is unreachable
@@ -72,6 +88,13 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -
     reaches its bound ``inner | u | z``.  A path is extended only while
     some unsettled target lies outside its forbidden set, and the walk
     stops when none is left.
+
+    ``known``, read only with ``targets``, holds vertices already known to
+    lie on induced paths: ``known[a][b]`` is a union of induced a,b-paths
+    in ``region``, endpoints included.  Each later, non-adjacent target z
+    starts at ``known[u][z] | known[z][u]`` and is settled before the walk
+    if that reaches its bound.  The walk still visits every induced path
+    to a target left short, so the row is the same; only its cost falls.
     """
     adj = g.adj
     n = g.n
@@ -87,6 +110,16 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -
             near ^= b
             row[b.bit_length() - 1] = ub | b
         live = targets & ~adj[u] & ~ub
+        if known is not None:
+            ku = known[u]
+            rest = live
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                z = b.bit_length() - 1
+                got = row[z] = ku[z] | known[z][u]
+                if got == inner | ub | b:
+                    live ^= b
         if not live:
             return row, 0
     cap = inner | ub
@@ -140,6 +173,16 @@ def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[in
     followed by an induced p,z-path, so ``witness[t][z] = witness[p][z] | p``
     for each z already done in t's component.  ``budget`` bounds each row,
     as in :func:`interval_row`.
+
+    The first core row that takes more than ``SEED_AFTER`` expansions
+    builds :func:`_seed_walks` once, and every later row reads it as
+    ``known``: a target whose seeds already reach its bound costs no
+    expansion.  The seeds only add vertices that lie on induced paths, and
+    each row still walks every induced path to the targets they leave
+    short, so the witnesses are the same with or without them, for any
+    ``WALK_SEED``.  The seed is fixed anyway, so expansion counts repeat.
+    Below the threshold nothing is seeded: on the cheapest sparse graphs
+    the walks cost more than they save.
     """
     adj = g.adj
     n = g.n
@@ -172,17 +215,21 @@ def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[in
                 break
     spent = 0
     comp = 0
+    known = None
     for i, x in enumerate(verts[:-1]):
         if not comp >> x & 1:
             comp = g.component_of(x, within=core)
         try:
-            row, exp = interval_row(g, x, budget, comp, comp & ~full_mask(x + 1), inner & comp)
+            row, exp = interval_row(g, x, budget, comp, comp & ~full_mask(x + 1), inner & comp,
+                                    known)
         except BudgetExceeded as exc:
             # the row that ran out made budget + 1 expansions
             raise BudgetExceeded(f"monophonic witness index: {exc} after {i} of "
                                  f"{len(verts) - 1} rows, {spent + budget + 1} "
                                  f"expansions so far") from exc
         spent += exp
+        if known is None and exp > SEED_AFTER:
+            known = _seed_walks(adj, core)
         wx = witness[x]
         xb = 1 << x
         for z in verts[i + 1:]:
@@ -201,6 +248,51 @@ def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[in
                     wt[z] = witness[z][t] = w | pb
         done.append(t)
     return witness
+
+
+def _seed_walks(adj: tuple[int, ...], core: int) -> list[list[int]]:
+    """``known[a][b]``: the union of the a,b sub-paths of random chordless
+    walks inside ``core``, endpoints included; 0 where no walk met a
+    before b.  Each walk extends its last vertex to a random neighbour
+    outside the closed neighbourhoods of the vertices before it, as
+    :func:`interval_row` does, until none is left.  A sub-path of an
+    induced path is induced, so every entry lies inside the interval.
+
+    From each core vertex up to ``SEED_WALKS`` walks start; a source stops
+    after ``SEED_IDLE`` walks in a row that add nothing.  The generator is
+    ``random.Random(WALK_SEED)`` and a step takes the k-th set bit of its
+    candidate mask, so no tuple is built per step.
+    """
+    rng = random.Random(WALK_SEED)
+    randrange = rng.randrange
+    known = [[0] * len(adj) for _ in adj]
+    for s in iter_bits(core):
+        idle = 0
+        for _ in range(SEED_WALKS):
+            path = [s]
+            free = core & ~adj[s] & ~(1 << s)
+            cand = adj[s] & core
+            while cand:
+                for _ in range(randrange(cand.bit_count())):
+                    cand &= cand - 1
+                w = (cand & -cand).bit_length() - 1
+                path.append(w)
+                cand = adj[w] & free
+                free &= ~adj[w]
+            added = False
+            for i, a in enumerate(path[:-1]):
+                ka = known[a]
+                m = 1 << a
+                for b in path[i + 1:]:
+                    m |= 1 << b
+                    old = ka[b]
+                    if old | m != old:
+                        ka[b] = old | m
+                        added = True
+            idle = 0 if added else idle + 1
+            if idle == SEED_IDLE:
+                break
+    return known
 
 
 def walk_induced_paths(g: Graph, u: int):

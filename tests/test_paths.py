@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, graphs, random_connected
+import monopos.paths as paths
 from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
 from monopos.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
 from monopos.invariants import distance_matrix
-from monopos.families import (hypercube, random_block_graph, random_connected_graph,
-                              random_split_graph, random_tree, random_unicyclic)
+from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
+                              random_connected_graph, random_cubic_graph, random_split_graph,
+                              random_tree, random_unicyclic)
 from monopos.paths import (IntervalCache, _chordless_simple_paths, convex_hull,
                            count_induced_paths_oracle, induced_path_partition, interior_vertices,
                            interval_row, longest_induced_path_length, monophonic_closure,
@@ -57,8 +59,6 @@ def test_path_chain_interval():
 
 
 def test_petersen_counts_match_simple_path_oracle():
-    from monopos.families import petersen_graph
-
     g = petersen_graph()
     for u, v in ((0, 1), (0, 2), (0, 7), (3, 8)):
         assert len(_paths_to(g, u, v)) == count_induced_paths_oracle(g, u, v)
@@ -117,18 +117,30 @@ def forests_plus_edges(draw, max_n=14):
                                 for u, v in edges if u >= 0 and u != v})
 
 
+def _unseeded_and_seeded(g):
+    """``monophonic_witnesses(g)`` as it runs, and seeded after the first row
+    that takes any expansion (``SEED_AFTER`` at 0), so that small graphs,
+    whose rows stay far below the threshold, take the seeded path too."""
+    with pytest.MonkeyPatch.context() as m:
+        unseeded = monophonic_witnesses(g)
+        m.setattr(paths, "SEED_AFTER", 0)
+        return unseeded, monophonic_witnesses(g)
+
+
 def test_witnesses_equal_full_rows_on_small_connected_graphs():
     checked = 0
     for g in connected_graphs(7):
-        assert monophonic_witnesses(g) == _full_row_witnesses(g), g.adj
+        full = _full_row_witnesses(g)
+        assert _unseeded_and_seeded(g) == (full, full), g.adj
         checked += 1
     assert checked == 996
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(graphs(min_n=1, max_n=14), forests_plus_edges()))
+@given(st.one_of(graphs(min_n=1, max_n=14), graphs(min_n=8, max_n=14), forests_plus_edges()))
 def test_witnesses_equal_full_rows(g):
-    assert monophonic_witnesses(g) == _full_row_witnesses(g)
+    full = _full_row_witnesses(g)
+    assert _unseeded_and_seeded(g) == (full, full)
 
 
 @pytest.mark.parametrize("make", [
@@ -140,7 +152,8 @@ def test_witnesses_equal_full_rows_on_larger_graphs(make):
     rng = random.Random(3)
     for n in (30, 40):
         g = make(n, rng)
-        assert monophonic_witnesses(g) == _full_row_witnesses(g), n
+        full = _full_row_witnesses(g)
+        assert _unseeded_and_seeded(g) == (full, full), n
 
 
 def test_witness_budget_names_rows_done_and_expansions():
@@ -151,6 +164,53 @@ def test_witness_budget_names_rows_done_and_expansions():
     with pytest.raises(BudgetExceeded, match=r"at source 4 after 4 of 19 rows, "
                                              r"59 expansions so far"):
         monophonic_witnesses(g, budget=50)
+
+
+def _traced_witnesses(monkeypatch, g):
+    """``monophonic_witnesses(g)`` and the expansions of each row it reads."""
+    real = paths.interval_row
+    counts = []
+
+    def counted(*args, **kwargs):
+        row, exp = real(*args, **kwargs)
+        counts.append(exp)
+        return row, exp
+
+    with monkeypatch.context() as m:
+        m.setattr(paths, "interval_row", counted)
+        return monophonic_witnesses(g), counts
+
+
+def test_seeding_at_the_default_threshold_changes_no_witness(monkeypatch):
+    for g in (hypercube(5), random_cubic_graph(40, random.Random(2))):
+        seeded, counts = _traced_witnesses(monkeypatch, g)
+        assert counts[0] > paths.SEED_AFTER  # the rows after the first are seeded
+        with monkeypatch.context() as m:
+            m.setattr(paths, "SEED_AFTER", float("inf"))
+            unseeded, full_counts = _traced_witnesses(monkeypatch, g)
+        assert unseeded == seeded and sum(full_counts) > sum(counts), g.n
+
+
+def test_walk_seed_moves_cost_not_witnesses_and_counts_repeat(monkeypatch):
+    monkeypatch.setattr(paths, "SEED_AFTER", 0)
+    gs = [grid_graph(4, 5), petersen_graph(), random_connected_graph(16, random.Random(4), 0.25)]
+    first = [_traced_witnesses(monkeypatch, g) for g in gs]
+    assert [_traced_witnesses(monkeypatch, g) for g in gs] == first
+    monkeypatch.setattr(paths, "WALK_SEED", 1)
+    second = [_traced_witnesses(monkeypatch, g) for g in gs]
+    assert [w for w, _ in first] == [w for w, _ in second]
+    assert [c for _, c in first] != [c for _, c in second]
+
+
+def test_seeded_budget_counts_rows_settled_by_seeds(monkeypatch):
+    # Row 0, of the C4 on 0..3, takes four expansions and seeds the rest.
+    # The seeds settle rows 1-5 with none; row 6, in Q4, runs out after 21.
+    monkeypatch.setattr(paths, "SEED_AFTER", 0)
+    g = disjoint_union(cycle_graph(4), hypercube(4))
+    assert _traced_witnesses(monkeypatch, g)[1][:7] == [4, 0, 0, 0, 0, 0, 32]
+    with pytest.raises(BudgetExceeded, match=r"at source 6 after 6 of 19 rows, "
+                                             r"25 expansions so far"):
+        monophonic_witnesses(g, budget=20)
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,8 +339,6 @@ def test_longest_induced_path():
     assert longest_induced_path_length(path_graph(6)) == 5
     assert longest_induced_path_length(complete_graph(5)) == 1
     assert longest_induced_path_length(cycle_graph(7)) == 5
-    from monopos.families import petersen_graph
-
     # frozen from the simple-path filter oracle over all ten start vertices
     assert longest_induced_path_length(petersen_graph()) == 4
     with pytest.raises(CapExceeded):
@@ -288,8 +346,6 @@ def test_longest_induced_path():
 
 
 def test_longest_induced_path_budget_names_how_far_it_got(monkeypatch):
-    import monopos.paths as paths
-
     monkeypatch.setattr(paths, "DEFAULT_BUDGET", 60)
     with pytest.raises(BudgetExceeded, match=r"^longest-path budget 60 exhausted after 4 of 9 "
                        r"sources, longest induced path so far 7$"):

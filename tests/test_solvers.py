@@ -204,6 +204,21 @@ def test_node_limit_is_hard():
         max_position_set(idx, node_limit=3)
 
 
+def test_node_limit_refusals_name_nodes_spent_and_largest_set():
+    # On Petersen the gp optimum takes 28 nodes, so a limit of 40 stops the
+    # lexmin pass, and the largest set so far is the optimum, 6.
+    g = petersen_graph()
+    for param, limit, said in (
+            ("mp", 5, "position solver node limit 5 exceeded after 6 nodes, largest set so far 3"),
+            ("gp", 40, "position solver node limit 40 exceeded after 41 nodes, "
+                       "largest set so far 6"),
+            ("alpha", 5, "clique search node limit 5 exceeded after 6 nodes, "
+                         "largest set so far 4")):
+        with pytest.raises(NodeLimitExceeded) as refused:
+            GraphSolver(g, node_limit=limit, lexmin=True).report(param)
+        assert str(refused.value) == said
+
+
 def test_geo2_independent_variant_is_refused_before_any_search(monkeypatch):
     import monopos.solvers as solvers
 
