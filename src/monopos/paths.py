@@ -56,7 +56,7 @@ SEED_WALKS = 40
 SEED_IDLE = 3
 WALK_SEED = 0
 
-#: rho's DP has no budget and its memo grows with the reachable vertex sets.
+#: rho's search has no budget and its memo grows with the vertex sets it visits.
 PARTITION_CAP = 16
 
 
@@ -498,10 +498,15 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
     """Minimum number of vertex-disjoint induced paths covering all vertices.
 
     Collects every subset inducing a path (each path once, walked from its
-    smaller end, plus the singletons), then solves a set-partition DP top
-    down: a step removes one path through the lowest remaining vertex, so
-    only the masks reachable from V are ever solved.  Of two paths that tie,
-    the first in sorted mask order is taken.  Exact, so explicitly capped.
+    smaller end, plus the singletons), sorted and bucketed by lowest vertex.
+    Then asks ``_fits(V, k)``, whether V is covered by at most k of them,
+    for k = ceil(n / longest), k + 1, ...; the first k that fits is rho.  A
+    step of that search removes one path through the lowest remaining
+    vertex, and a vertex set whose counting floors (``_floors``) exceed
+    the paths left fails at once.  The witness takes at each step the first
+    path in sorted mask order whose remainder fits in one path fewer; no
+    remainder needs fewer, so this is the path a value DP over the vertex
+    sets takes.  Exact, so explicitly capped.
     """
     if g.n > cap:
         raise CapExceeded(f"induced path partition cap {cap} exceeded by order {g.n}")
@@ -512,37 +517,111 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
     paths_by_low: list[list[int]] = [[] for _ in range(n)]
     for mask in sorted(masks):
         paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
+    longest = max(map(int.bit_count, masks), default=1)
+    search = (g.adj, paths_by_low, set(masks), longest, {})
 
-    memo = {0: 0}
     mask = full_mask(n)
-    _fewest_paths(mask, paths_by_low, memo)
+    k = -(-n // longest)
+    while not _fits(mask, k, search):
+        k += 1
     parts = []
     while mask:
-        want = memo[mask] - 1
+        k -= 1
         for p in paths_by_low[(mask & -mask).bit_length() - 1]:
-            if not p & ~mask and memo[mask & ~p] == want:
+            if not p & ~mask and _fits(mask & ~p, k, search):
                 break
         parts.append(to_tuple(p))
         mask &= ~p
     return len(parts), tuple(parts)
 
 
-def _fewest_paths(mask: int, paths_by_low: list[list[int]], memo: dict[int, int]) -> int:
-    """The partition DP's value at ``mask``, memoized in ``memo``.  A plain
-    function, not a closure calling itself: that would form a reference
-    cycle and keep the memo alive until the cyclic collector runs."""
-    best = mask.bit_count()  # the singletons bound every mask
-    for p in paths_by_low[(mask & -mask).bit_length() - 1]:
-        if p & ~mask:
+def _fits(mask: int, k: int, search: tuple) -> bool:
+    """Whether ``mask`` is covered by at most k disjoint induced paths.
+    ``search`` holds the adjacency, the paths by lowest vertex, the set of
+    path masks, the longest path's order and, per mask, the largest k known
+    to fail.  A plain function, not a closure calling itself: that would form
+    a reference cycle and keep the memo alive until the cyclic collector
+    runs."""
+    if not mask:
+        return True
+    adj, paths_by_low, path_set, longest, failed = search
+    if mask in path_set:
+        return k >= 1
+    if k <= 1 or failed.get(mask, 1) >= k:
+        return False
+    if all(f <= k for f in _floors(adj, mask, longest)):
+        for p in paths_by_low[(mask & -mask).bit_length() - 1]:
+            if not p & ~mask and _fits(mask & ~p, k - 1, search):
+                return True
+    failed[mask] = k
+    return False
+
+
+def _floors(adj: tuple[int, ...], mask: int, longest: int):
+    """Yield four lower bounds on the paths needed to cover ``mask``,
+    cheapest first: by order (no induced path has more than ``longest``
+    vertices); by the vertices that cannot be interior, those whose
+    neighbourhood in ``mask`` is a clique (a path has two ends, and an
+    isolated vertex is a path alone); by a greedy independent set I, taking
+    a vertex of least remaining degree (a path of m vertices holds at most
+    (m + 1) / 2 of I); and by a greedy clique grown from a vertex of largest
+    degree, each step taking the candidate with most neighbours among the
+    candidates (a path holds at most two of it)."""
+    size = mask.bit_count()
+    yield -(-size // longest)
+    ends = 0
+    most = -1
+    hub = 0  # the neighbourhood of a vertex of largest degree
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        nb = adj[b.bit_length() - 1] & mask
+        if not nb:
+            ends += 2
             continue
-        rest = mask & ~p
-        c = memo.get(rest)
-        if c is None:
-            c = _fewest_paths(rest, paths_by_low, memo)
-        if c + 1 < best:
-            best = c + 1
-    memo[mask] = best
-    return best
+        d = nb.bit_count()
+        if d > most:
+            most, hub = d, nb
+        rest = nb
+        while rest:
+            c = rest & -rest
+            rest ^= c
+            if nb & ~c & ~adj[c.bit_length() - 1]:
+                break
+        else:
+            ends += 1
+    yield (ends + 1) // 2
+    independent = 0
+    left = mask
+    while left:
+        least = size
+        c = left
+        while c:
+            b = c & -c
+            c ^= b
+            d = (adj[b.bit_length() - 1] & left).bit_count()
+            if d < least:
+                least, pick = d, b
+                if not d:
+                    break
+        independent += 1
+        left &= ~(pick | adj[pick.bit_length() - 1])
+    yield 2 * independent - size
+    clique = 1
+    cand = hub
+    while cand:
+        best = -1
+        c = cand
+        while c:
+            b = c & -c
+            c ^= b
+            d = (adj[b.bit_length() - 1] & cand).bit_count()
+            if d > best:
+                best, pick = d, b
+        clique += 1
+        cand &= adj[pick.bit_length() - 1]
+    yield (clique + 1) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from conftest import connected_graphs, graphs, random_connected
 import monopos.paths as paths
 from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import BudgetExceeded, CapExceeded, InputError
-from monopos.graph import Graph, complete_graph, cycle_graph, disjoint_union, path_graph
+from monopos.graph import (Graph, complete_graph, cycle_graph, disjoint_union, empty_graph,
+                           path_graph)
 from monopos.invariants import distance_matrix
-from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
-                              random_connected_graph, random_cubic_graph, random_split_graph,
-                              random_tree, random_unicyclic)
+from monopos.families import (grid_graph, hypercube, petersen_graph, random_bipartite_graph,
+                              random_block_graph, random_connected_graph, random_cubic_graph,
+                              random_split_graph, random_tree, random_unicyclic)
 from monopos.paths import (IntervalCache, _chordless_simple_paths, convex_hull,
                            count_induced_paths_oracle, induced_path_partition, interior_vertices,
                            interval_row, longest_induced_path_length, monophonic_closure,
@@ -411,9 +412,10 @@ def test_partition_is_minimum_over_induced_path_subsets():
     assert checked == 143
 
 
-def _bottom_up_partition(g):
+def _bottom_up_table(g):
     """The partition DP solved over every subset mask in increasing order,
-    taking the first path of least cost: the slow twin of the top-down DP."""
+    taking the first path of least cost: ``dp[mask]`` is rho of the subgraph
+    that ``mask`` induces and ``choice[mask]`` the path taken there."""
     n = g.n
     full = full_mask(n)
     masks = [bit(u) for u in range(n)]
@@ -430,12 +432,66 @@ def _bottom_up_partition(g):
             if not p & ~mask and dp[mask & ~p] + 1 < dp[mask]:
                 dp[mask] = dp[mask & ~p] + 1
                 choice[mask] = p
+    return dp, choice
+
+
+def _bottom_up_partition(g):
+    """rho and the partition read off ``_bottom_up_table``: the slow twin of
+    the decision search."""
+    dp, choice = _bottom_up_table(g)
     parts = []
-    mask = full
+    mask = full = g.full()
     while mask:
         parts.append(to_tuple(choice[mask]))
         mask &= ~choice[mask]
     return dp[full], tuple(parts)
+
+
+def _floors(g, mask):
+    """The search's four counting floors at ``mask``, with the longest
+    induced path of g as the order bound."""
+    return tuple(paths._floors(g.adj, mask, longest_induced_path_length(g) + 1))
+
+
+def test_partition_floors_never_exceed_rho_on_small_connected_graphs():
+    """Every nonempty vertex set of every connected graph up to 6 vertices:
+    no floor exceeds the exact rho of the subgraph the set induces, and
+    each floor alone reaches it somewhere."""
+    checked = 0
+    alone = [0] * 4
+    for g in connected_graphs(6):
+        dp, _ = _bottom_up_table(g)
+        for mask in range(1, 1 << g.n):
+            floors = _floors(g, mask)
+            assert len(floors) == 4 and max(floors) <= dp[mask], (g.adj, mask, floors)
+            if floors.count(dp[mask]) == 1:
+                alone[floors.index(dp[mask])] += 1
+        checked += 1
+    assert checked == 143 and all(alone), alone
+
+
+@pytest.mark.parametrize("make, binding", [
+    (lambda: random_connected_graph(16, random.Random(15), 0.6), 0),
+    (lambda: random_block_graph(16, random.Random(3)), 1),
+    (lambda: random_bipartite_graph(4, 11, random.Random(0)), 2),
+    (lambda: random_split_graph(14, random.Random(5)), 3),
+], ids=["gnp-order", "block-ends", "bipartite-independent", "split-clique"])
+def test_partition_equals_bottom_up_twin_at_the_cap(make, binding):
+    """Graphs of 14-16 vertices, each with a different floor alone reaching
+    rho on the whole vertex set."""
+    g = make()
+    rho, parts = induced_path_partition(g)
+    assert (rho, parts) == _bottom_up_partition(g)
+    floors = _floors(g, g.full())
+    assert floors[binding] == rho and floors.count(rho) == 1
+
+
+def test_partition_of_no_vertices_and_of_no_edges():
+    # Graph refuses order 0, so a bare instance stands in for the empty graph.
+    nothing = object.__new__(Graph)
+    nothing.n, nothing.adj = 0, ()
+    assert induced_path_partition(nothing) == (0, ())
+    assert induced_path_partition(empty_graph(16)) == (16, tuple((v,) for v in range(16)))
 
 
 def test_partition_equals_bottom_up_twin_on_small_connected_graphs():
