@@ -1,5 +1,10 @@
-"""Classical invariants: distances, connectivity structure, exact solvers
-for clique-like parameters, bipartite machinery and split graph analysis.
+"""Classical invariants: distances, the separator decomposition, exact
+solvers for clique-like parameters, bipartite machinery and split graph
+analysis.
+
+One MCS-M pass (``_mcs_m``) is the graph decomposition: its clique minimal
+separators give the atoms that the hull number reads, and its separators of
+one vertex give the blocks and cut vertices.
 
 It also holds the one forbidden-triple branch and bound, ``_PositionSearch``:
 the largest vertex set holding no triple (x, y, z) with y a witness of the
@@ -65,99 +70,22 @@ def diameter(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# articulation structure
+# separator decomposition
 # ---------------------------------------------------------------------------
 
 
-def _dfs_blocks(g: Graph) -> tuple[int, list[int]]:
-    """Iterative lowpoint DFS.  Returns (cut vertex mask, block vertex masks)."""
-    n = g.n
-    disc = [0] * n
-    low = [0] * n
-    parent = [-1] * n
-    nbrs = [list(iter_bits(g.adj[v])) for v in range(n)]
-    ptr = [0] * n
-    cut = 0
-    blocks: list[int] = []
-    estack: list[tuple[int, int]] = []
-    counter = 0
-    for root in range(n):
-        if disc[root]:
-            continue
-        root_children = 0
-        counter += 1
-        disc[root] = low[root] = counter
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            if ptr[v] < len(nbrs[v]):
-                w = nbrs[v][ptr[v]]
-                ptr[v] += 1
-                if not disc[w]:
-                    parent[w] = v
-                    estack.append((v, w))
-                    counter += 1
-                    disc[w] = low[w] = counter
-                    stack.append(w)
-                    if v == root:
-                        root_children += 1
-                elif w != parent[v] and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-            else:
-                stack.pop()
-                if not stack:
-                    continue
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    block = 0
-                    while True:
-                        a, b = estack.pop()
-                        block |= bit(a) | bit(b)
-                        if (a, b) == (u, v):
-                            break
-                    blocks.append(block)
-                    if u != root or root_children > 1:
-                        cut |= bit(u)
-    return cut, blocks
+def _mcs_m(g: Graph) -> tuple[list[int], int, list[int]]:
+    """MCS-M (Berry, Blair, Heggernes & Peyton 2004, *Algorithmica* 39):
+    ``(order, generators, madj)``, the one decomposition pass of the graph.
 
-
-def cut_vertices(g: Graph) -> int:
-    """Mask of articulation vertices.  Requires a connected graph."""
-    if not g.is_connected():
-        raise InputError("cut_vertices requires a connected graph")
-    cut, _ = _dfs_blocks(g)
-    return cut
-
-
-def blocks(g: Graph) -> list[int]:
-    """Vertex masks of the maximal 2-connected blocks (bridges count)."""
-    _, bl = _dfs_blocks(g)
-    return bl
-
-
-def is_block_graph(g: Graph) -> bool:
-    return all(g.is_clique_mask(b) for b in blocks(g))
-
-
-def clique_separator_atoms(g: Graph) -> list[int]:
-    """Vertex masks of the atoms of the clique minimal separator
-    decomposition: the maximal vertex sets that induce a connected subgraph
-    with no clique separator (Berry, Pogorelcnik & Simonet 2010,
-    *Algorithms* 3); a disconnected graph gets those of each component.
-
-    MCS-M (Berry, Blair, Heggernes & Peyton 2004, *Algorithmica* 39)
-    numbers the vertices from n down to 1, each time taking the heaviest
-    unnumbered x.  Each unnumbered y that x reaches through lighter
-    unnumbered vertices gains weight and records x in ``madj[y]``; one
-    sweep over rising weights k finds those of weight k next to x or to
-    what x reaches below k.  A vertex taken with no more weight than the
-    one before generates the minimal separator ``madj[x]``.  From number 1
-    up, each generator whose separator is a clique splits off the separator
-    plus the component of the rest that holds it; the last rest is an atom.
+    It numbers the vertices from n down to 1 (``order`` lists them as
+    taken), each time taking the heaviest unnumbered x.  Each unnumbered y
+    that x reaches through lighter unnumbered vertices gains weight and
+    records x in ``madj[y]``; one sweep over rising weights k finds those
+    of weight k next to x or to what x reaches below k.  A vertex taken
+    with no more weight than the one before is a generator (a bit of
+    ``generators``): ``madj[x]`` is a minimal separator, and every clique
+    minimal separator, a cut vertex included, is generated so.
     """
     adj = g.adj
     buckets = [g.full()] + [0] * g.n  # unnumbered vertices by weight
@@ -193,15 +121,57 @@ def clique_separator_atoms(g: Graph) -> list[int]:
             buckets[k + 1] |= hit
             for y in iter_bits(hit):
                 madj[y] |= bit(x)
-    atoms = []
+    return order, generators, madj
+
+
+def _pieces(g: Graph, splits) -> list[int]:
+    """The atom step of Berry, Pogorelcnik & Simonet (2010, *Algorithms* 3)
+    over the separators that ``splits`` accepts: from number 1 up, each
+    generator x with ``splits(madj[x])`` splits off the separator plus the
+    component of the rest that holds x; the last rest is a piece too."""
+    order, generators, madj = _mcs_m(g)
+    pieces = []
     rest = g.full()
     for x in reversed(order):
-        if generators >> x & 1 and g.is_clique_mask(madj[x]):
+        if generators >> x & 1 and splits(madj[x]):
             comp = g.component_of(x, rest & ~madj[x])
-            atoms.append(madj[x] | comp)
+            pieces.append(madj[x] | comp)
             rest &= ~comp
-    atoms.append(rest)
-    return atoms
+    pieces.append(rest)
+    return pieces
+
+
+def clique_separator_atoms(g: Graph) -> list[int]:
+    """Vertex masks of the atoms of the clique minimal separator
+    decomposition: the maximal vertex sets that induce a connected subgraph
+    with no clique separator; a disconnected graph gets those of each
+    component.  The pieces of the clique separators of ``_mcs_m``."""
+    return _pieces(g, g.is_clique_mask)
+
+
+def blocks(g: Graph) -> list[int]:
+    """Vertex masks of the maximal 2-connected blocks (bridges count;
+    isolated vertices do not): the pieces of more than one vertex split off
+    at the separators of at most one vertex, cut vertices and the empty
+    separator between components."""
+    return [p for p in _pieces(g, lambda sep: sep.bit_count() <= 1) if p.bit_count() > 1]
+
+
+def cut_vertices(g: Graph) -> int:
+    """Mask of articulation vertices, the minimal separators of one vertex
+    that ``_mcs_m`` generates.  Requires a connected graph."""
+    if not g.is_connected():
+        raise InputError("cut_vertices requires a connected graph")
+    _, generators, madj = _mcs_m(g)
+    cut = 0
+    for x in iter_bits(generators):
+        if madj[x].bit_count() == 1:
+            cut |= madj[x]
+    return cut
+
+
+def is_block_graph(g: Graph) -> bool:
+    return all(g.is_clique_mask(b) for b in blocks(g))
 
 
 def simplicial_vertices(g: Graph) -> int:

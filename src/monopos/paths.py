@@ -499,14 +499,14 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
 
     Collects every subset inducing a path (each path once, walked from its
     smaller end, plus the singletons), sorted and bucketed by lowest vertex.
-    Then asks ``_fits(V, k)``, whether V is covered by at most k of them,
-    for k = ceil(n / longest), k + 1, ...; the first k that fits is rho.  A
-    step of that search removes one path through the lowest remaining
-    vertex, and a vertex set whose counting floors (``_floors``) exceed
-    the paths left fails at once.  The witness takes at each step the first
-    path in sorted mask order whose remainder fits in one path fewer; no
-    remainder needs fewer, so this is the path a value DP over the vertex
-    sets takes.  Exact, so explicitly capped.
+    Then asks ``_cover(V, k)`` for at most k of them covering V, for
+    k = ceil(n / longest), k + 1, ...; the first cover found is the
+    partition.  A step of that search takes the first path in sorted mask
+    order through the lowest remaining vertex whose remainder is covered by
+    one path fewer, and a vertex set whose counting floors (``_floors``)
+    exceed the paths left fails at once.  At the least k no remainder needs
+    fewer, so this is the path a value DP over the vertex sets takes.
+    Exact, so explicitly capped.
     """
     if g.n > cap:
         raise CapExceeded(f"induced path partition cap {cap} exceeded by order {g.n}")
@@ -519,42 +519,34 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
         paths_by_low[(mask & -mask).bit_length() - 1].append(mask)
     longest = max(map(int.bit_count, masks), default=1)
     search = (g.adj, paths_by_low, set(masks), longest, {})
-
-    mask = full_mask(n)
     k = -(-n // longest)
-    while not _fits(mask, k, search):
+    while (cover := _cover(full_mask(n), k, search)) is None:
         k += 1
-    parts = []
-    while mask:
-        k -= 1
-        for p in paths_by_low[(mask & -mask).bit_length() - 1]:
-            if not p & ~mask and _fits(mask & ~p, k, search):
-                break
-        parts.append(to_tuple(p))
-        mask &= ~p
-    return len(parts), tuple(parts)
+    return len(cover), tuple(map(to_tuple, cover))
 
 
-def _fits(mask: int, k: int, search: tuple) -> bool:
-    """Whether ``mask`` is covered by at most k disjoint induced paths.
-    ``search`` holds the adjacency, the paths by lowest vertex, the set of
+def _cover(mask: int, k: int, search: tuple) -> tuple[int, ...] | None:
+    """At most k disjoint induced path masks covering ``mask``, or None.
+    A mask that is itself a path is its own cover; any other cover starts
+    with the first path, in sorted order through the lowest vertex, whose
+    rest is covered by k - 1.  ``search`` holds the adjacency, the paths by lowest vertex, the set of
     path masks, the longest path's order and, per mask, the largest k known
     to fail.  A plain function, not a closure calling itself: that would form
     a reference cycle and keep the memo alive until the cyclic collector
     runs."""
     if not mask:
-        return True
+        return ()
     adj, paths_by_low, path_set, longest, failed = search
     if mask in path_set:
-        return k >= 1
+        return (mask,) if k >= 1 else None
     if k <= 1 or failed.get(mask, 1) >= k:
-        return False
+        return None
     if all(f <= k for f in _floors(adj, mask, longest)):
         for p in paths_by_low[(mask & -mask).bit_length() - 1]:
-            if not p & ~mask and _fits(mask & ~p, k - 1, search):
-                return True
+            if not p & ~mask and (rest := _cover(mask & ~p, k - 1, search)) is not None:
+                return (p,) + rest
     failed[mask] = k
-    return False
+    return None
 
 
 def _floors(adj: tuple[int, ...], mask: int, longest: int):

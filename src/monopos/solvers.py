@@ -285,7 +285,7 @@ PARAMETERS = {
     "simplicial": _invariant("closed_form", _simplicial),
     "L": _invariant("induced_path_walk", lambda g, cap, _: (
         longest_induced_path_length(g, cap), 0)),
-    "rho": _invariant("partition_dp", lambda g, cap, _: (
+    "rho": _invariant("partition_search", lambda g, cap, _: (
         induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g),

@@ -62,11 +62,14 @@ def _all_graphs(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(grown.values())
 
 
-def connected_graphs(max_n: int):
-    """One graph per isomorphism class of connected graphs on 1..max_n vertices.
+def all_graphs(max_n: int):
+    """One graph per isomorphism class of graphs on 1..max_n vertices.
     The classes are cached, so later calls in one session cost little."""
     for n in range(1, max_n + 1):
         for adj in _all_graphs(n):
-            g = Graph(n, adj)
-            if g.is_connected():
-                yield g
+            yield Graph(n, adj)
+
+
+def connected_graphs(max_n: int):
+    """One graph per isomorphism class of connected graphs on 1..max_n vertices."""
+    return (g for g in all_graphs(max_n) if g.is_connected())

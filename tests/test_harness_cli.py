@@ -1,4 +1,5 @@
 import json
+import os
 import random
 from dataclasses import replace
 from pathlib import Path
@@ -10,7 +11,7 @@ import monopos.families as fam
 import monopos.harness as harness
 import monopos.solvers as solvers
 from monopos.cli import main
-from monopos.errors import InputError
+from monopos.errors import InputError, LimitError
 from monopos.families import GRAPH_FORMS, PredictedValue
 from monopos.graph import complement, cycle_graph
 from monopos.graph6 import emit_graph6
@@ -126,6 +127,18 @@ def test_formula_check_fails_an_off_by_one_predictor(monkeypatch):
     assert out.status == "fail"
     assert len(out.failures) == 3 * out.instances  # mp, gp and hm of every case
     assert all(f["want"] == f["got"] + 1 and f["args"] == [] for f in out.failures)
+
+
+def test_run_check_reports_a_refusing_sampler_as_skipped(monkeypatch):
+    monkeypatch.setattr(harness, "_REGISTRY", dict(harness._REGISTRY))
+
+    @harness.check("throwaway-limit", "a sampler that refuses")
+    def _sampler(rng, scale):
+        raise LimitError("sampler refused at order 99")
+
+    out = run_check("throwaway-limit")
+    assert (out.status, out.instances, out.failures) == ("skipped", 0, [])
+    assert out.notes == {"limit": "sampler refused at order 99"}
 
 
 def _refuses(*_):
@@ -496,6 +509,20 @@ def test_cli_paths(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_paths_closure_and_interior(tmp_path, capsys):
+    path = tmp_path / "p4.g6"
+    path.write_text(emit_graph6(fam.path_graph(4)) + "\n")
+    argv = ("paths", str(path), "--closure", "0,2", "--interior", "0,1,2")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == ["closure([0, 2]) = [0, 1, 2]", "interior([0, 1, 2]) = [1]"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["closure"] == {"set": [0, 2], "vertices": [0, 1, 2]}
+    assert doc["interior"] == {"set": [0, 1, 2], "vertices": [1]}
+
+
 @pytest.mark.parametrize("flag", [["--interval", "0", "99"], ["--interval", "-1", "2"],
                                   ["--closure", "0,99"], ["--hull", "0,99"],
                                   ["--interior", "0,99"]],
@@ -535,6 +562,43 @@ def test_cli_verify_strict_flag(capsys):
     code, _, _ = run_cli(capsys, "verify", "--check", "cages-mp", "--profile", "quick",
                          "--strict")
     assert code == 0
+
+
+def test_cli_verify_timing_adds_the_times(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--check", "cages-mp", "--profile", "quick",
+                           "--timing", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and doc["wall_seconds"] >= 0
+    assert set(doc["check_seconds"]) == {"cages-mp"}
+
+
+def test_cli_verify_out_writes_the_printed_document(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    code, out, _ = run_cli(capsys, "verify", "--check", "cages-mp", "--profile", "quick",
+                           "--out", str(target), "--format", "json")
+    assert code == 0 and target.read_text() == out
+    assert json.loads(out)["totals"]["pass"] == 1
+
+
+def test_cli_verify_strict_exits_1_on_a_failed_check(monkeypatch, capsys):
+    form = GRAPH_FORMS["block"]
+    _rewired(monkeypatch, "block-graph-simplicial", harness._sample_block,
+             lambda g: [replace(pv, value=pv.value + 1) for pv in form(g)])
+    argv = ("verify", "--check", "block-graph-simplicial", "--profile", "quick")
+    assert run_cli(capsys, *argv)[0] == 0
+    assert run_cli(capsys, *argv, "--strict")[0] == 1
+
+
+def test_python_m_monopos_help_exits_0():
+    import subprocess
+    import sys
+
+    import monopos
+
+    env = {**os.environ, "PYTHONPATH": str(Path(monopos.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "monopos", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and "usage: monopos" in done.stdout
 
 
 def test_cli_compute_all_honours_cap(tmp_path, capsys):

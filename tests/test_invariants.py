@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import monopos.invariants as invariants
 import monopos.solvers as solvers
-from conftest import connected_graphs, graphs, random_connected
+from conftest import all_graphs, connected_graphs, graphs, random_connected
 from monopos.bitset import bit, iter_bits, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
@@ -114,6 +114,90 @@ def test_blocks_and_block_graph():
     assert is_block_graph(g)
     assert not is_block_graph(cycle_graph(4))
     assert is_block_graph(path_graph(6))
+
+
+def _lowpoint_blocks(g: Graph) -> tuple[int, list[int]]:
+    """Iterative lowpoint DFS (Hopcroft & Tarjan): (cut vertex mask, block
+    vertex masks).  The twin of the separator pieces behind ``blocks`` and
+    ``cut_vertices``."""
+    n = g.n
+    disc = [0] * n
+    low = [0] * n
+    parent = [-1] * n
+    nbrs = [list(iter_bits(g.adj[v])) for v in range(n)]
+    ptr = [0] * n
+    cut = 0
+    found: list[int] = []
+    estack: list[tuple[int, int]] = []
+    counter = 0
+    for root in range(n):
+        if disc[root]:
+            continue
+        root_children = 0
+        counter += 1
+        disc[root] = low[root] = counter
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            if ptr[v] < len(nbrs[v]):
+                w = nbrs[v][ptr[v]]
+                ptr[v] += 1
+                if not disc[w]:
+                    parent[w] = v
+                    estack.append((v, w))
+                    counter += 1
+                    disc[w] = low[w] = counter
+                    stack.append(w)
+                    if v == root:
+                        root_children += 1
+                elif w != parent[v] and disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if not stack:
+                    continue
+                u = stack[-1]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = 0
+                    while True:
+                        a, b = estack.pop()
+                        block |= bit(a) | bit(b)
+                        if (a, b) == (u, v):
+                            break
+                    found.append(block)
+                    if u != root or root_children > 1:
+                        cut |= bit(u)
+    return cut, found
+
+
+def _assert_blocks_match_lowpoint(g: Graph):
+    cut, want = _lowpoint_blocks(g)
+    assert sorted(blocks(g)) == sorted(want), g.adj
+    if g.is_connected():
+        assert cut_vertices(g) == cut, g.adj
+
+
+def test_blocks_and_cut_vertices_equal_the_lowpoint_dfs_on_every_small_graph():
+    for g in all_graphs(7):
+        _assert_blocks_match_lowpoint(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=8, max_n=14))
+def test_blocks_and_cut_vertices_equal_the_lowpoint_dfs_by_hypothesis(g):
+    _assert_blocks_match_lowpoint(g)
+
+
+def test_blocks_and_cut_vertices_equal_the_lowpoint_dfs_on_tree_like_families(rng):
+    from monopos.families import random_block_graph, random_graph, random_tree, random_unicyclic
+
+    for _ in range(6):
+        n = rng.randint(30, 64)
+        for g in (random_tree(n, rng), random_block_graph(n, rng), random_unicyclic(n, rng),
+                  random_graph(n, rng, 1.5 / n), random_graph(n, rng, 3 / n)):
+            _assert_blocks_match_lowpoint(g)
 
 
 def _atoms_oracle(g):

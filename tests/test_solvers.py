@@ -326,7 +326,7 @@ def test_branch_and_bound_label_marks_exactly_the_node_limited_maxima():
     assert {name for name, method in labels.items() if method == "branch_and_bound"} == nine
     assert limited == nine
     assert (labels["L"], labels["rho"], labels["hm"], labels["simplicial"]) == (
-        "induced_path_walk", "partition_dp", "separator_atoms", "closed_form")
+        "induced_path_walk", "partition_search", "separator_atoms", "closed_form")
 
 
 def test_position_report_time_covers_the_index_build(monkeypatch):
@@ -584,6 +584,14 @@ def test_parameter_suite_flags_caps():
     suite = parameter_suite(g)
     assert set(suite.skipped) == {"rho"}
     assert suite.reports["mp"].value == suite.reports["alphaomega"].value == 22
+
+
+def test_parameter_suite_skips_only_hm_on_a_disconnected_graph():
+    g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    suite = parameter_suite(g)
+    assert suite.skipped == {"hm": "hull number undefined for disconnected graphs"}
+    assert set(suite.reports) == set(PARAMETERS) - {"hm"}
+    assert suite.value("omega") == 3 and suite.value("alpha") == 2 and suite.value("rho") == 4
 
 
 def test_mode_parsing():
