@@ -409,16 +409,21 @@ class _PositionSearch:
     descending witness participation.  Taking i kills ``pair[i][j]`` for
     every chosen j; with ``independent`` it also kills the neighbours of
     ``order[i]``.  The bound is chosen + surviving candidates, all of
-    which lie past i.  ``run`` maps ``forced`` and ``allowed`` into order
-    space and the best set back out; ``nodes`` counts every node of every
-    run so far, also after a limit or a target stops one, and ``largest``
-    is the size of the largest set a run has returned.  A node-limit
-    refusal names both.
+    which lie past i.  An independent set meets a clique at most once, so
+    with ``independent`` a node that this count does not prune covers its
+    candidates by cliques (``_cover``) and counts instead the classes that
+    still meet them: as candidates leave lowest first, those are the
+    classes whose top bit is left.  ``run`` maps ``forced`` and
+    ``allowed`` into order space and the best set back out; ``nodes``
+    counts every node of every run so far, also after a limit or a target
+    stops one, and ``largest`` is the size of the largest set a run has
+    returned.  A node-limit refusal names both.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
                  node_limit: int = NODE_LIMIT):
         self.order, self.pos, self.pair = table
+        self.independent = independent
         self.nbr = [self._to_order(adj[v]) if independent else 0 for v in self.order]
         self.node_limit = node_limit
         self.nodes = 0
@@ -430,6 +435,26 @@ class _PositionSearch:
         for v in iter_bits(mask):
             out |= 1 << pos[v]
         return out
+
+    def _cover(self, cand: int, classes: list[int] | None = None) -> int:
+        """The mask of the top bits of the classes of a greedy cover of
+        ``cand`` by cliques of the graph: from the lowest bit left, keep
+        adding the lowest common neighbour.  The classes go to ``classes``
+        when it is given."""
+        nbr = self.nbr
+        tops = 0
+        while cand:
+            cls = b = cand & -cand
+            common = cand & nbr[b.bit_length() - 1]
+            while common:
+                b = common & -common
+                cls |= b
+                common &= nbr[b.bit_length() - 1]
+            cand ^= cls
+            tops |= b
+            if classes is not None:
+                classes.append(cls)
+        return tops
 
     def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         """Best (size, mask) with forced included; with a target, the first
@@ -469,9 +494,12 @@ class _PositionSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
+        live = cand
+        if self.independent and size + cand.bit_count() > self.best:
+            live = self._cover(cand)
         pair, nbr = self.pair, self.nbr
         while cand:
-            if size + cand.bit_count() <= self.best:
+            if size + (live & cand).bit_count() <= self.best:
                 return
             b = cand & -cand
             i = b.bit_length() - 1

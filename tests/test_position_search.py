@@ -1,7 +1,10 @@
 """The position search against its slow twin, a label-space search that
 scans every order position with a suffix-mask bound and ORs the kill mask
-from the witness rows and their inversion at every child.  Both must give
-the same value, witness and node count."""
+from the witness rows and their inversion at every child.  With
+``independent`` the twin covers the candidates of a node by cliques, each
+grown from the first candidate left in its order by scanning for common
+neighbours, and counts the classes that meet the candidates past each
+position.  Both must give the same value, witness and node count."""
 
 import random
 
@@ -11,10 +14,11 @@ from hypothesis import strategies as st
 from conftest import connected_graphs, random_connected
 from monopos.bitset import bit, iter_bits
 from monopos.errors import NodeLimitExceeded
+from monopos.families import random_graph
 from monopos.graph import complete_graph, cycle_graph, path_graph
 from monopos.invariants import (NODE_LIMIT, _Found, _lexmin, _PositionSearch,
-                                common_neighbour_witnesses, pair_table)
-from monopos.solvers import POSITION_PARAMS, PathMode, build_triple_index
+                                common_neighbour_witnesses, independence_number, pair_table)
+from monopos.solvers import POSITION_PARAMS, PathMode, brute_force_position, build_triple_index
 
 
 def _invert_witnesses(witness):
@@ -72,6 +76,19 @@ class _LabelSpaceSearch:
             pass
         return self.best, self.best_mask
 
+    def _classes(self, cand):
+        """A cover of cand by cliques (by singletons without ``independent``)."""
+        left = [v for v in self.order if cand & bit(v)]
+        classes = []
+        while left:
+            cls = [left[0]]
+            for v in left[1:]:
+                if self.independent and all(self.adj[u] & bit(v) for u in cls):
+                    cls.append(v)
+            left = [v for v in left if v not in cls]
+            classes.append(sum(bit(v) for v in cls))
+        return classes
+
     def _rec(self, chosen, smask, cand, oi):
         self.nodes += 1
         if self.nodes > self.node_limit:
@@ -82,8 +99,9 @@ class _LabelSpaceSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
+        classes = self._classes(cand)
         for i in range(oi, len(self.order)):
-            if size + (cand & self.suffix[i]).bit_count() <= self.best:
+            if size + sum(1 for c in classes if c & cand & self.suffix[i]) <= self.best:
                 return
             v = self.order[i]
             if cand & bit(v):
@@ -94,14 +112,21 @@ class _LabelSpaceSearch:
                 cand &= ~bit(v)
 
 
+def _empty(n):
+    """The empty triple system: with ``independent`` the search computes alpha."""
+    return [[0] * n for _ in range(n)]
+
+
 def _systems(g):
-    """(name, witness system, independent) for all seven maxima the search serves."""
+    """(name, witness system, independent) for all seven maxima the search
+    serves, and alpha over the empty system."""
     out = []
     for mode in PathMode:
         witness = build_triple_index(g, mode).witness
         out += [(name, witness, ind) for name, (m, ind) in POSITION_PARAMS.items() if m is mode]
     out.append(("alphaomega", common_neighbour_witnesses(g, False), False))
     out.append(("diss", common_neighbour_witnesses(g, True), False))
+    out.append(("alpha", _empty(g.n), True))
     return out
 
 
@@ -137,6 +162,43 @@ def test_search_equals_its_twin_on_small_connected_graphs():
 @given(st.integers(8, 14), st.integers(0, 2**32 - 1), st.floats(0.15, 0.6))
 def test_search_equals_its_twin_on_random_connected_graphs(n, seed, p):
     _diff_against_twin(random_connected(random.Random(seed), n, p))
+
+
+def test_root_clique_cover_is_sound_on_small_connected_graphs():
+    """The classes that bound the root of imp, igp and alpha partition the
+    vertices into cliques, at least as many as the value, and the cover
+    marks the top bit of each."""
+    checked = 0
+    for g in connected_graphs(7):
+        for name, witness, value in (
+                ("imp", build_triple_index(g, PathMode.MONOPHONIC).witness,
+                 brute_force_position(g, PathMode.MONOPHONIC, True).value),
+                ("igp", build_triple_index(g, PathMode.GEODESIC).witness,
+                 brute_force_position(g, PathMode.GEODESIC, True).value),
+                ("alpha", _empty(g.n), independence_number(g)[0])):
+            search = _PositionSearch(g.adj, pair_table(witness), True)
+            classes = []
+            tops = search._cover(g.full(), classes)
+            assert len(classes) >= value, (g.adj, name)
+            covered = 0
+            for cls in classes:
+                assert not covered & cls, (g.adj, name)
+                covered |= cls
+                assert tops & cls == 1 << cls.bit_length() - 1, (g.adj, name)
+                members = [search.order[i] for i in iter_bits(cls)]
+                assert all(g.adj[u] >> v & 1 for u in members for v in members if u != v), \
+                    (g.adj, name, members)
+            assert covered == g.full() and tops.bit_count() == len(classes), (g.adj, name)
+            checked += 1
+    assert checked == 3 * 996
+
+
+def test_independent_search_over_the_empty_system_is_alpha_at_64_vertices():
+    """Alpha through the position search equals the clique search on the
+    complement, value and lexmin witness, on G(64, 0.1)."""
+    g = random_graph(64, random.Random(1), 0.1)
+    search = _PositionSearch(g.adj, pair_table(_empty(g.n)), True, node_limit=50_000)
+    assert _lexmin(g.n, search.run, g.full()) == independence_number(g)
 
 
 def test_pair_table_equals_its_definition():

@@ -219,6 +219,13 @@ def test_node_limit_refusals_name_nodes_spent_and_largest_set():
         assert str(refused.value) == said
 
 
+def test_clique_cover_bound_keeps_igp_under_small_node_limits():
+    # Without the cover the count bound took 208,734 and 188,762 nodes.
+    g = random_block_graph(37, random.Random(392663))
+    assert GraphSolver(g, node_limit=2_000, lexmin=True).report("igp").value == 14
+    assert GraphSolver(hypercube(6), node_limit=120_000, lexmin=True).report("igp").value == 8
+
+
 def test_geo2_independent_variant_is_refused_before_any_search(monkeypatch):
     import monopos.solvers as solvers
 
