@@ -6,14 +6,15 @@ One MCS-M pass (``_mcs_m``) is the graph decomposition: its clique minimal
 separators give the atoms that the hull number reads, and its separators of
 one vertex give the blocks and cut vertices.
 
-It also holds the one forbidden-triple branch and bound, ``_PositionSearch``:
-the largest vertex set holding no triple (x, y, z) with y a witness of the
-pair {x,z}.  It runs in order space, where bit i is the i-th vertex by
-descending witness participation, over one table per triple system
-(:func:`pair_table`): for each pair of vertices, the mask of the third
-members of their triples.  The position solvers build that table from
-interval or geodesic witnesses; here alphaomega and dissociation build it
-from common-neighbour witnesses (see :func:`common_neighbour_witnesses`).
+It also holds the one forbidden-triple branch and bound, ``_PositionSearch``,
+the one search of all nine maxima: the largest vertex set holding no triple
+(x, y, z) with y a witness of the pair {x,z}.  It runs in order space over
+one table per triple system: for each pair of vertices, the mask of the
+third members of their triples.  :func:`pair_table` builds it, ordered by
+witness participation, from interval or geodesic witnesses for the
+position solvers and from common-neighbour witnesses for alphaomega and
+dissociation.  alpha searches the empty system for independent sets, in
+clique-cover order (``_independent_max``); omega is alpha of the complement.
 
 Solver conventions
 ------------------
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitset import bit, iter_bits
+from .bitset import bit, full_mask, iter_bits
 from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
-from .graph import MAX_VERTICES, SOLVER_CAP, Graph, complement
+from .graph import MAX_VERTICES, SOLVER_CAP, Graph
 
 #: Sentinel distance between vertices in different components.  Finite so
 #: that sums and comparisons behave, but far above any real distance.
@@ -199,7 +200,7 @@ def has_triangle(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact clique machinery
+# the lexmin driver
 # ---------------------------------------------------------------------------
 
 
@@ -244,79 +245,6 @@ def _lexmin(n: int, run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
     if forced.bit_count() != value:
         raise InternalCheckError("lexmin pass lost feasibility")
     return value, forced
-
-
-def clique_number(g: Graph, cap: int = MAX_VERTICES,
-                  node_limit: int = NODE_LIMIT) -> tuple[int, int]:
-    """Exact clique number with a lexmin witness mask.
-
-    A search grows the clique ``forced`` inside its common neighbourhood by
-    branch and bound, with a greedy colouring of the candidates as bound.
-    Nodes are counted over the optimum search and the lexmin pass together;
-    a node-limit refusal names them and the largest clique found so far.
-    """
-    if g.n > cap:
-        raise CapExceeded(f"clique cap {cap} exceeded by order {g.n}")
-    adj = g.adj
-    nodes = largest = 0
-
-    def run(forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        nonlocal largest
-        if not g.is_clique_mask(forced):
-            return 0, 0
-        room = allowed & ~forced
-        for v in iter_bits(forced):
-            room &= adj[v]
-        best, best_mask = forced.bit_count(), forced
-        if target is not None:
-            best = max(best, target - 1)  # only sets of size target count
-
-        def expand(rmask: int, rsize: int, pmask: int):
-            nonlocal nodes, best, best_mask
-            nodes += 1
-            if nodes > node_limit:
-                raise NodeLimitExceeded(f"clique search node limit {node_limit} exceeded after "
-                                        f"{nodes} nodes, largest set so far "
-                                        f"{max(largest, best_mask.bit_count())}")
-            if not pmask:
-                if rsize > best:
-                    best, best_mask = rsize, rmask
-                    if target is not None and best >= target:
-                        raise _Found
-                return
-            order: list[tuple[int, int]] = []
-            rest = pmask
-            color = 0
-            while rest:
-                color += 1
-                avail = rest
-                while avail:
-                    b = avail & -avail
-                    v = b.bit_length() - 1
-                    order.append((v, color))
-                    rest ^= b
-                    avail = (avail ^ b) & ~adj[v]
-            live = pmask
-            for v, c in reversed(order):
-                if rsize + c <= best:
-                    return
-                expand(rmask | bit(v), rsize + 1, live & adj[v])
-                live &= ~bit(v)
-
-        try:
-            expand(forced, forced.bit_count(), room)
-        except _Found:
-            pass
-        largest = max(largest, best_mask.bit_count())
-        return best, best_mask
-
-    return _lexmin(g.n, run, g.full())
-
-
-def independence_number(g: Graph, cap: int = MAX_VERTICES,
-                        node_limit: int = NODE_LIMIT) -> tuple[int, int]:
-    """alpha(G), computed as the clique number of the complement."""
-    return clique_number(complement(g), cap, node_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -400,24 +328,44 @@ def pair_table(witness: list[list[int]]) -> PairTable:
     return order, pos, pair
 
 
+def _cover(nbr: list[int], cand: int, classes: list[int] | None = None) -> int:
+    """The mask of the top bits of the classes of a greedy cover of ``cand``
+    by cliques of the graph whose neighbour masks are ``nbr``: from the
+    lowest bit left, keep adding the lowest common neighbour.  The classes
+    go to ``classes`` when it is given."""
+    tops = 0
+    while cand:
+        cls = b = cand & -cand
+        common = cand & nbr[b.bit_length() - 1]
+        while common:
+            b = common & -common
+            cls |= b
+            common &= nbr[b.bit_length() - 1]
+        cand ^= cls
+        tops |= b
+        if classes is not None:
+            classes.append(cls)
+    return tops
+
+
 class _PositionSearch:
-    """Largest vertex set meeting no triple, by branch and bound over the
-    ``(order, pos, pair)`` table of :func:`pair_table`.
+    """Largest vertex set meeting no triple, by branch and bound over an
+    ``(order, pos, pair)`` table, as :func:`pair_table` builds it.
 
     The search runs in order space: bit i is ``order[i]``, so the next
-    candidate is the lowest bit of ``cand`` and the candidates go by
-    descending witness participation.  Taking i kills ``pair[i][j]`` for
-    every chosen j; with ``independent`` it also kills the neighbours of
-    ``order[i]``.  The bound is chosen + surviving candidates, all of
-    which lie past i.  An independent set meets a clique at most once, so
-    with ``independent`` a node that this count does not prune covers its
-    candidates by cliques (``_cover``) and counts instead the classes that
-    still meet them: as candidates leave lowest first, those are the
-    classes whose top bit is left.  ``run`` maps ``forced`` and
-    ``allowed`` into order space and the best set back out; ``nodes``
-    counts every node of every run so far, also after a limit or a target
-    stops one, and ``largest`` is the size of the largest set a run has
-    returned.  A node-limit refusal names both.
+    candidate is the lowest bit of ``cand`` and the candidates go in table
+    order.  Taking i kills ``pair[i][j]`` for every chosen j; with
+    ``independent`` it also kills the neighbours of ``order[i]``.  The
+    bound is chosen + surviving candidates, all of which lie past i.  An
+    independent set meets a clique at most once, so with ``independent`` a
+    node that this count does not prune covers its candidates by cliques
+    (``_cover``) and counts instead the classes that still meet them: as
+    candidates leave lowest first, those are the classes whose top bit is
+    left (for alpha, MCQ's colour bound, Tomita & Kameda 2007).  ``run``
+    maps ``forced`` and ``allowed`` into order space and the best set back
+    out; ``nodes`` counts every node of every run so far, also after a
+    limit or a target stops one, and ``largest`` is the size of the largest
+    set a run has returned.  A node-limit refusal names both.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
@@ -430,31 +378,13 @@ class _PositionSearch:
         self.largest = 0
 
     def _to_order(self, mask: int) -> int:
+        """``mask`` in order space; a dense one maps through its complement."""
         pos = self.pos
+        flip = (1 << len(pos)) - 1 if 2 * mask.bit_count() > len(pos) else 0
         out = 0
-        for v in iter_bits(mask):
+        for v in iter_bits(mask ^ flip):
             out |= 1 << pos[v]
-        return out
-
-    def _cover(self, cand: int, classes: list[int] | None = None) -> int:
-        """The mask of the top bits of the classes of a greedy cover of
-        ``cand`` by cliques of the graph: from the lowest bit left, keep
-        adding the lowest common neighbour.  The classes go to ``classes``
-        when it is given."""
-        nbr = self.nbr
-        tops = 0
-        while cand:
-            cls = b = cand & -cand
-            common = cand & nbr[b.bit_length() - 1]
-            while common:
-                b = common & -common
-                cls |= b
-                common &= nbr[b.bit_length() - 1]
-            cand ^= cls
-            tops |= b
-            if classes is not None:
-                classes.append(cls)
-        return tops
+        return out ^ flip
 
     def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
         """Best (size, mask) with forced included; with a target, the first
@@ -494,10 +424,10 @@ class _PositionSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
+        pair, nbr = self.pair, self.nbr
         live = cand
         if self.independent and size + cand.bit_count() > self.best:
-            live = self._cover(cand)
-        pair, nbr = self.pair, self.nbr
+            live = _cover(nbr, cand)
         while cand:
             if size + (live & cand).bit_count() <= self.best:
                 return
@@ -511,6 +441,36 @@ class _PositionSearch:
             chosen.append(i)
             self._rec(chosen, smask | b, cand & ~kill)
             chosen.pop()
+
+
+def _independent_max(adj: tuple[int, ...], cap: int, node_limit: int) -> tuple[int, int]:
+    """alpha, with a lexmin witness, of the graph with neighbour masks ``adj``:
+    ``_PositionSearch`` over the empty triple system, branching class by
+    class of a greedy clique cover, last class first (as MCQ)."""
+    n = len(adj)
+    if n > cap:
+        raise CapExceeded(f"clique cap {cap} exceeded by order {n}")
+    classes: list[int] = []
+    _cover(adj, full_mask(n), classes)
+    order = [v for cls in reversed(classes) for v in iter_bits(cls)]
+    pos = sorted(range(n), key=order.__getitem__)
+    no_pairs = [0] * n  # the empty triple system: one zero row for every i
+    search = _PositionSearch(adj, (order, pos, [no_pairs] * n), True, node_limit)
+    return _lexmin(n, search.run, full_mask(n))
+
+
+def clique_number(g: Graph, cap: int = MAX_VERTICES,
+                  node_limit: int = NODE_LIMIT) -> tuple[int, int]:
+    """Exact clique number with a lexmin witness mask: alpha of the
+    complement, by the one search of all nine maxima."""
+    full = g.full()
+    return _independent_max(tuple(full ^ a ^ bit(v) for v, a in enumerate(g.adj)), cap, node_limit)
+
+
+def independence_number(g: Graph, cap: int = MAX_VERTICES,
+                        node_limit: int = NODE_LIMIT) -> tuple[int, int]:
+    """alpha(G) with a lexmin witness mask, by the one search of all nine maxima."""
+    return _independent_max(g.adj, cap, node_limit)
 
 
 def _common_neighbour_max(g: Graph, include_adjacent: bool, node_limit: int) -> tuple[int, int]:

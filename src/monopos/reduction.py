@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import CapExceeded, InputError
 from .graph import SOLVER_CAP, Graph, complete_graph, join
 from .graph6 import emit_graph6
 from .invariants import clique_number
@@ -76,13 +76,15 @@ def verify_reduction(inst: ReductionInstance, node_limit: int = NODE_LIMIT,
                      cap: int = SOLVER_CAP) -> ReductionReport:
     """Solve both sides exactly and compare the yes/no answers.
 
-    ``node_limit`` bounds the clique search and the position search alike.
-    The solver is built first, so a bad cap or node limit is refused before
-    any search.  Solver cap or node-limit failures propagate as limit
-    errors; they are never folded into a verification verdict.
+    One search serves both sides, omega and mp, under one ``node_limit``
+    and ``cap``; a bad cap or node limit, or a product over the cap, is
+    refused before any search.  Limit failures propagate as limit errors;
+    they are never folded into a verification verdict.
     """
     solver = GraphSolver(inst.product, node_limit, cap=cap)
-    omega, _ = clique_number(inst.source, node_limit=node_limit)
+    if inst.product.n > cap:
+        raise CapExceeded(f"reduction cap {cap} exceeded by product order {inst.product.n}")
+    omega, _ = clique_number(inst.source, cap, node_limit)
     mp = solver.value("mp")
     return ReductionReport(
         source_g6=emit_graph6(inst.source),

@@ -8,12 +8,12 @@ geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), read
 off the breadth-first layers of ``Graph.layers``, and the length-two mode
 takes the common neighbours of non-adjacent pairs, which are the geodesics
 of length two.  ``build_triple_index`` is the one derivation of these
-witness systems.  One branch-and-bound maximizer,
-``invariants._PositionSearch``, serves all modes and dissociation (gp2 is
-alphaomega, computed once); the independent variants add a neighborhood
-filter when a vertex is taken.  ``invariants._lexmin`` drives its runs to
-the lexmin witness.  The subset oracle ``brute_force_position`` scans the
-same witness systems with neither of the two.
+witness systems.  One branch and bound, ``invariants._PositionSearch``,
+serves all modes, diss, omega and alpha (gp2 is alphaomega, computed
+once), with a neighbourhood filter for the independent variants, and
+``invariants._lexmin`` drives its runs to the lexmin witness.  The subset
+oracle ``brute_force_position`` scans the same witness systems with
+neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, and every closed form that ``compute`` answers, is
 computed by name through its table, and ``GraphSolver.report`` finishes
@@ -276,12 +276,10 @@ def _phi(g: Graph, *_) -> tuple[int, int]:
 #: Parameter name -> report builder, in the order parameter_suite computes
 #: them.  Names are resolved at call time, so the layer tracer sees each call.
 PARAMETERS = {
-    "omega": _invariant("branch_and_bound", lambda g, cap, limit: clique_number(g, cap, limit)),
-    "alpha": _invariant("branch_and_bound",
-                        lambda g, cap, limit: independence_number(g, cap, limit)),
+    "omega": _invariant("branch_and_bound", lambda *args: clique_number(*args)),
+    "alpha": _invariant("branch_and_bound", lambda *args: independence_number(*args)),
     "alphaomega": lambda s, name: replace(s.report("gp2"), parameter=name),
-    "diss": _invariant("branch_and_bound",
-                       lambda g, cap, limit: dissociation_number(g, cap, limit)),
+    "diss": _invariant("branch_and_bound", lambda *args: dissociation_number(*args)),
     "simplicial": _invariant("closed_form", _simplicial),
     "L": _invariant("induced_path_walk", lambda g, cap, _: (
         longest_induced_path_length(g, cap), 0)),

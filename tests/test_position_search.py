@@ -4,20 +4,26 @@ from the witness rows and their inversion at every child.  With
 ``independent`` the twin covers the candidates of a node by cliques, each
 grown from the first candidate left in its order by scanning for common
 neighbours, and counts the classes that meet the candidates past each
-position.  Both must give the same value, witness and node count."""
+position.  Both must give the same value, witness and node count.
+
+omega and alpha, the position search over the empty triple system, have a
+second twin: the greedy-colouring clique search that computed them before,
+on the graph and on its complement, with the same value and witness."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import connected_graphs, random_connected
 from monopos.bitset import bit, iter_bits
 from monopos.errors import NodeLimitExceeded
-from monopos.families import random_graph
-from monopos.graph import complete_graph, cycle_graph, path_graph
-from monopos.invariants import (NODE_LIMIT, _Found, _lexmin, _PositionSearch,
-                                common_neighbour_witnesses, independence_number, pair_table)
+from monopos.families import grid_graph, random_graph, random_split_graph, random_tree
+from monopos.graph import complement, complete_graph, cycle_graph, path_graph
+from monopos.invariants import (NODE_LIMIT, _cover, _Found, _lexmin, _PositionSearch,
+                                clique_number, common_neighbour_witnesses, independence_number,
+                                pair_table)
 from monopos.solvers import POSITION_PARAMS, PathMode, brute_force_position, build_triple_index
 
 
@@ -178,7 +184,7 @@ def test_root_clique_cover_is_sound_on_small_connected_graphs():
                 ("alpha", _empty(g.n), independence_number(g)[0])):
             search = _PositionSearch(g.adj, pair_table(witness), True)
             classes = []
-            tops = search._cover(g.full(), classes)
+            tops = _cover(search.nbr, g.full(), classes)
             assert len(classes) >= value, (g.adj, name)
             covered = 0
             for cls in classes:
@@ -193,12 +199,88 @@ def test_root_clique_cover_is_sound_on_small_connected_graphs():
     assert checked == 3 * 996
 
 
+def _clique_twin(g):
+    """omega(g) with its lexmin witness by a second branch and bound: grow
+    the clique ``forced`` inside its common neighbourhood, bounded by a
+    greedy colouring of the candidates (as MCQ, Tomita & Kameda 2007),
+    driven by ``_lexmin``.  alpha(g) is this twin on the complement."""
+    adj = g.adj
+
+    def run(forced, allowed, target):
+        if not g.is_clique_mask(forced):
+            return 0, 0
+        room = allowed & ~forced
+        for v in iter_bits(forced):
+            room &= adj[v]
+        best = [forced.bit_count(), forced]
+        if target is not None:
+            best[0] = max(best[0], target - 1)  # only sets of size target count
+
+        def expand(rmask, rsize, pmask):
+            if not pmask:
+                if rsize > best[0]:
+                    best[:] = rsize, rmask
+                    if target is not None and rsize >= target:
+                        raise _Found
+                return
+            order = []
+            rest, color = pmask, 0
+            while rest:
+                color += 1
+                avail = rest
+                while avail:
+                    b = avail & -avail
+                    v = b.bit_length() - 1
+                    order.append((v, color))
+                    rest ^= b
+                    avail = (avail ^ b) & ~adj[v]
+            live = pmask
+            for v, c in reversed(order):
+                if rsize + c <= best[0]:
+                    return
+                expand(rmask | bit(v), rsize + 1, live & adj[v])
+                live &= ~bit(v)
+
+        try:
+            expand(forced, forced.bit_count(), room)
+        except _Found:
+            pass
+        return tuple(best)
+
+    return _lexmin(g.n, run, g.full())
+
+
 def test_independent_search_over_the_empty_system_is_alpha_at_64_vertices():
-    """Alpha through the position search equals the clique search on the
-    complement, value and lexmin witness, on G(64, 0.1)."""
+    """Alpha through the position search over the empty system, in the
+    label order that ``pair_table`` gives it (11,180 nodes), equals the
+    clique search twin on the complement, value and lexmin witness, on
+    G(64, 0.1)."""
     g = random_graph(64, random.Random(1), 0.1)
     search = _PositionSearch(g.adj, pair_table(_empty(g.n)), True, node_limit=50_000)
-    assert _lexmin(g.n, search.run, g.full()) == independence_number(g)
+    assert _lexmin(g.n, search.run, g.full()) == _clique_twin(complement(g))
+
+
+@pytest.mark.parametrize("g", [
+    *(pytest.param(random_graph(64, random.Random(1), p), id=f"gnp64-{p}")
+      for p in (0.1, 0.3, 0.5, 0.9)),
+    pytest.param(random_split_graph(64, random.Random(1)), id="split64"),
+    pytest.param(grid_graph(8, 8), id="grid8x8"),
+])
+def test_omega_and_alpha_equal_the_clique_search_twin_at_64_vertices(g):
+    assert clique_number(g) == _clique_twin(g)
+    assert independence_number(g) == _clique_twin(complement(g))
+
+
+def test_omega_equals_the_clique_search_twin_on_a_tree_of_512_vertices():
+    g = random_tree(512, random.Random(1))
+    assert clique_number(g) == _clique_twin(g)
+
+
+def test_alpha_search_order_by_clique_cover_classes_bounds_early():
+    """Branching class by class of a greedy clique cover, alpha of G(64, 0.1)
+    stays under 3,000 nodes (1,811); label order takes 11,180."""
+    g = random_graph(64, random.Random(1), 0.1)
+    assert independence_number(g, node_limit=3_000)[0] == 25
 
 
 def test_pair_table_equals_its_definition():

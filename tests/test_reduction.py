@@ -1,8 +1,8 @@
 import pytest
 
-from monopos.errors import InputError, NodeLimitExceeded
+from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
 from monopos.graph import complete_graph, cycle_graph
-from monopos.invariants import clique_number
+from monopos.invariants import _PositionSearch, clique_number
 from monopos.reduction import reduce_clique_to_mp, verify_reduction
 
 
@@ -73,19 +73,32 @@ def test_report_dict():
                         "omega_source", "mp_product"}
 
 
-@pytest.mark.parametrize("kwargs", [{"node_limit": 0}, {"cap": 0}], ids=["node_limit", "cap"])
-def test_bad_limits_are_refused_before_the_clique_search(monkeypatch, kwargs):
+@pytest.mark.parametrize("kwargs, error, said", [
+    ({"node_limit": 0}, InputError, "must be at least 1"),
+    ({"cap": 0}, InputError, "must be at least 1"),
+    ({"cap": 9}, CapExceeded, "^reduction cap 9 exceeded by product order 10$"),
+], ids=["node_limit", "cap", "cap_below_product"])
+def test_bad_limits_are_refused_before_the_clique_search(monkeypatch, kwargs, error, said):
     import monopos.reduction as reduction
 
     def no_search(*_, **__):
-        raise AssertionError("the clique search ran")
+        raise AssertionError("a search ran")
 
     monkeypatch.setattr(reduction, "clique_number", no_search)
-    with pytest.raises(InputError, match="must be at least 1"):
+    monkeypatch.setattr(_PositionSearch, "run", no_search)
+    with pytest.raises(error, match=said):
         verify_reduction(reduce_clique_to_mp(cycle_graph(5), 2), **kwargs)
 
 
-def test_node_limit_bounds_the_clique_search_too():
+def test_node_limit_bounds_the_clique_search_too(monkeypatch):
+    import monopos.reduction as reduction
+
+    def no_mp(*_, **__):
+        raise AssertionError("the position search on the product ran")
+
+    monkeypatch.setattr(reduction.GraphSolver, "value", no_mp)
     inst = reduce_clique_to_mp(cycle_graph(5), 2)
-    with pytest.raises(NodeLimitExceeded, match="clique search"):
+    with pytest.raises(NodeLimitExceeded) as refused:
         verify_reduction(inst, node_limit=1)
+    assert str(refused.value) == ("position solver node limit 1 exceeded after 2 nodes, "
+                                  "largest set so far 0")

@@ -212,7 +212,7 @@ def test_node_limit_refusals_name_nodes_spent_and_largest_set():
             ("mp", 5, "position solver node limit 5 exceeded after 6 nodes, largest set so far 3"),
             ("gp", 40, "position solver node limit 40 exceeded after 41 nodes, "
                        "largest set so far 6"),
-            ("alpha", 5, "clique search node limit 5 exceeded after 6 nodes, "
+            ("alpha", 5, "position solver node limit 5 exceeded after 6 nodes, "
                          "largest set so far 4")):
         with pytest.raises(NodeLimitExceeded) as refused:
             GraphSolver(g, node_limit=limit, lexmin=True).report(param)
