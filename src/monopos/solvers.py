@@ -39,11 +39,11 @@ from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import (CapExceeded, InputError, InternalCheckError, LimitError,
                      require_positive)
 from .graph import SOLVER_CAP, Graph
-from .invariants import (NODE_LIMIT, PairTable, _lexmin, _PositionSearch, bipartition,
-                         clique_number, clique_separator_atoms, common_neighbour_witnesses,
-                         cut_vertices, diameter, dissociation_number, independence_number,
-                         is_distance_hereditary, oracle_max_subset, pair_table, phi_separated,
-                         psi_uniform, simplicial_vertices, split_partition)
+from .invariants import (NODE_LIMIT, PairTable, _common_neighbour_max, _forcing_run,
+                         _independent_max, _lexmin, _PositionSearch, bipartition,
+                         clique_separator_atoms, common_neighbour_witnesses, cut_vertices,
+                         diameter, is_distance_hereditary, oracle_max_subset, pair_table,
+                         phi_separated, psi_uniform, simplicial_vertices, split_partition)
 from .paths import (PARTITION_CAP, IntervalCache, cache_for, convex_hull, induced_path_partition,
                     longest_induced_path_length, monophonic_hull, monophonic_witnesses)
 
@@ -162,12 +162,18 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     """Exact maximum position set inside ``allowed`` (default: every vertex)
     with a lexmin witness.  With ``lexmin`` off the witness is the first
     optimum found (still verified); value-only callers use this to save work.
+    Before each gp2 search, every vertex that :func:`invariants._forcing_run`
+    allows is forced, every pendant vertex among them, so trees, unicyclic
+    and block graphs of 64-70 vertices take under a thousand nodes; the
+    other modes search bare, since forcing saves them under 1% of their
+    nodes.
     """
     t0 = time.perf_counter()
     name = _position_name(idx.mode, independent)
     g = idx.graph
     search = _PositionSearch(g.adj, idx.table(), independent, node_limit)
-    value, found = _lexmin(g.n, search.run, g.full() if allowed is None else allowed, lexmin)
+    run = _forcing_run(search) if idx.mode is PathMode.GEODESIC_LEN2 else search.run
+    value, found = _lexmin(g.n, run, g.full() if allowed is None else allowed, lexmin)
     ok, _ = is_position_set(idx, found)
     if not ok or (independent and not g.is_independent_mask(found)):
         raise InternalCheckError("position witness failed verification")
@@ -242,10 +248,12 @@ def _position(s: GraphSolver, name: str) -> ParameterReport:
 
 
 def _invariant(method: str, fn):
-    """Report builder for ``fn(g, cap, node_limit) -> (value, witness mask)``."""
+    """Report builder for ``fn(g, cap, node_limit) -> (value, witness mask)``,
+    or ``(value, witness mask, search nodes)`` for a search, whose nodes
+    the report counts as ``expansions``."""
     def compute(s: GraphSolver, name: str) -> ParameterReport:
-        value, mask = fn(s.g, s.cap, s.node_limit)
-        return ParameterReport(name, value, to_tuple(mask), method, 0, 0.0)
+        value, mask, *nodes = fn(s.g, s.cap, s.node_limit)
+        return ParameterReport(name, value, to_tuple(mask), method, sum(nodes), 0.0)
     return compute
 
 
@@ -274,12 +282,14 @@ def _phi(g: Graph, *_) -> tuple[int, int]:
 
 
 #: Parameter name -> report builder, in the order parameter_suite computes
-#: them.  Names are resolved at call time, so the layer tracer sees each call.
+#: them.  Names are resolved at call time, so the layer tracer sees each call
+#: of a function it wraps.
 PARAMETERS = {
-    "omega": _invariant("branch_and_bound", lambda *args: clique_number(*args)),
-    "alpha": _invariant("branch_and_bound", lambda *args: independence_number(*args)),
+    "omega": _invariant("branch_and_bound", lambda g, *limits: _independent_max(g, True, *limits)),
+    "alpha": _invariant("branch_and_bound", lambda g, *limits: _independent_max(g, False, *limits)),
     "alphaomega": lambda s, name: replace(s.report("gp2"), parameter=name),
-    "diss": _invariant("branch_and_bound", lambda *args: dissociation_number(*args)),
+    "diss": _invariant("branch_and_bound",
+                       lambda g, *limits: _common_neighbour_max(g, True, *limits)),
     "simplicial": _invariant("closed_form", _simplicial),
     "L": _invariant("induced_path_walk", lambda g, cap, _: (
         longest_induced_path_length(g, cap), 0)),
