@@ -334,19 +334,25 @@ def pair_table(witness: list[list[int]]) -> PairTable:
     return order, pos, pair
 
 
-def _cover(nbr: list[int], cand: int, classes: list[int] | None = None) -> int:
+def _cover(rows: list[int], cand: int, classes: list[int] | None = None,
+           parent: list[int] | None = None, took: list[int] | None = None) -> int:
     """The mask of the top bits of the classes of a greedy cover of ``cand``
-    by cliques of the graph whose neighbour masks are ``nbr``: from the
+    by cliques of the graph whose neighbour masks are ``rows``: from the
     lowest bit left, keep adding the lowest common neighbour.  The classes
-    go to ``classes`` when it is given."""
+    go to ``classes`` when it is given.  With ``parent`` and ``took``, the
+    walk first sets ``rows[k] = parent[k] | took[k]`` for each k of
+    ``cand`` it meets, so each candidate is touched once."""
     tops = 0
     while cand:
-        cls = b = cand & -cand
-        common = cand & nbr[b.bit_length() - 1]
+        cls = 0
+        common = cand
         while common:
             b = common & -common
             cls |= b
-            common &= nbr[b.bit_length() - 1]
+            k = b.bit_length() - 1
+            if parent is not None:
+                rows[k] = parent[k] | took[k]
+            common &= rows[k]
         cand ^= cls
         tops |= b
         if classes is not None:
@@ -362,16 +368,27 @@ class _PositionSearch:
     candidate is the lowest bit of ``cand`` and the candidates go in table
     order.  Taking i kills ``pair[i][j]`` for every chosen j; with
     ``independent`` it also kills the neighbours of ``order[i]``.  The
-    bound is chosen + surviving candidates, all of which lie past i.  An
-    independent set meets a clique at most once, so with ``independent`` a
-    node that this count does not prune covers its candidates by cliques
-    (``_cover``) and counts instead the classes that still meet them: as
-    candidates leave lowest first, those are the classes whose top bit is
-    left (for alpha, MCQ's colour bound, Tomita & Kameda 2007).  ``run``
-    maps ``forced`` and ``allowed`` into order space and the best set back
-    out; ``nodes`` counts every node of every run so far, also after a
-    limit or a target stops one, and ``largest`` is the size of the largest
-    set a run has returned.  A node-limit refusal names both.
+    bound is chosen + surviving candidates, all of which lie past i.
+
+    With ``independent`` two candidates u and v also exclude each other
+    when they are adjacent or when {j, u, v} holds a triple for a chosen j:
+    they are adjacent in the *conflict graph*, whose row of candidate k is
+    ``nbr[k] | pair[k][j]`` over the chosen j, the mask that taking k
+    kills.  An independent position set meets a clique of it at most once,
+    so a node that the count does not prune covers its candidates by
+    conflict cliques (``_cover``) and counts instead the classes that
+    still meet them: as candidates leave lowest first, those are the
+    classes whose top bit is left (MCQ's colour bound, Tomita & Kameda
+    2007, on the graph the search branches on).  A node keeps the rows of
+    its candidates in ``levels[size]``: its parent's rows with the pair
+    row of the vertex it just took ORed in, in the same walk that grows
+    its cover.  Over the empty triple system (alpha and omega) the rows
+    are ``nbr`` itself and are never copied.
+
+    ``run`` maps ``forced`` and ``allowed`` into order space and the best
+    set back out; ``nodes`` counts every node of every run so far, also
+    after a limit or a target stops one, and ``largest`` is the size of
+    the largest set a run has returned.  A node-limit refusal names both.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
@@ -379,6 +396,10 @@ class _PositionSearch:
         self.order, self.pos, self.pair = table
         self.independent = independent
         self.nbr = [self._to_order(adj[v]) if independent else 0 for v in self.order]
+        n = len(self.order)
+        # whether taking a vertex adds to the conflict rows: a pair row is not all zero
+        self.grows = independent and self.pair.count([0] * n) < n
+        self.levels = [[0] * n for _ in range(n + 1)] if self.grows else []
         self.node_limit = node_limit
         self.nodes = 0
         self.largest = 0
@@ -407,18 +428,34 @@ class _PositionSearch:
             chosen.append(i)
         if kill & smask:
             return 0, 0
-        self.best = len(chosen) if target is None else max(len(chosen), target - 1)
+        size = len(chosen)
+        self.best = size if target is None else max(size, target - 1)
         self.best_mask = smask
         self.target = target
+        cand = self._to_order(allowed) & ~smask & ~kill
+        rows = nbr
+        if self.grows and size and size + cand.bit_count() > self.best:
+            rows = self.levels[size]  # the root's rows, once its count does not prune it
+            for k in iter_bits(cand):
+                row = pair[k]
+                conf = nbr[k]
+                for j in chosen:
+                    conf |= row[j]
+                rows[k] = conf
         try:
-            self._rec(chosen, smask, self._to_order(allowed) & ~smask & ~kill)
+            self._rec(chosen, smask, cand, rows, None)
         except _Found:
             pass
         self.largest = max(self.largest, self.best_mask.bit_count())
         order = self.order
         return self.best, sum(1 << order[i] for i in iter_bits(self.best_mask))
 
-    def _rec(self, chosen: list[int], smask: int, cand: int):
+    def _rec(self, chosen: list[int], smask: int, cand: int, rows: list[int],
+             took: list[int] | None):
+        """One node.  With ``independent``, ``rows`` are the conflict rows
+        of the parent's candidates and ``took`` the pair row of the vertex
+        just taken; they are already this node's rows at the root (``took``
+        None) and when taking a vertex adds no conflict."""
         self.nodes += 1
         if self.nodes > self.node_limit:
             best = max(self.largest, self.best_mask.bit_count())
@@ -430,10 +467,14 @@ class _PositionSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
-        pair, nbr = self.pair, self.nbr
+        pair, independent = self.pair, self.independent
         live = cand
-        if self.independent and size + cand.bit_count() > self.best:
-            live = _cover(nbr, cand)
+        if independent and size + cand.bit_count() > self.best:
+            if took is None or not self.grows:
+                live = _cover(rows, cand)
+            else:
+                parent, rows = rows, self.levels[size]
+                live = _cover(rows, cand, None, parent, took)
         while cand:
             if size + (live & cand).bit_count() <= self.best:
                 return
@@ -441,11 +482,14 @@ class _PositionSearch:
             i = b.bit_length() - 1
             cand ^= b
             row = pair[i]
-            kill = nbr[i]
-            for j in chosen:
-                kill |= row[j]
+            if independent:
+                kill = rows[i]
+            else:
+                kill = 0
+                for j in chosen:
+                    kill |= row[j]
             chosen.append(i)
-            self._rec(chosen, smask | b, cand & ~kill)
+            self._rec(chosen, smask | b, cand & ~kill, rows, row)
             chosen.pop()
 
 

@@ -1,10 +1,12 @@
 """The position search against its slow twin, a label-space search that
 scans every order position with a suffix-mask bound and ORs the kill mask
 from the witness rows and their inversion at every child.  With
-``independent`` the twin covers the candidates of a node by cliques, each
-grown from the first candidate left in its order by scanning for common
-neighbours, and counts the classes that meet the candidates past each
-position.  Both must give the same value, witness and node count.
+``independent`` the twin covers the candidates of a node by cliques of the
+conflict graph, where u and v conflict when taking u kills v (they are
+adjacent or complete a triple with a chosen vertex); each class is grown
+from the first candidate left in its order by scanning for common
+conflicts, and the twin counts the classes that meet the candidates past
+each position.  Both must give the same value, witness and node count.
 
 omega and alpha, the position search over the empty triple system, have a
 second twin: the greedy-colouring clique search that computed them before,
@@ -21,9 +23,9 @@ from monopos.bitset import bit, iter_bits
 from monopos.errors import NodeLimitExceeded
 from monopos.families import grid_graph, random_graph, random_split_graph, random_tree
 from monopos.graph import complement, complete_graph, cycle_graph, path_graph
-from monopos.invariants import (NODE_LIMIT, _cover, _Found, _lexmin, _PositionSearch,
-                                clique_number, common_neighbour_witnesses, independence_number,
-                                pair_table)
+from monopos.invariants import (NODE_LIMIT, _cover, _Found, _independent_max, _lexmin,
+                                _PositionSearch, clique_number, common_neighbour_witnesses,
+                                independence_number, pair_table)
 from monopos.solvers import POSITION_PARAMS, PathMode, brute_force_position, build_triple_index
 
 
@@ -82,14 +84,16 @@ class _LabelSpaceSearch:
             pass
         return self.best, self.best_mask
 
-    def _classes(self, cand):
-        """A cover of cand by cliques (by singletons without ``independent``)."""
+    def _classes(self, chosen, cand):
+        """A cover of cand by cliques of the conflict graph: u and v
+        conflict when taking u kills v (by singletons without
+        ``independent``)."""
         left = [v for v in self.order if cand & bit(v)]
         classes = []
         while left:
             cls = [left[0]]
             for v in left[1:]:
-                if self.independent and all(self.adj[u] & bit(v) for u in cls):
+                if self.independent and all(self._kill_mask(chosen, u) & bit(v) for u in cls):
                     cls.append(v)
             left = [v for v in left if v not in cls]
             classes.append(sum(bit(v) for v in cls))
@@ -105,7 +109,7 @@ class _LabelSpaceSearch:
             self.best_mask = smask
             if self.target is not None and self.best >= self.target:
                 raise _Found
-        classes = self._classes(cand)
+        classes = self._classes(chosen, cand)
         for i in range(oi, len(self.order)):
             if size + sum(1 for c in classes if c & cand & self.suffix[i]) <= self.best:
                 return
@@ -197,6 +201,81 @@ def test_root_clique_cover_is_sound_on_small_connected_graphs():
             assert covered == g.full() and tops.bit_count() == len(classes), (g.adj, name)
             checked += 1
     assert checked == 3 * 996
+
+
+def _triple_rows(witness):
+    """rows[a][b] = mask of every w such that {a, b, w} holds a triple."""
+    n = len(witness)
+    rows = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for z in range(x + 1, n):
+            for y in iter_bits(witness[x][z]):
+                for a, b, w in ((x, z, y), (x, y, z), (z, y, x)):
+                    rows[a][b] |= bit(w)
+                    rows[b][a] |= bit(w)
+    return rows
+
+
+def _best_through(g, witness):
+    """best[v] = the size of the largest independent position set holding
+    v, by enumeration of the hereditary family from its lowest bits up."""
+    rows = _triple_rows(witness)
+    ok = [True] + [False] * (g.full())
+    best = [0] * g.n
+    for mask in range(1, g.full() + 1):
+        x = mask.bit_length() - 1
+        rest = mask ^ bit(x)
+        ok[mask] = ok[rest] and not g.adj[x] & rest and not any(
+            rows[x][a] & rest for a in iter_bits(rest))
+        if ok[mask]:
+            for v in iter_bits(mask):
+                best[v] = max(best[v], mask.bit_count())
+    return best
+
+
+def test_conflict_cover_one_level_down_is_sound_on_small_connected_graphs():
+    """With one vertex v chosen, the classes that ``_cover`` grows over the
+    candidates left after v (the non-neighbours of v), while it ORs v's
+    pair rows into their rows, partition them into conflict cliques: every
+    two members are adjacent or complete a triple with v.  There are at
+    least as many as the best independent position set through v, less
+    one, for imp and igp."""
+    checked = 0
+    for g in connected_graphs(7):
+        for mode in (PathMode.MONOPHONIC, PathMode.GEODESIC):
+            witness = build_triple_index(g, mode).witness
+            triples = _triple_rows(witness)
+            best = _best_through(g, witness)
+            search = _PositionSearch(g.adj, pair_table(witness), True)
+            order, nbr = search.order, search.nbr
+            for pv, v in enumerate(order):
+                cand = g.full() & ~bit(pv) & ~nbr[pv]
+                rows = [0] * g.n
+                classes = []
+                tops = _cover(rows, cand, classes, nbr, search.pair[pv])
+                assert len(classes) >= best[v] - 1, (g.adj, mode, v)
+                covered = 0
+                for cls in classes:
+                    assert not covered & cls, (g.adj, mode, v)
+                    covered |= cls
+                    assert tops & cls == 1 << cls.bit_length() - 1, (g.adj, mode, v)
+                    members = [order[i] for i in iter_bits(cls)]
+                    assert all(g.adj[u] >> w & 1 or triples[u][w] >> v & 1
+                               for u in members for w in members if u != w), \
+                        (g.adj, mode, v, members)
+                assert covered == cand and tops.bit_count() == len(classes), (g.adj, mode, v)
+                checked += 1
+    assert checked == 2 * sum(g.n for g in connected_graphs(7))
+
+
+def test_omega_and_alpha_node_counts_are_pinned():
+    """Over the empty triple system the conflict rows are the rows of G,
+    so the conflict cover leaves the searches of omega and alpha as they
+    were: node counts with the lexmin pass."""
+    assert _independent_max(random_graph(64, random.Random(1), 0.1), False, 64,
+                            NODE_LIMIT)[2] == 1_811
+    assert _independent_max(random_graph(64, random.Random(1), 0.9), True, 64,
+                            NODE_LIMIT)[2] == 16_342
 
 
 def _clique_twin(g):

@@ -226,6 +226,18 @@ def test_clique_cover_bound_keeps_igp_under_small_node_limits():
     assert GraphSolver(hypercube(6), node_limit=120_000, lexmin=True).report("igp").value == 8
 
 
+def test_conflict_cover_bound_keeps_imp_and_igp_under_small_node_limits():
+    # Covering by cliques of G alone took 35,299 nodes on the tree (imp and
+    # igp), 39,581 on the grid and 68,804 on Q6; the conflict cover takes
+    # 585, 5,522 and 21,833.
+    tree = random_tree(70, random.Random(5))
+    for param in ("imp", "igp"):
+        rep = GraphSolver(tree, node_limit=2_000, lexmin=True, cap=70).report(param)
+        assert rep.value == leaves(tree).bit_count()
+    assert GraphSolver(grid_graph(8, 8), node_limit=10_000, lexmin=True).report("igp").value == 4
+    assert GraphSolver(hypercube(6), node_limit=30_000, lexmin=True).report("igp").value == 8
+
+
 def test_geo2_independent_variant_is_refused_before_any_search(monkeypatch):
     import monopos.solvers as solvers
 
