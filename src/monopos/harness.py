@@ -288,9 +288,10 @@ def _check_graph6(rng: random.Random, scale: float):
 @check("interval-oracle-agreement",
        "pruned induced-path intervals equal the simple-path filter oracle")
 def _check_intervals(rng: random.Random, scale: float):
-    """One listing of each pair's chordless paths: their union is the interval,
-    its interior the mono witnesses that the position search reads, and the
-    interiors of the shortest ones the geo (at distance 2, geo2) witnesses."""
+    """One listing per source of the chordless paths to every other vertex:
+    for each pair, their union is the interval, its interior the mono
+    witnesses that the position search reads, and the interiors of the
+    shortest ones the geo (at distance 2, geo2) witnesses."""
     failures: list[dict] = []
     graphs = _random_connected(rng, _count(scale, 110), 2, 8)
     graphs += _random_connected(rng, _count(scale, 20), 9, 9)
@@ -299,10 +300,11 @@ def _check_intervals(rng: random.Random, scale: float):
         rows = [interval_row(g, u)[0] for u in range(g.n)]
         index = {mode: build_triple_index(g, mode).witness for mode in PathMode}
         for u in range(g.n):
+            listed = _chordless_simple_paths(g, u)
             for v in range(u + 1, g.n):
                 if rows[u][v] != rows[v][u]:
                     _fail(failures, g, reason="interval asymmetry", pair=[u, v])
-                paths = _chordless_simple_paths(g, u, v)
+                paths = listed[v]
                 shortest = min(m.bit_count() for m in paths)
                 want = inner = 0
                 for m in paths:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 
-from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
+from .bitset import bit, full_mask, iter_bits, to_tuple
 from .errors import BudgetExceeded, CapExceeded, InputError
 from .graph import SOLVER_CAP, Graph
 
@@ -620,35 +620,32 @@ def _floors(adj: tuple[int, ...], mask: int, longest: int):
 # independent oracle: simple-path filter
 # ---------------------------------------------------------------------------
 
-ORACLE_PATH_CAP = 9
+ORACLE_PATH_CAP = 10
 
 
-def _chordless_simple_paths(g: Graph, u: int, v: int) -> list[int]:
-    """Vertex masks of the u,v-paths found by listing every simple path and
-    keeping the chordless ones, with no use of the pruned enumeration."""
-    adj = g.adj
-    found: list[int] = []
-    path = [u]
+def _chordless_simple_paths(g: Graph, u: int) -> list[list[int]]:
+    """Entry v holds the vertex masks of the chordless u,v-paths, found by
+    listing every simple path from u and keeping the chordless ones, with no
+    use of the pruned enumeration.  Nothing is pruned: a path stays
+    chordless while each vertex it appends has exactly one neighbour, its
+    predecessor, among the vertices already on it.  Each entry lists its
+    paths depth first, neighbours ascending."""
+    listed: list[list[int]] = [[] for _ in range(g.n)]
+    _list_simple_paths(g.adj, u, bit(u), True, listed)
+    return listed
 
-    def chordless(p: list[int]) -> bool:
-        for i in range(len(p)):
-            for j in range(i + 2, len(p)):
-                if adj[p[i]] & bit(p[j]):
-                    return False
-        return True
 
-    def dfs(last: int, seen: int):
-        for w in iter_bits(adj[last] & ~seen):
-            path.append(w)
-            if w == v:
-                if chordless(path):
-                    found.append(mask_of(path))
-            else:
-                dfs(w, seen | bit(w))
-            path.pop()
-
-    dfs(u, bit(u))
-    return found
+def _list_simple_paths(adj, last: int, seen: int, chordless: bool,
+                       listed: list[list[int]]) -> None:
+    ext = adj[last] & ~seen
+    while ext:
+        b = ext & -ext
+        ext ^= b
+        w = b.bit_length() - 1
+        keep = chordless and (adj[w] & seen).bit_count() == 1
+        if keep:
+            listed[w].append(seen | b)
+        _list_simple_paths(adj, w, seen | b, keep, listed)
 
 
 def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
@@ -657,13 +654,13 @@ def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -
     if g.n > cap:
         raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
     acc = 0
-    for m in _chordless_simple_paths(g, u, v):
+    for m in _chordless_simple_paths(g, u)[v]:
         acc |= m
     return acc or bit(u) | bit(v)
 
 
-def count_induced_paths_oracle(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP + 1) -> int:
+def count_induced_paths_oracle(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
     """Number of induced u,v-paths via the simple-path filter."""
     if g.n > cap:
         raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
-    return len(_chordless_simple_paths(g, u, v))
+    return len(_chordless_simple_paths(g, u)[v])

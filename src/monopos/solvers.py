@@ -376,8 +376,12 @@ def hull_number(g: Graph) -> ParameterReport:
     least element of their symmetric difference.  The parts A - U are
     disjoint, so the per-atom firsts unite to the first minimum hull set
     if the minimum hull sets are exactly the unions of per-atom choices.
-    That is not proved here: the tests that diff the witness against
-    closure iteration and against a combination walk guard it.
+    The tests diff value and witness against twins that read no atom:
+    closure iteration on every connected graph of up to 7 vertices, a
+    combination walk at 9-14, and a simplicial-seeded search (every hull
+    set holds the simplicial vertices) on trees, unicyclic, block, split
+    and G(n, p) graphs at 16, 32 and 64 and distance-hereditary graphs
+    at 16 and 32, its reach within a budget of 5,000 sets tried.
     ``expansions`` counts atoms.
     """
     t0 = time.perf_counter()

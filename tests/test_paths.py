@@ -65,6 +65,35 @@ def test_petersen_counts_match_simple_path_oracle():
         assert len(_paths_to(g, u, v)) == count_induced_paths_oracle(g, u, v)
 
 
+def test_simple_path_listing_equals_the_path_predicate_on_small_connected_graphs():
+    """Entry v of the listing from u holds, once each, exactly the vertex
+    sets that induce a path with ends u and v."""
+    for g in connected_graphs(7):
+        by_ends = {}
+        for m in range(1, 1 << g.n):
+            if m.bit_count() > 1 and _induces_path(g, m):
+                ends = tuple(x for x in iter_bits(m) if (g.adj[x] & m).bit_count() <= 1)
+                by_ends.setdefault(ends, []).append(m)
+        for u in range(g.n):
+            listed = _chordless_simple_paths(g, u)
+            assert listed[u] == []
+            for v in range(g.n):
+                if v != u:
+                    got = sorted(listed[v])
+                    assert len(set(got)) == len(got), (g.adj, u, v)
+                    assert got == by_ends.get((min(u, v), max(u, v)), []), (g.adj, u, v)
+
+
+def test_simple_path_oracle_has_one_cap_for_both_entry_points():
+    g = petersen_graph()
+    assert simple_path_interval(g, 0, 2) == interval_row(g, 0)[0][2]
+    assert count_induced_paths_oracle(g, 0, 2) == len(_paths_to(g, 0, 2))
+    for call in (simple_path_interval, count_induced_paths_oracle):
+        with pytest.raises(CapExceeded,
+                           match=r"^simple-path oracle cap 10 exceeded by order 11$"):
+            call(path_graph(11), 0, 10)
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(min_n=1, max_n=8))
 def test_walk_matches_predicate_and_interval_rows(g):
@@ -356,8 +385,8 @@ def test_longest_induced_path_budget_names_how_far_it_got(monkeypatch):
 def test_longest_matches_bruteforce(rng):
     for _ in range(20):
         g = random_connected(rng, rng.randint(2, 7))
-        best = max(m.bit_count() - 1 for u in range(g.n) for v in range(g.n) if u != v
-                   for m in _chordless_simple_paths(g, u, v))
+        best = max(m.bit_count() - 1 for u in range(g.n)
+                   for listed in _chordless_simple_paths(g, u) for m in listed)
         assert longest_induced_path_length(g) == best
 
 

@@ -14,7 +14,8 @@ from monopos.graph import (SOLVER_CAP, Graph, complete_graph, complete_multipart
 from monopos.graph6 import emit_graph6, parse_graph6_lines
 from monopos.invariants import DIST_INF, cut_vertices, distance_matrix, leaves, simplicial_vertices
 from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
-                               random_connected_graph, random_distance_hereditary, random_tree)
+                               random_connected_graph, random_distance_hereditary,
+                               random_split_graph, random_tree, random_unicyclic)
 from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
 from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
                              _PositionSearch, brute_force_position, build_triple_index,
@@ -127,8 +128,9 @@ def test_geodesic_witnesses_equal_shortest_chordless_paths():
     for g in connected_graphs(7):
         geo = build_triple_index(g, PathMode.GEODESIC).witness
         geo2 = build_triple_index(g, PathMode.GEODESIC_LEN2).witness
+        listings = [_chordless_simple_paths(g, x) for x in range(g.n)]
         for x, z in combinations(range(g.n), 2):
-            paths = _chordless_simple_paths(g, x, z)
+            paths = listings[x][z]
             shortest = min(m.bit_count() for m in paths)
             inner = 0
             for m in paths:
@@ -548,6 +550,54 @@ def test_hull_number_at_order_64():
     witness = mask_of(rep.witness)
     simp = simplicial_vertices(g)
     assert witness & simp == simp and convex_hull(g, witness) == g.full()
+
+
+#: Sets the simplicial-seeded hull twin may try before a case counts as unfinished.
+TWIN_SET_BUDGET = 5_000
+
+
+def _simplicial_seeded_hull_set(g):
+    """First minimum hull set with no atom: every hull set holds the
+    simplicial vertices (the extreme vertices of the monophonic convexity),
+    so try Simp plus each k-subset T of the other vertices, k = 0, 1, ...,
+    in combination order.  Combination order on T is combination order on
+    Simp | T.  Returns None past ``TWIN_SET_BUDGET`` sets."""
+    simp = simplicial_vertices(g)
+    others = [v for v in range(g.n) if not simp >> v & 1]
+    tried = 0
+    for k in range(len(others) + 1):
+        for combo in combinations(others, k):
+            m = simp | mask_of(combo)
+            if not m:
+                continue
+            tried += 1
+            if tried > TWIN_SET_BUDGET:
+                return None
+            if convex_hull(g, m) == g.full():
+                return m
+    raise AssertionError("V is a hull set")
+
+
+@pytest.mark.parametrize("make, orders", [
+    (random_tree, (16, 32, 64)),
+    (random_unicyclic, (16, 32, 64)),
+    (random_block_graph, (16, 32, 64)),
+    (random_split_graph, (16, 32, 64)),
+    (lambda n, rng: random_connected_graph(n, rng, 0.1), (16, 32, 64)),
+    (lambda n, rng: random_connected_graph(n, rng, 0.2), (16, 32, 64)),
+    (lambda n, rng: random_connected_graph(n, rng, 0.4), (16, 32, 64)),
+    # at 64 vertices, seeds 34 and 41 run past the budget
+    (random_distance_hereditary, (16, 32)),
+], ids=["tree", "unicyclic", "block", "split", "gnp0.1", "gnp0.2", "gnp0.4", "dh"])
+def test_hull_number_equals_the_simplicial_seeded_twin(make, orders):
+    for n in orders:
+        for seed in range(1, 11):
+            g = make(n, random.Random(seed))
+            first = _simplicial_seeded_hull_set(g)
+            if first is None:
+                pytest.fail(f"twin unfinished after {TWIN_SET_BUDGET} sets: {emit_graph6(g)}")
+            rep = hull_number(g)
+            assert (rep.value, mask_of(rep.witness)) == (first.bit_count(), first), emit_graph6(g)
 
 
 def test_hull_number_is_the_leaf_and_simplicial_count_at_order_512():
