@@ -64,3 +64,10 @@ def require_positive(**limits: int) -> None:
     for name, value in limits.items():
         if value < 1:
             raise InputError(f"{name} must be at least 1, got {value}")
+
+
+def require_cap(what: str, cap: int, order: int) -> None:
+    """Refuse a cap below 1 as bad input, then an order over the cap."""
+    require_positive(cap=cap)
+    if order > cap:
+        raise CapExceeded(f"{what} cap {cap} exceeded by order {order}")

@@ -24,10 +24,11 @@ driver, ``_lexmin``.  It takes the optimum from a search
 ``run(forced, box, target)``, then settles bits from high to low with
 further runs, one per vertex of the optimum it holds and each pruned to
 the optimum's size, so the witness is the optimum set whose bitset
-encoding is the smallest integer ("lexmin"): exact, not heuristic.  A node
-limit counts the optimum search and the lexmin pass together.  The hull
-number is a minimum and is not lexmin: ``solvers.hull_number`` reports the
-first hull set in combination order.
+encoding is the smallest integer ("lexmin"): exact, not heuristic.  Runs
+take and return order-space masks; ``_lexmin`` maps ``allowed`` in and the
+witness out once per maximum.  A node limit counts the optimum search and
+the lexmin pass together.  The hull number is a minimum and is not lexmin:
+``solvers.hull_number`` reports the first hull set in combination order.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from functools import reduce
 from operator import or_
 
 from .bitset import bit, full_mask, iter_bits
-from .errors import CapExceeded, InputError, InternalCheckError, NodeLimitExceeded
+from .errors import (CapExceeded, InputError, InternalCheckError, NodeLimitExceeded,
+                     require_cap, require_positive)
 from .graph import MAX_VERTICES, SOLVER_CAP, Graph
 
 #: Sentinel distance between vertices in different components.  Finite so
@@ -214,43 +216,51 @@ class _Found(Exception):
     pass
 
 
-def _lexmin(n: int, run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
+def _to_order(pos: list[int], mask: int) -> int:
+    """``mask`` with bit v moved to ``pos[v]``; a dense one maps through its complement."""
+    flip = (1 << len(pos)) - 1 if 2 * mask.bit_count() > len(pos) else 0
+    out = 0
+    for v in iter_bits(mask ^ flip):
+        out |= 1 << pos[v]
+    return out ^ flip
+
+
+def _lexmin(pos: list[int], run, allowed: int, lexmin: bool = True) -> tuple[int, int]:
     """The one lexmin driver of the exact maxima: (optimum, witness mask).
 
-    ``run(forced, box, target)`` searches the accepted sets S with
-    forced <= S <= box.  With ``target`` None it returns the best
-    (size, mask).  With a target it returns a set of size at least
-    ``target`` (its size and mask), or else any size below ``target``; it
-    may stop at the first set that reaches ``target`` and prune every
-    branch that cannot.
+    ``run(forced, box, target)`` searches the accepted sets S with forced <=
+    S <= box, in order space (bit ``pos[v]`` is vertex v): ``allowed`` is
+    mapped in and the witness out once.  With ``target`` None it returns the
+    best (size, mask).  With a target it returns a set of size at least
+    ``target``, or else any size below ``target``; it may stop at the first
+    set that reaches ``target`` and prune every branch that cannot.
 
     The optimum is ``run(0, allowed, None)``; with ``lexmin`` off its first
-    optimum found is the witness.  Otherwise bits are settled from high to
-    low, excluding a vertex wherever an optimum survives without it, so the
+    optimum found is the witness.  Otherwise vertices are settled from high
+    to low, excluding one wherever an optimum survives without it, so the
     witness is the optimum with the smallest bitset.  ``found`` is an
     optimum with forced <= found <= allowed throughout (every forced vertex
     lies in every optimum inside ``allowed``).  A vertex outside ``found``
     is excluded with no search; for one inside, a run with target
     ``value`` either returns the next ``found`` or shows the vertex forced.
     """
+    allowed = _to_order(pos, allowed)
     value, found = run(0, allowed, None)
-    if not lexmin:
-        return value, found
-    forced = 0
-    for v in range(n - 1, -1, -1):
-        b = bit(v)
-        if not allowed & b:
-            continue
-        if found & b:
-            size, mask = run(forced, allowed & ~b, value)
-            if size < value:
-                forced |= b
-                continue
-            found = mask
-        allowed &= ~b
-    if forced.bit_count() != value:
-        raise InternalCheckError("lexmin pass lost feasibility")
-    return value, forced
+    if lexmin:
+        forced = 0
+        for p in reversed(pos):
+            b = 1 << p
+            if found & b:
+                size, mask = run(forced, allowed & ~b, value)
+                if size < value:
+                    forced |= b
+                    continue
+                found = mask
+            allowed &= ~b
+        if forced.bit_count() != value:
+            raise InternalCheckError("lexmin pass lost feasibility")
+        found = forced
+    return value, sum(1 << v for v, p in enumerate(pos) if found >> p & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +395,18 @@ class _PositionSearch:
     its cover.  Over the empty triple system (alpha and omega) the rows
     are ``nbr`` itself and are never copied.
 
-    ``run`` maps ``forced`` and ``allowed`` into order space and the best
-    set back out; ``nodes`` counts every node of every run so far, also
-    after a limit or a target stops one, and ``largest`` is the size of
-    the largest set a run has returned.  A node-limit refusal names both.
+    ``run`` takes and returns order-space masks (see ``_lexmin``);
+    ``nodes`` counts every node of every run so far, also after a limit or
+    a target stops one, and ``largest`` is the size of the largest set a
+    run has returned.  A node-limit refusal names both.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
                  node_limit: int = NODE_LIMIT):
+        require_positive(node_limit=node_limit)
         self.order, self.pos, self.pair = table
         self.independent = independent
-        self.nbr = [self._to_order(adj[v]) if independent else 0 for v in self.order]
+        self.nbr = [_to_order(self.pos, adj[v]) if independent else 0 for v in self.order]
         n = len(self.order)
         # whether taking a vertex adds to the conflict rows: a pair row is not all zero
         self.grows = independent and self.pair.count([0] * n) < n
@@ -404,35 +415,25 @@ class _PositionSearch:
         self.nodes = 0
         self.largest = 0
 
-    def _to_order(self, mask: int) -> int:
-        """``mask`` in order space; a dense one maps through its complement."""
-        pos = self.pos
-        flip = (1 << len(pos)) - 1 if 2 * mask.bit_count() > len(pos) else 0
-        out = 0
-        for v in iter_bits(mask ^ flip):
-            out |= 1 << pos[v]
-        return out ^ flip
-
-    def run(self, forced: int, allowed: int, target: int | None) -> tuple[int, int]:
-        """Best (size, mask) with forced included; with a target, the first
-        set that reaches it, or a size below it (see ``_lexmin``)."""
+    def run(self, forced: int, box: int, target: int | None) -> tuple[int, int]:
+        """Best (size, mask) with forced <= mask <= box; with a target, the
+        first set that reaches it, or a size below it (see ``_lexmin``)."""
         pair, nbr = self.pair, self.nbr
-        smask = self._to_order(forced)
         chosen: list[int] = []
         kill = 0
-        for i in iter_bits(smask):
+        for i in iter_bits(forced):
             row = pair[i]
             kill |= nbr[i]
             for j in chosen:
                 kill |= row[j]
             chosen.append(i)
-        if kill & smask:
+        if kill & forced:
             return 0, 0
         size = len(chosen)
         self.best = size if target is None else max(size, target - 1)
-        self.best_mask = smask
+        self.best_mask = forced
         self.target = target
-        cand = self._to_order(allowed) & ~smask & ~kill
+        cand = box & ~forced & ~kill
         rows = nbr
         if self.grows and size and size + cand.bit_count() > self.best:
             rows = self.levels[size]  # the root's rows, once its count does not prune it
@@ -443,12 +444,11 @@ class _PositionSearch:
                     conf |= row[j]
                 rows[k] = conf
         try:
-            self._rec(chosen, smask, cand, rows, None)
+            self._rec(chosen, forced, cand, rows, None)
         except _Found:
             pass
         self.largest = max(self.largest, self.best_mask.bit_count())
-        order = self.order
-        return self.best, sum(1 << order[i] for i in iter_bits(self.best_mask))
+        return self.best, self.best_mask
 
     def _rec(self, chosen: list[int], smask: int, cand: int, rows: list[int],
              took: list[int] | None):
@@ -508,21 +508,20 @@ def _forcing_run(search: _PositionSearch):
     for maximum independent set, Fomin, Grandoni & Kratsch 2009, *J. ACM*
     56; for dissociation, Xiao & Kou 2017, *Theor. Comput. Sci.* 657).
 
-    The rule runs in order space.  ``tri[i]`` is the mask of every vertex
-    sharing a triple with i, and a vertex killed by two forced ones leaves
-    X.  The optimum run (target None) runs a worklist to a fixpoint over
-    X - F; each vertex that leaves X queues its ``tri`` again.  The lexmin
-    runs test, the same way, only the vertices the optimum run forced,
-    each on its own box.  A lexmin run whose slack (the free vertices of
-    its box beyond those its target needs) is at most ``BARE_SLACK``
-    searches bare: the count bound lets a branch leave out at most that
-    many free vertices, so with k of them it visits at most
-    1 + k + k(k - 1)/2 nodes, fewer than the tests cost on small graphs.
-    Forcing less never breaks the exchange.  Each ``_lexmin`` run is one
-    ``search.run``.
+    The rule runs in the order space of the masks it gets, as the search
+    does, and maps none.  ``tri[i]`` is the mask of every vertex sharing a
+    triple with i, and a vertex killed by two forced ones leaves X.  The
+    optimum run (target None) runs a worklist to a fixpoint over X - F;
+    each vertex that leaves X queues its ``tri`` again.  The lexmin runs
+    test, the same way, only the vertices the optimum run forced, each on
+    its own box.  A lexmin run whose slack (the free vertices of its box
+    beyond those its target needs) is at most ``BARE_SLACK`` searches
+    bare: the count bound lets a branch leave out at most that many free
+    vertices, so with k of them it visits at most 1 + k + k(k - 1)/2
+    nodes, fewer than the tests cost on small graphs.  Forcing less never
+    breaks the exchange.  Each ``_lexmin`` run is one ``search.run``.
     """
     pair = search.pair
-    order = search.order
     tri = [reduce(or_, row, 0) for row in pair]
     forcible = -1
 
@@ -573,12 +572,10 @@ def _forcing_run(search: _PositionSearch):
             forcible = -1
         elif (box & ~forced).bit_count() - target + forced.bit_count() <= BARE_SLACK:
             return search.run(forced, box, target)
-        f = search._to_order(forced)
-        x = search._to_order(box) | f
-        done = force(f, x, x & ~f & forcible)
+        done = force(forced, box, box & ~forced & forcible)
         if target is None:
             forcible = done
-        return search.run(forced | sum(1 << order[i] for i in iter_bits(done)), box, target)
+        return search.run(forced | done, box, target)
     return run
 
 
@@ -589,8 +586,7 @@ def _independent_max(g: Graph, complement: bool, cap: int,
     system, branching class by class of a greedy clique cover, last class
     first (as MCQ)."""
     n = g.n
-    if n > cap:
-        raise CapExceeded(f"clique cap {cap} exceeded by order {n}")
+    require_cap("clique", cap, n)
     adj = g.adj
     if complement:
         full = g.full()
@@ -601,7 +597,7 @@ def _independent_max(g: Graph, complement: bool, cap: int,
     pos = sorted(range(n), key=order.__getitem__)
     no_pairs = [0] * n  # the empty triple system: one zero row for every i
     search = _PositionSearch(adj, (order, pos, [no_pairs] * n), True, node_limit)
-    return _lexmin(n, search.run, full_mask(n)) + (search.nodes,)
+    return _lexmin(search.pos, search.run, full_mask(n)) + (search.nodes,)
 
 
 def clique_number(g: Graph, cap: int = MAX_VERTICES,
@@ -621,12 +617,10 @@ def _common_neighbour_max(g: Graph, include_adjacent: bool, cap: int,
                           node_limit: int) -> tuple[int, int, int]:
     """Diss (``include_adjacent``) or alphaomega, with a lexmin witness and
     the search nodes, by the position search behind :func:`_forcing_run`."""
-    if g.n > cap:
-        name = "dissociation" if include_adjacent else "alpha_omega"
-        raise CapExceeded(f"{name} cap {cap} exceeded by order {g.n}")
+    require_cap("dissociation" if include_adjacent else "alpha_omega", cap, g.n)
     table = pair_table(common_neighbour_witnesses(g, include_adjacent))
     search = _PositionSearch(g.adj, table, node_limit=node_limit)
-    return _lexmin(g.n, _forcing_run(search), g.full()) + (search.nodes,)
+    return _lexmin(search.pos, _forcing_run(search), g.full()) + (search.nodes,)
 
 
 def alpha_omega_number(g: Graph, cap: int = SOLVER_CAP,

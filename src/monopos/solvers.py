@@ -36,7 +36,7 @@ from enum import Enum
 from itertools import combinations
 
 from .bitset import bit, full_mask, iter_bits, to_tuple
-from .errors import (CapExceeded, InputError, InternalCheckError, LimitError,
+from .errors import (CapExceeded, InputError, InternalCheckError, LimitError, require_cap,
                      require_positive)
 from .graph import SOLVER_CAP, Graph
 from .invariants import (NODE_LIMIT, PairTable, _common_neighbour_max, _forcing_run,
@@ -101,8 +101,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                        cap: int = SOLVER_CAP) -> TripleIndex:
     """The witness system of ``mode``.  A ``cache`` is only checked against
     ``g``: the mono index reads narrowed rows and stores none in it."""
-    if g.n > cap:
-        raise CapExceeded(f"triple index cap {cap} exceeded by order {g.n}")
+    require_cap("triple index", cap, g.n)
     if mode is PathMode.GEODESIC_LEN2:
         return TripleIndex(g, mode, common_neighbour_witnesses(g, include_adjacent=False))
     if mode is PathMode.MONOPHONIC:
@@ -171,9 +170,11 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     t0 = time.perf_counter()
     name = _position_name(idx.mode, independent)
     g = idx.graph
+    if allowed is not None and allowed & ~g.full():
+        raise InputError(f"allowed has bits outside the {g.n} vertices: {allowed & ~g.full():#x}")
     search = _PositionSearch(g.adj, idx.table(), independent, node_limit)
     run = _forcing_run(search) if idx.mode is PathMode.GEODESIC_LEN2 else search.run
-    value, found = _lexmin(g.n, run, g.full() if allowed is None else allowed, lexmin)
+    value, found = _lexmin(search.pos, run, g.full() if allowed is None else allowed, lexmin)
     ok, _ = is_position_set(idx, found)
     if not ok or (independent and not g.is_independent_mask(found)):
         raise InternalCheckError("position witness failed verification")
@@ -328,10 +329,8 @@ def brute_force_position(g: Graph, mode: PathMode, independent: bool = False,
     """
     t0 = time.perf_counter()
     name = _position_name(mode, independent)
-    require_positive(cap=cap)
     cap = min(cap, BRUTE_FORCE_CAP)
-    if g.n > cap:
-        raise CapExceeded(f"brute force cap {cap} exceeded by order {g.n}")
+    require_cap("brute force", cap, g.n)
     witness = build_triple_index(g, mode).witness
     constraints = [(bit(x) | bit(z), witness[x][z])
                    for x in range(g.n) for z in range(x + 1, g.n) if witness[x][z]]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from monopos.bitset import mask_of
+from monopos.bitset import iter_bits, mask_of
 from monopos.errors import NodeLimitExceeded
 from monopos.families import grid_graph, petersen_graph
 from monopos.graph import complete_graph, corona, cycle_graph
@@ -64,14 +64,17 @@ def test_traced_search_nodes_equal_the_search_counters():
     witness = common_neighbour_witnesses(g, include_adjacent=False)
     table = pair_table(witness)
     untraced = _PositionSearch(g.adj, table)
-    assert _lexmin(g.n, untraced.run, g.full()) == alpha_omega_number(g)
+    assert _lexmin(untraced.pos, untraced.run, g.full()) == alpha_omega_number(g)
     assert _traced_nodes(lambda: alpha_omega_number(g)) == untraced.nodes > 0
-    # a run that stops at its target, by _Found, against the twin's count
+    # a run that stops at its target, by _Found, against the twin's count;
+    # the run's mask is in order space and the twin's in label space
     twin = _LabelSpaceSearch(g.adj, witness, _invert_witnesses(witness))
     search = _PositionSearch(g.adj, table)
     hits = []
     assert _traced_nodes(lambda: hits.append(search.run(0, g.full(), 3))) == search.nodes
-    assert hits == [twin.run(0, g.full(), 3)] and hits[0][0] >= 3
+    size, mask = hits[0]
+    assert (size, mask_of(search.order[i] for i in iter_bits(mask))) == twin.run(0, g.full(), 3)
+    assert size >= 3
     assert search.nodes == twin.nodes > 0
 
 

@@ -332,17 +332,22 @@ def test_dissociation_against_oracle_on_small_connected_graphs():
 NINE_MAXIMA = ("mp", "gp", "gp2", "imp", "igp", "omega", "alpha", "alphaomega", "diss")
 
 
-def _lexmin_twin(n, run, allowed, lexmin=True):
+def _lexmin_twin(pos, run, allowed, lexmin=True):
     """The driver with neither witness reuse nor the target floor: one run
-    per allowed vertex, each a full search with no target."""
-    value, found = run(0, allowed, None)
+    per allowed vertex, each a full search with no target.  It keeps its
+    masks in label space and maps each one into the runs' order space
+    (bit ``pos[v]`` is label v) at every run."""
+    def to_order(mask):
+        return mask_of(pos[v] for v in iter_bits(mask))
+
+    value, found = run(0, to_order(allowed), None)
     if not lexmin:
-        return value, found
+        return value, mask_of(v for v, p in enumerate(pos) if found >> p & 1)
     forced = 0
-    for v in range(n - 1, -1, -1):
+    for v in range(len(pos) - 1, -1, -1):
         b = bit(v)
         if allowed & b:
-            if run(forced, allowed & ~b, None)[0] >= value:
+            if run(to_order(forced), to_order(allowed & ~b), None)[0] >= value:
                 allowed &= ~b
             else:
                 forced |= b
@@ -378,28 +383,28 @@ def test_lexmin_driver_equals_its_twin_on_random_connected_graphs(n, seed, p):
 def test_lexmin_pass_runs_only_for_vertices_of_the_current_witness(rng):
     passes = []
 
-    def logging_driver(n, run, allowed, lexmin=True):
+    def logging_driver(pos, run, allowed, lexmin=True):
         calls = []
-        passes.append(calls)
+        passes.append((pos, calls))
 
         def logged(forced, box, target):
             got = run(forced, box, target)
             calls.append((box, target, got))
             return got
-        return _lexmin(n, logged, allowed, lexmin)
+        return _lexmin(pos, logged, allowed, lexmin)
 
     cases = list(connected_graphs(6)) + [random_connected(rng, 12, 0.3) for _ in range(5)]
     for g in cases:
         _nine_maxima(g, logging_driver)
     runs = vertices = 0
-    for calls in passes:
+    for pos, calls in passes:
         (allowed, target, (value, witness)), settle = calls[0], calls[1:]
         assert target is None
         for box, target, (size, mask) in settle:
             assert target == value
-            gone = allowed & ~box  # the vertices settled out so far, all above v
-            v = (gone & -gone).bit_length() - 1
-            assert witness >> v & 1, "a run for a vertex outside the witness"
+            gone = allowed & ~box  # v and the labels settled out so far, all above v
+            v = min(u for u, p in enumerate(pos) if gone >> p & 1)
+            assert witness >> pos[v] & 1, "a run for a vertex outside the witness"
             if size >= value:
                 witness = mask
         runs += len(settle)
@@ -425,14 +430,15 @@ def test_lexmin_pass_on_a_complete_graph_costs_one_node_per_vertex():
 def test_a_target_run_returns_a_set_that_reaches_it_or_a_size_below_it(rng):
     """The ``run`` contract of ``_lexmin``, for the search of every maximum:
     with a target, a set of at least that size when one exists in the box,
-    else a size below the target."""
+    else a size below the target.  Every mask here is in the run's order
+    space."""
     from monopos.families import petersen_graph
 
     runs = []
 
-    def capturing_driver(n, run, allowed, lexmin=True):
-        runs.append((run, allowed))
-        return _lexmin(n, run, allowed, lexmin)
+    def capturing_driver(pos, run, allowed, lexmin=True):
+        runs.append((run, mask_of(pos[v] for v in iter_bits(allowed))))
+        return _lexmin(pos, run, allowed, lexmin)
 
     for g in (petersen_graph(), cycle_graph(7), random_connected(rng, 11, 0.35)):
         _nine_maxima(g, capturing_driver)

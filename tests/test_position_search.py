@@ -140,24 +140,29 @@ def _systems(g):
     return out
 
 
-def _answers(g, search):
-    """(value, witness, nodes) with lexmin off, then on.  With lexmin off
-    ``_lexmin`` returns its first run, so one driver call gives both."""
+def _answers(g, search, pos):
+    """(value, witness, nodes) with lexmin off, then on, for a search whose
+    runs take masks in the order space of ``pos``.  With lexmin off
+    ``_lexmin`` returns its first run, so one driver call gives both; the
+    first run's mask is mapped back to labels here."""
     first = []
 
     def run(forced, box, target):
-        got = search.run(forced, box, target)
+        size, mask = search.run(forced, box, target)
         if not first:
-            first.append(got + (search.nodes,))
-        return got
-    return first + [_lexmin(g.n, run, g.full()) + (search.nodes,)]
+            labels = sum(bit(v) for v, p in enumerate(pos) if mask >> p & 1)
+            first.append((size, labels, search.nodes))
+        return size, mask
+    return first + [_lexmin(pos, run, g.full()) + (search.nodes,)]
 
 
 def _diff_against_twin(g):
+    """The twin runs in label space, so ``_lexmin`` drives it with the
+    identity order."""
     for name, witness, ind in _systems(g):
         fast = _PositionSearch(g.adj, pair_table(witness), ind)
         slow = _LabelSpaceSearch(g.adj, witness, _invert_witnesses(witness), ind)
-        assert _answers(g, fast) == _answers(g, slow), (g.adj, name)
+        assert _answers(g, fast, fast.pos) == _answers(g, slow, list(range(g.n))), (g.adj, name)
 
 
 def test_search_equals_its_twin_on_small_connected_graphs():
@@ -282,7 +287,8 @@ def _clique_twin(g):
     """omega(g) with its lexmin witness by a second branch and bound: grow
     the clique ``forced`` inside its common neighbourhood, bounded by a
     greedy colouring of the candidates (as MCQ, Tomita & Kameda 2007),
-    driven by ``_lexmin``.  alpha(g) is this twin on the complement."""
+    driven by ``_lexmin`` in label space (the identity order).  alpha(g) is
+    this twin on the complement."""
     adj = g.adj
 
     def run(forced, allowed, target):
@@ -326,7 +332,7 @@ def _clique_twin(g):
             pass
         return tuple(best)
 
-    return _lexmin(g.n, run, g.full())
+    return _lexmin(list(range(g.n)), run, g.full())
 
 
 def test_independent_search_over_the_empty_system_is_alpha_at_64_vertices():
@@ -336,7 +342,7 @@ def test_independent_search_over_the_empty_system_is_alpha_at_64_vertices():
     G(64, 0.1)."""
     g = random_graph(64, random.Random(1), 0.1)
     search = _PositionSearch(g.adj, pair_table(_empty(g.n)), True, node_limit=50_000)
-    assert _lexmin(g.n, search.run, g.full()) == _clique_twin(complement(g))
+    assert _lexmin(search.pos, search.run, g.full()) == _clique_twin(complement(g))
 
 
 @pytest.mark.parametrize("g", [

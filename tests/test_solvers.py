@@ -12,7 +12,9 @@ from monopos.errors import CapExceeded, InputError, NodeLimitExceeded
 from monopos.graph import (SOLVER_CAP, Graph, complete_graph, complete_multipartite, corona,
                            cycle_graph, path_graph)
 from monopos.graph6 import emit_graph6, parse_graph6_lines
-from monopos.invariants import DIST_INF, cut_vertices, distance_matrix, leaves, simplicial_vertices
+from monopos.invariants import (DIST_INF, alpha_omega_number, clique_number, cut_vertices,
+                                dissociation_number, distance_matrix, independence_number, leaves,
+                                simplicial_vertices)
 from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
                                random_connected_graph, random_distance_hereditary,
                                random_split_graph, random_tree, random_unicyclic)
@@ -52,14 +54,16 @@ def test_is_position_set():
 
 
 def test_search_refuses_forced_sets_that_meet_a_triple():
+    """A run takes and returns masks in the order space of its table."""
     p3 = path_graph(3)
     for mode in PathMode:
         idx = build_triple_index(p3, mode)
         search = _PositionSearch(p3.adj, idx.table())
+        ends = mask_of(search.pos[v] for v in (0, 2))
         assert search.run(full_mask(3), full_mask(3), None) == (0, 0)
-        assert search.run(mask_of([0, 2]), full_mask(3), None) == (2, mask_of([0, 2]))
+        assert search.run(ends, full_mask(3), None) == (2, ends)
     indep = _PositionSearch(p3.adj, idx.table(), independent=True)
-    assert indep.run(mask_of([0, 1]), full_mask(3), None) == (0, 0)
+    assert indep.run(mask_of(indep.pos[v] for v in (0, 1)), full_mask(3), None) == (0, 0)
 
 
 def test_known_position_values():
@@ -105,6 +109,7 @@ def test_bb_equals_oracle_all_modes(g):
 
 
 def test_subset_oracle_uses_neither_the_search_nor_lexmin(monkeypatch):
+    import monopos.invariants as invariants
     import monopos.solvers as solvers
 
     def refuse(*args, **kwargs):
@@ -112,6 +117,7 @@ def test_subset_oracle_uses_neither_the_search_nor_lexmin(monkeypatch):
 
     monkeypatch.setattr(_PositionSearch, "run", refuse)
     monkeypatch.setattr(solvers, "_lexmin", refuse)
+    monkeypatch.setattr(invariants, "_lexmin", refuse)
     g = cycle_graph(5)
     got = {}
     for name, (mode, ind) in POSITION_PARAMS.items():
@@ -191,12 +197,22 @@ def test_witness_is_valid_position_set(rng):
                 assert g.is_independent_mask(mask_of(rep.witness))
 
 
-def test_allowed_mask_restriction():
+def test_allowed_mask_restriction(monkeypatch):
     p5 = path_graph(5)
     idx = build_triple_index(p5, PathMode.MONOPHONIC)
     cuts = cut_vertices(p5)
     rep = max_position_set(idx, allowed=p5.full() & ~cuts)
     assert rep.value == 2  # both endpoints survive
+    c5 = build_triple_index(cycle_graph(5), PathMode.MONOPHONIC)
+    assert max_position_set(c5, allowed=0).value == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched before refusing")
+
+    monkeypatch.setattr(_PositionSearch, "run", refuse)
+    for allowed, stray in ((129, "0x80"), (255, "0xe0"), (-1, "-0x20")):
+        with pytest.raises(InputError, match=f"allowed has bits outside the 5 vertices: {stray}$"):
+            max_position_set(c5, allowed=allowed)
 
 
 def test_node_limit_is_hard():
@@ -269,11 +285,19 @@ def test_cap_refusal():
 @pytest.mark.parametrize("kwargs", [{"cap": 0}, {"cap": -1}, {"node_limit": 0}],
                          ids=["cap0", "cap-1", "node_limit0"])
 def test_a_limit_below_one_is_bad_input(kwargs):
-    with pytest.raises(InputError, match="must be at least 1"):
-        GraphSolver(cycle_graph(5), **kwargs)
+    """Refused alike from every entry of the nine maxima that takes a cap
+    or a node limit."""
+    entries = [GraphSolver, clique_number, independence_number, alpha_omega_number,
+               dissociation_number]
     if "cap" in kwargs:
+        entries += [lambda g, **kw: brute_force_position(g, PathMode.MONOPHONIC, **kw),
+                    lambda g, **kw: build_triple_index(g, PathMode.MONOPHONIC, **kw)]
+    else:
+        entries.append(lambda g, **kw: max_position_set(
+            build_triple_index(g, PathMode.MONOPHONIC), **kw))
+    for entry in entries:
         with pytest.raises(InputError, match="must be at least 1"):
-            brute_force_position(cycle_graph(5), PathMode.MONOPHONIC, **kwargs)
+            entry(cycle_graph(5), **kwargs)
 
 
 def test_gp2_and_alphaomega_share_one_search_and_one_refusal(monkeypatch):
