@@ -26,8 +26,8 @@ from .graph import (Graph, add_pendant, cartesian_product, complete_graph,
                     complete_multipartite, corona, cycle_graph, join, path_graph)
 from .invariants import (alpha_omega_number, bipartition, blocks, clique_number,
                          deficiency_witness, diameter, independence_number, is_block_graph,
-                         is_distance_hereditary, leaves, phi_separated, psi_uniform,
-                         simplicial_vertices, split_partition, SplitPartition)
+                         leaves, phi_separated, psi_uniform, simplicial_vertices,
+                         split_partition, SplitPartition)
 from .solvers import GraphSolver
 
 
@@ -625,14 +625,6 @@ def predict_split(g: Graph) -> list[PredictedValue]:
     return [PredictedValue("mp", value, "split-separated", "connected split graph")]
 
 
-def predict_distance_hereditary(g: Graph) -> list[PredictedValue]:
-    """Distance-hereditary graphs: mp equals gp, which is solved exactly."""
-    if not is_distance_hereditary(g):
-        raise InputError("not a distance-hereditary graph")
-    return [PredictedValue("mp", GraphSolver(g).value("gp"), "dh-mp-equals-gp",
-                           "distance-hereditary graph")]
-
-
 def predict_realization(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
     """The closed forms of the graph ``g`` built from ``spec``, as
     ``generate`` attaches them; raises :class:`InputError` where no rule
@@ -662,7 +654,6 @@ GRAPH_FORMS: dict[str, Callable[[Graph], list[PredictedValue]]] = {
     "split": predict_split,
     "bipartite_complement": predict_bipartite_complement,
     "tree_complement": predict_tree_complement,
-    "distance_hereditary": predict_distance_hereditary,
 }
 
 

@@ -78,6 +78,12 @@ class Graph:
     def full(self) -> int:
         return full_mask(self.n)
 
+    def require_vertices(self, what: str, mask: int) -> None:
+        """Refuse a vertex mask with a bit outside ``0..n-1`` as bad input."""
+        if mask >> self.n:
+            raise InputError(f"{what} has bits outside the {self.n} vertices: "
+                             f"{mask & ~self.full():#x}")
+
     def closed_neighborhood(self, v: int) -> int:
         return self.adj[v] | bit(v)
 

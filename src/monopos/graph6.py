@@ -4,8 +4,8 @@ The format packs the upper triangle of the adjacency matrix, column by
 column, into printable ASCII (63..126), six bits per byte, after a header
 encoding the order.  Orders up to 62 use the one-byte header; larger orders
 (up to this package's 512-vertex cap) use the four-byte ``126 + 18 bits``
-header.  Decoding rejects out-of-range bytes, truncated payloads and
-trailing bytes, naming the byte offset of the problem.
+header.  Decoding rejects an order over the cap, out-of-range bytes,
+truncated payloads and trailing bytes as bad input, naming the byte offset.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 
 from .bitset import full_mask
-from .errors import CapExceeded, Graph6Error
+from .errors import Graph6Error
 from .graph import MAX_VERTICES, Graph
 
 _HEADER = ">>graph6<<"
@@ -51,7 +51,7 @@ def parse_graph6(line: str) -> Graph:
     if n == 0:
         raise Graph6Error("order 0 not supported", offset=0)
     if n > MAX_VERTICES:
-        raise CapExceeded(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
+        raise Graph6Error(f"graph6 order {n} exceeds cap {MAX_VERTICES}", offset=1)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

@@ -370,11 +370,11 @@ def _dh_converse(_solved) -> dict:
             "gp": s.value("gp"), "distance_hereditary": is_distance_hereditary(g)}}
 
 
-@formula("dh-mp-equals-gp", "distance-hereditary graphs have equal mp and gp",
-         fam.GRAPH_FORMS["distance_hereditary"], notes=_dh_converse)
+@relation("dh-mp-equals-gp", "distance-hereditary graphs have equal mp and gp",
+          notes=_dh_converse)
 def _sample_dh(rng: random.Random, scale: float):
-    return [(fam.random_distance_hereditary(rng.randint(2, 12), rng), ())
-            for _ in range(_count(scale, 200))]
+    return [(fam.random_distance_hereditary(rng.randint(2, 12), rng),
+             ("mp = gp on distance-hereditary graphs",)) for _ in range(_count(scale, 200))]
 
 
 @formula("block-graph-simplicial", "block graphs: mp, gp and hm equal the simplicial count",
@@ -491,6 +491,8 @@ BOUNDS: dict[str, Callable[[GraphSolver], bool]] = {
     "gp <= gp2": lambda s: s.value("gp") <= s.value("gp2"),
     "diss <= gp2": lambda s: s.value("diss") <= s.value("gp2"),
     "2 <= mp <= n": lambda s: s.g.n < 2 or 2 <= s.value("mp") <= s.g.n,
+    "mp = gp on distance-hereditary graphs": lambda s: not s.g.is_connected() or (
+        not is_distance_hereditary(s.g) or s.value("mp") == s.value("gp")),
     "mp == n iff complete": lambda s: not s.g.is_connected() or (
         s.value("mp") == s.g.n) == _complete(s.g),
     "mp <= n - L + 1": lambda s: s.value("mp") <= s.g.n - s.value("L") + 1,

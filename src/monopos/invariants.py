@@ -37,9 +37,9 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .bitset import bit, full_mask, iter_bits
-from .errors import (CapExceeded, InputError, InternalCheckError, NodeLimitExceeded,
-                     require_cap, require_positive)
+from .bitset import bit, full_mask, iter_bits, mask_of
+from .errors import (InputError, InternalCheckError, NodeLimitExceeded, require_cap,
+                     require_positive)
 from .graph import MAX_VERTICES, SOLVER_CAP, Graph
 
 #: Sentinel distance between vertices in different components.  Finite so
@@ -803,9 +803,7 @@ def split_partition(g: Graph) -> SplitPartition | None:
             m = i
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-    cmask = 0
-    for v in order[:m]:
-        cmask |= bit(v)
+    cmask = mask_of(order[:m])
     imask = g.full() & ~cmask
     if not g.is_clique_mask(cmask) or not g.is_independent_mask(imask):
         raise InternalCheckError("degree characterization produced an invalid partition")
@@ -906,8 +904,7 @@ def oracle_max_subset(g: Graph, predicate, cap: int = 12) -> tuple[int, int]:
 
     Scans masks in increasing integer order, so the witness is lexmin.
     """
-    if g.n > cap:
-        raise CapExceeded(f"subset oracle cap {cap} exceeded by order {g.n}")
+    require_cap("subset oracle", cap, g.n)
     best, best_mask = 0, 0
     for mask in range(1 << g.n):
         if mask.bit_count() > best and predicate(mask):

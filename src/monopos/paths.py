@@ -39,11 +39,11 @@ from __future__ import annotations
 import random
 
 from .bitset import bit, full_mask, iter_bits, to_tuple
-from .errors import BudgetExceeded, CapExceeded, InputError
+from .errors import BudgetExceeded, InputError, require_cap
 from .graph import SOLVER_CAP, Graph
 
-#: Node-expansion budget for one enumeration: one interval row, the paths of
-#: one pair, or one longest-induced-path search.
+#: Node-expansion budget for one enumeration: one interval row or one
+#: longest-induced-path search, read at call time.
 DEFAULT_BUDGET = 10_000_000
 
 #: A core row of :func:`monophonic_witnesses` that takes more expansions
@@ -65,8 +65,7 @@ PARTITION_CAP = 16
 # ---------------------------------------------------------------------------
 
 
-def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -1,
-                 targets: int | None = None, inner: int = 0,
+def interval_row(g: Graph, u: int, region: int = -1, targets: int | None = None, inner: int = 0,
                  known: list[list[int]] | None = None) -> tuple[list[int], int]:
     """For every w, the union of vertices over induced u,w-paths.
 
@@ -77,7 +76,8 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -
     This is the search of ``walk_induced_paths`` written out inline: read
     through the generator, rows took 1.2-1.5x as long on the benchmark's
     ``mono-rows`` graphs, where rows are over 95% of the time.  A test keeps
-    the two in step (same rows, one walk node per expansion).
+    the two in step (same rows, one walk node per expansion).  The walk
+    raises :class:`BudgetExceeded` past ``DEFAULT_BUDGET`` expansions.
 
     With its defaults the walk visits every induced path from u.
     :func:`monophonic_witnesses` narrows it: paths never leave ``region``,
@@ -98,6 +98,7 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -
     """
     adj = g.adj
     n = g.n
+    budget = DEFAULT_BUDGET
     row = [0] * n
     ub = bit(u)
     row[u] = ub
@@ -157,7 +158,7 @@ def interval_row(g: Graph, u: int, budget: int = DEFAULT_BUDGET, region: int = -
     return row, expansions
 
 
-def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[int]]:
+def monophonic_witnesses(g: Graph) -> list[list[int]]:
     """``witness[x][z]``: the interior vertices of induced x,z-paths, for
     every pair; 0 for adjacent pairs and pairs in different components.
 
@@ -171,8 +172,9 @@ def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[in
     clique is interior to no induced path, which bounds every target.
     Then, in reverse peel order, every induced t,z-path of a peeled t is t
     followed by an induced p,z-path, so ``witness[t][z] = witness[p][z] | p``
-    for each z already done in t's component.  ``budget`` bounds each row,
-    as in :func:`interval_row`.
+    for each z already done in t's component.  ``DEFAULT_BUDGET`` bounds
+    each row, as in :func:`interval_row`, and a refusal names the rows done
+    and the expansions spent.
 
     The first core row that takes more than ``SEED_AFTER`` expansions
     builds :func:`_seed_walks` once, and every later row reads it as
@@ -220,12 +222,11 @@ def monophonic_witnesses(g: Graph, budget: int = DEFAULT_BUDGET) -> list[list[in
         if not comp >> x & 1:
             comp = g.component_of(x, within=core)
         try:
-            row, exp = interval_row(g, x, budget, comp, comp & ~full_mask(x + 1), inner & comp,
-                                    known)
+            row, exp = interval_row(g, x, comp, comp & ~full_mask(x + 1), inner & comp, known)
         except BudgetExceeded as exc:
-            # the row that ran out made budget + 1 expansions
+            # the row that ran out made DEFAULT_BUDGET + 1 expansions
             raise BudgetExceeded(f"monophonic witness index: {exc} after {i} of "
-                                 f"{len(verts) - 1} rows, {spent + budget + 1} "
+                                 f"{len(verts) - 1} rows, {spent + DEFAULT_BUDGET + 1} "
                                  f"expansions so far") from exc
         spent += exp
         if known is None and exp > SEED_AFTER:
@@ -348,6 +349,7 @@ class IntervalCache:
         """K[u,v]; equals {u,v} when u and v sit in different components."""
         if u == v:
             raise InputError("interval endpoints must differ")
+        self._g.require_vertices("interval endpoint pair", bit(u) | bit(v))
         got = self.row(u)[v]
         if got == 0:
             return bit(u) | bit(v)
@@ -371,6 +373,7 @@ def monophonic_closure(g: Graph, m: int, cache: IntervalCache | None = None) -> 
     """Union of pairwise intervals over m; always contains m."""
     if m == 0:
         raise InputError("closure of the empty set is undefined")
+    g.require_vertices("vertex set", m)
     cache = cache_for(g, cache)
     out = m
     verts = to_tuple(m)
@@ -409,6 +412,7 @@ def convex_hull(g: Graph, m: int) -> int:
     """
     if not m:
         raise InputError("hull of the empty set is undefined")
+    g.require_vertices("vertex set", m)
     adj = g.adj
     # Each region is a union of components of G - m.
     work = [g.full() & ~m]
@@ -463,6 +467,7 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None) -> i
     """Members of m lying in the closure of the rest of m."""
     if m.bit_count() < 2:
         raise InputError("interior vertices need a set of size at least 2")
+    g.require_vertices("vertex set", m)
     cache = cache_for(g, cache)
     out = 0
     for u in iter_bits(m):
@@ -479,8 +484,7 @@ def interior_vertices(g: Graph, m: int, cache: IntervalCache | None = None) -> i
 
 def longest_induced_path_length(g: Graph, cap: int = SOLVER_CAP) -> int:
     """Exact maximum length (edges) over all induced paths, within ``DEFAULT_BUDGET``."""
-    if g.n > cap:
-        raise CapExceeded(f"longest induced path cap {cap} exceeded by order {g.n}")
+    require_cap("longest induced path", cap, g.n)
     best = 0
     expansions = 0
     for u in range(g.n):
@@ -506,10 +510,10 @@ def induced_path_partition(g: Graph, cap: int = PARTITION_CAP) -> tuple[int, tup
     one path fewer, and a vertex set whose counting floors (``_floors``)
     exceed the paths left fails at once.  At the least k no remainder needs
     fewer, so this is the path a value DP over the vertex sets takes.
-    Exact, so explicitly capped.
+    The search has no budget, so it refuses any order above the smaller of
+    ``cap`` and ``PARTITION_CAP``: ``cap`` can only lower the ceiling.
     """
-    if g.n > cap:
-        raise CapExceeded(f"induced path partition cap {cap} exceeded by order {g.n}")
+    require_cap("induced path partition", min(cap, PARTITION_CAP), g.n)
     n = g.n
     masks = [bit(u) for u in range(n)]
     for u in range(n):
@@ -629,7 +633,9 @@ def _chordless_simple_paths(g: Graph, u: int) -> list[list[int]]:
     use of the pruned enumeration.  Nothing is pruned: a path stays
     chordless while each vertex it appends has exactly one neighbour, its
     predecessor, among the vertices already on it.  Each entry lists its
-    paths depth first, neighbours ascending."""
+    paths depth first, neighbours ascending.  Refused above
+    ``ORACLE_PATH_CAP`` vertices, for both oracles that read it."""
+    require_cap("simple-path oracle", ORACLE_PATH_CAP, g.n)
     listed: list[list[int]] = [[] for _ in range(g.n)]
     _list_simple_paths(g.adj, u, bit(u), True, listed)
     return listed
@@ -648,19 +654,15 @@ def _list_simple_paths(adj, last: int, seen: int, chordless: bool,
         _list_simple_paths(adj, w, seen | b, keep, listed)
 
 
-def simple_path_interval(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
+def simple_path_interval(g: Graph, u: int, v: int) -> int:
     """K[u,v] recomputed the slow way, through the simple-path filter.
     Exists purely to cross-check the pruned enumeration."""
-    if g.n > cap:
-        raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
     acc = 0
     for m in _chordless_simple_paths(g, u)[v]:
         acc |= m
     return acc or bit(u) | bit(v)
 
 
-def count_induced_paths_oracle(g: Graph, u: int, v: int, cap: int = ORACLE_PATH_CAP) -> int:
+def count_induced_paths_oracle(g: Graph, u: int, v: int) -> int:
     """Number of induced u,v-paths via the simple-path filter."""
-    if g.n > cap:
-        raise CapExceeded(f"simple-path oracle cap {cap} exceeded by order {g.n}")
     return len(_chordless_simple_paths(g, u)[v])

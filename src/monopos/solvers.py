@@ -35,16 +35,15 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 
-from .bitset import bit, full_mask, iter_bits, to_tuple
-from .errors import (CapExceeded, InputError, InternalCheckError, LimitError, require_cap,
-                     require_positive)
+from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
+from .errors import InputError, InternalCheckError, LimitError, require_cap, require_positive
 from .graph import SOLVER_CAP, Graph
 from .invariants import (NODE_LIMIT, PairTable, _common_neighbour_max, _forcing_run,
                          _independent_max, _lexmin, _PositionSearch, bipartition,
                          clique_separator_atoms, common_neighbour_witnesses, cut_vertices,
                          diameter, is_distance_hereditary, oracle_max_subset, pair_table,
                          phi_separated, psi_uniform, simplicial_vertices, split_partition)
-from .paths import (PARTITION_CAP, IntervalCache, cache_for, convex_hull, induced_path_partition,
+from .paths import (IntervalCache, cache_for, convex_hull, induced_path_partition,
                     longest_induced_path_length, monophonic_hull, monophonic_witnesses)
 
 
@@ -126,6 +125,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
 
 def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int] | None]:
     """Check the no-witness condition; on failure return one (x, y, z)."""
+    idx.graph.require_vertices("vertex set", s)
     verts = to_tuple(s)
     for i, x in enumerate(verts):
         wx = idx.witness[x]
@@ -170,11 +170,11 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     t0 = time.perf_counter()
     name = _position_name(idx.mode, independent)
     g = idx.graph
-    if allowed is not None and allowed & ~g.full():
-        raise InputError(f"allowed has bits outside the {g.n} vertices: {allowed & ~g.full():#x}")
+    allowed = g.full() if allowed is None else allowed
+    g.require_vertices("allowed", allowed)
     search = _PositionSearch(g.adj, idx.table(), independent, node_limit)
     run = _forcing_run(search) if idx.mode is PathMode.GEODESIC_LEN2 else search.run
-    value, found = _lexmin(search.pos, run, g.full() if allowed is None else allowed, lexmin)
+    value, found = _lexmin(search.pos, run, allowed, lexmin)
     ok, _ = is_position_set(idx, found)
     if not ok or (independent and not g.is_independent_mask(found)):
         raise InternalCheckError("position witness failed verification")
@@ -196,11 +196,11 @@ class GraphSolver:
     Reports are memoized, and one triple index per mode is shared between
     them.  ``report`` is the one place a report is finished: it times the
     builder, so ``ms`` covers any triple index the report built.  ``cap``
-    bounds every exact routine but the polynomial hm; rho gets the smaller
-    of it and ``PARTITION_CAP``.  A limit raises and is kept like a report,
-    so asking again re-raises it with no second search; callers that want
-    a partial bundle catch ``LimitError``.  A cap or node limit below 1 is
-    bad input.
+    goes unchanged to every exact routine but the polynomial hm, and each
+    applies it itself: rho's search never runs past ``PARTITION_CAP``.  A
+    limit raises and is kept like a report, so asking again re-raises it
+    with no second search; callers that want a partial bundle catch
+    ``LimitError``.  A cap or node limit below 1 is bad input.
     """
 
     def __init__(self, g: Graph, node_limit: int = NODE_LIMIT, lexmin: bool = False,
@@ -295,7 +295,7 @@ PARAMETERS = {
     "L": _invariant("induced_path_walk", lambda g, cap, _: (
         longest_induced_path_length(g, cap), 0)),
     "rho": _invariant("partition_search", lambda g, cap, _: (
-        induced_path_partition(g, min(cap, PARTITION_CAP))[0], 0)),
+        induced_path_partition(g, cap)[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g),
 }
@@ -417,23 +417,23 @@ def hull_number(g: Graph) -> ParameterReport:
                            "separator_atoms", len(atoms), ms)
 
 
-def hull_number_oracle(g: Graph, cap: int = 12) -> int:
+HULL_ORACLE_CAP = 12
+
+
+def hull_number_oracle(g: Graph) -> int:
     """Plain cardinality-ascending hull search without any seeding or
-    pruning; certifies :func:`hull_number` on small graphs."""
+    pruning; certifies :func:`hull_number` on graphs of up to
+    ``HULL_ORACLE_CAP`` vertices."""
     if not g.is_connected():
         raise InputError("hull oracle requires a connected graph")
-    if g.n > cap:
-        raise CapExceeded(f"hull oracle cap {cap} exceeded by order {g.n}")
+    require_cap("hull oracle", HULL_ORACLE_CAP, g.n)
     if g.n == 1:
         return 1
     cache = IntervalCache(g)
     full = g.full()
     for size in range(2, g.n + 1):
         for combo in combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= bit(v)
-            hull, _ = monophonic_hull(g, mask, cache)
+            hull, _ = monophonic_hull(g, mask_of(combo), cache)
             if hull == full:
                 return size
     raise InternalCheckError("no hull set found up to the full vertex set")

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from conftest import graphs
 from monopos.bitset import bit
-from monopos.errors import CapExceeded, Graph6Error
+from monopos.errors import Graph6Error
 from monopos.graph import MAX_VERTICES, Graph, complete_graph, path_graph
 from monopos.graph6 import emit_graph6, parse_graph6, parse_graph6_lines
 
@@ -82,7 +82,7 @@ def test_nonzero_padding_rejected():
 
 def test_order_above_cap():
     token = chr(126) + "".join(chr(((600 >> s) & 63) + 63) for s in (12, 6, 0))
-    with pytest.raises(CapExceeded):
+    with pytest.raises(Graph6Error, match=r"^graph6 order 600 exceeds cap 512 \(byte offset 1\)$"):
         parse_graph6(token)
 
 
@@ -150,7 +150,7 @@ def _pairwise_parse(line: str) -> Graph:
     if n == 0:
         raise Graph6Error("order 0 not supported", offset=0)
     if n > MAX_VERTICES:
-        raise CapExceeded(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
+        raise Graph6Error(f"graph6 order {n} exceeds cap {MAX_VERTICES}", offset=1)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(text) - pos < nbytes:

@@ -186,14 +186,15 @@ def test_witnesses_equal_full_rows_on_larger_graphs(make):
         assert _unseeded_and_seeded(g) == (full, full), n
 
 
-def test_witness_budget_names_rows_done_and_expansions():
+def test_witness_budget_names_rows_done_and_expansions(monkeypatch):
     # Rows 0 and 1 of the C4 on 0..3 take four expansions each, rows 2 and 3
     # none (each later C4 vertex is adjacent, so exact at once); row 4, the
     # first row of Q4, runs out after 51.
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", 50)
     g = disjoint_union(cycle_graph(4), hypercube(4))
     with pytest.raises(BudgetExceeded, match=r"at source 4 after 4 of 19 rows, "
                                              r"59 expansions so far"):
-        monophonic_witnesses(g, budget=50)
+        monophonic_witnesses(g)
 
 
 def _traced_witnesses(monkeypatch, g):
@@ -238,9 +239,10 @@ def test_seeded_budget_counts_rows_settled_by_seeds(monkeypatch):
     monkeypatch.setattr(paths, "SEED_AFTER", 0)
     g = disjoint_union(cycle_graph(4), hypercube(4))
     assert _traced_witnesses(monkeypatch, g)[1][:7] == [4, 0, 0, 0, 0, 0, 32]
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", 20)
     with pytest.raises(BudgetExceeded, match=r"at source 6 after 6 of 19 rows, "
                                              r"25 expansions so far"):
-        monophonic_witnesses(g, budget=20)
+        monophonic_witnesses(g)
 
 
 @settings(max_examples=40, deadline=None)
@@ -400,6 +402,12 @@ def test_partition_examples():
         induced_path_partition(complete_graph(17))
 
 
+def test_partition_ceiling_holds_whatever_cap_it_gets():
+    # the search has no budget, so a larger cap cannot lift its ceiling
+    with pytest.raises(CapExceeded, match=r"^induced path partition cap 16 exceeded by order 17$"):
+        induced_path_partition(complete_graph(17), cap=64)
+
+
 def test_partition_structure(rng):
     for _ in range(10):
         g = random_connected(rng, rng.randint(2, 8))
@@ -555,10 +563,10 @@ def test_partition_leaves_no_cyclic_garbage():
             gc.enable()
 
 
-def test_budget_exhaustion_is_loud():
-    g = hypercube(4)
+def test_budget_exhaustion_is_loud(monkeypatch):
+    monkeypatch.setattr(paths, "DEFAULT_BUDGET", 50)
     with pytest.raises(BudgetExceeded):
-        interval_row(g, 0, budget=50)
+        interval_row(hypercube(4), 0)
 
 
 def test_interval_cache_guards():

@@ -14,11 +14,13 @@ from monopos.graph import (SOLVER_CAP, Graph, complete_graph, complete_multipart
 from monopos.graph6 import emit_graph6, parse_graph6_lines
 from monopos.invariants import (DIST_INF, alpha_omega_number, clique_number, cut_vertices,
                                 dissociation_number, distance_matrix, independence_number, leaves,
-                                simplicial_vertices)
+                                oracle_max_subset, simplicial_vertices)
 from monopos.families import (grid_graph, hypercube, petersen_graph, random_block_graph,
                                random_connected_graph, random_distance_hereditary,
                                random_split_graph, random_tree, random_unicyclic)
-from monopos.paths import IntervalCache, _chordless_simple_paths, convex_hull, monophonic_hull
+from monopos.paths import (IntervalCache, _chordless_simple_paths, convex_hull,
+                           induced_path_partition, interior_vertices, longest_induced_path_length,
+                           monophonic_closure, monophonic_hull, monophonic_interval)
 from monopos.solvers import (PARAMETERS, POSITION_PARAMS, GraphSolver, PathMode,
                              _PositionSearch, brute_force_position, build_triple_index,
                              hull_number, hull_number_oracle, is_position_set,
@@ -215,6 +217,28 @@ def test_allowed_mask_restriction(monkeypatch):
             max_position_set(c5, allowed=allowed)
 
 
+_STRAY_ENTRIES = {
+    "max_position_set": (lambda g: max_position_set(
+        build_triple_index(g, PathMode.MONOPHONIC), allowed=0x81), "allowed", 0x80),
+    "convex_hull": (lambda g: convex_hull(g, 0x81), "vertex set", 0x80),
+    "monophonic_closure": (lambda g: monophonic_closure(g, 0x81), "vertex set", 0x80),
+    "monophonic_hull": (lambda g: monophonic_hull(g, 0x81), "vertex set", 0x80),
+    "interior_vertices": (lambda g: interior_vertices(g, 0x81), "vertex set", 0x80),
+    "is_position_set": (lambda g: is_position_set(
+        build_triple_index(g, PathMode.MONOPHONIC), 0x201), "vertex set", 0x200),
+    "monophonic_interval": (lambda g: monophonic_interval(g, 0, 9), "interval endpoint pair",
+                            0x200),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_STRAY_ENTRIES))
+def test_a_vertex_outside_the_graph_is_bad_input(entry):
+    """Every entry that takes a vertex mask names the stray bits on C5."""
+    call, what, stray = _STRAY_ENTRIES[entry]
+    with pytest.raises(InputError, match=rf"^{what} has bits outside the 5 vertices: {stray:#x}$"):
+        call(cycle_graph(5))
+
+
 def test_node_limit_is_hard():
     g = complete_multipartite([2] * 6)
     idx = build_triple_index(g, PathMode.GEODESIC)
@@ -285,13 +309,14 @@ def test_cap_refusal():
 @pytest.mark.parametrize("kwargs", [{"cap": 0}, {"cap": -1}, {"node_limit": 0}],
                          ids=["cap0", "cap-1", "node_limit0"])
 def test_a_limit_below_one_is_bad_input(kwargs):
-    """Refused alike from every entry of the nine maxima that takes a cap
-    or a node limit."""
+    """Refused alike from every entry that takes a cap or a node limit."""
     entries = [GraphSolver, clique_number, independence_number, alpha_omega_number,
                dissociation_number]
     if "cap" in kwargs:
         entries += [lambda g, **kw: brute_force_position(g, PathMode.MONOPHONIC, **kw),
-                    lambda g, **kw: build_triple_index(g, PathMode.MONOPHONIC, **kw)]
+                    lambda g, **kw: build_triple_index(g, PathMode.MONOPHONIC, **kw),
+                    longest_induced_path_length, induced_path_partition,
+                    lambda g, **kw: oracle_max_subset(g, g.is_clique_mask, **kw)]
     else:
         entries.append(lambda g, **kw: max_position_set(
             build_triple_index(g, PathMode.MONOPHONIC), **kw))
