@@ -16,7 +16,7 @@ from pathlib import Path
 from .bitset import mask_of, to_tuple
 from .errors import EXIT_INTERNAL, InputError, InternalCheckError, MonoposError
 from .graph import SOLVER_CAP, Graph, parse_edgelist
-from .graph6 import emit_graph6, parse_graph6
+from .graph6 import emit_graph6, parse_graph6_lines
 from .harness import available_checks, run_suite
 from .paths import (IntervalCache, interior_vertices, monophonic_closure,
                     monophonic_hull, monophonic_interval)
@@ -28,16 +28,17 @@ from . import families
 
 def _read_graphs(path: str, input_format: str) -> list[Graph]:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    stripped = [ln for ln in text.splitlines() if ln.strip()]
+    stripped = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not stripped:
         raise InputError(f"no graphs in {path!r}")
     if input_format == "auto":
-        head = stripped[0].split()
+        # an edge list may open with '#' comments; no graph6 line can (byte 35)
+        head = next((ln for ln in stripped if not ln.startswith("#")), "").split()
         looks_edgelist = len(head) == 2 and all(tok.isdigit() for tok in head)
         input_format = "edges" if looks_edgelist else "g6"
     if input_format == "edges":
         return [parse_edgelist(text)]
-    return [parse_graph6(ln) for ln in stripped]
+    return parse_graph6_lines(text)
 
 
 def _emit(doc, args, text_lines=None):

@@ -579,12 +579,12 @@ def _forcing_run(search: _PositionSearch):
     return run
 
 
-def _independent_max(g: Graph, complement: bool, cap: int,
-                     node_limit: int) -> tuple[int, int, int]:
-    """alpha, with a lexmin witness and the search nodes, of ``g`` or of its
-    complement (omega of ``g``): ``_PositionSearch`` over the empty triple
-    system, branching class by class of a greedy clique cover, last class
-    first (as MCQ)."""
+def _independent_max(g: Graph, complement: bool, cap: int, node_limit: int,
+                     lexmin: bool) -> tuple[int, int, int]:
+    """alpha, with a witness (lexmin with ``lexmin``) and the search nodes,
+    of ``g`` or of its complement (omega of ``g``): ``_PositionSearch`` over
+    the empty triple system, branching class by class of a greedy clique
+    cover, last class first (as MCQ)."""
     n = g.n
     require_cap("clique", cap, n)
     adj = g.adj
@@ -597,30 +597,31 @@ def _independent_max(g: Graph, complement: bool, cap: int,
     pos = sorted(range(n), key=order.__getitem__)
     no_pairs = [0] * n  # the empty triple system: one zero row for every i
     search = _PositionSearch(adj, (order, pos, [no_pairs] * n), True, node_limit)
-    return _lexmin(search.pos, search.run, full_mask(n)) + (search.nodes,)
+    return _lexmin(search.pos, search.run, full_mask(n), lexmin) + (search.nodes,)
 
 
 def clique_number(g: Graph, cap: int = MAX_VERTICES,
                   node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """Exact clique number with a lexmin witness mask: alpha of the
     complement, by the one search of all nine maxima."""
-    return _independent_max(g, True, cap, node_limit)[:2]
+    return _independent_max(g, True, cap, node_limit, True)[:2]
 
 
 def independence_number(g: Graph, cap: int = MAX_VERTICES,
                         node_limit: int = NODE_LIMIT) -> tuple[int, int]:
     """alpha(G) with a lexmin witness mask, by the one search of all nine maxima."""
-    return _independent_max(g, False, cap, node_limit)[:2]
+    return _independent_max(g, False, cap, node_limit, True)[:2]
 
 
-def _common_neighbour_max(g: Graph, include_adjacent: bool, cap: int,
-                          node_limit: int) -> tuple[int, int, int]:
-    """Diss (``include_adjacent``) or alphaomega, with a lexmin witness and
-    the search nodes, by the position search behind :func:`_forcing_run`."""
+def _common_neighbour_max(g: Graph, include_adjacent: bool, cap: int, node_limit: int,
+                          lexmin: bool) -> tuple[int, int, int]:
+    """Diss (``include_adjacent``) or alphaomega, with a witness (lexmin with
+    ``lexmin``) and the search nodes, by the position search behind
+    :func:`_forcing_run`."""
     require_cap("dissociation" if include_adjacent else "alpha_omega", cap, g.n)
     table = pair_table(common_neighbour_witnesses(g, include_adjacent))
     search = _PositionSearch(g.adj, table, node_limit=node_limit)
-    return _lexmin(search.pos, _forcing_run(search), g.full()) + (search.nodes,)
+    return _lexmin(search.pos, _forcing_run(search), g.full(), lexmin) + (search.nodes,)
 
 
 def alpha_omega_number(g: Graph, cap: int = SOLVER_CAP,
@@ -631,7 +632,7 @@ def alpha_omega_number(g: Graph, cap: int = SOLVER_CAP,
     :func:`_forcing_run` allows, every pendant among them, are forced
     before each search, so trees, unicyclic and block graphs of 64-70
     vertices take under a thousand nodes."""
-    return _common_neighbour_max(g, False, cap, node_limit)[:2]
+    return _common_neighbour_max(g, False, cap, node_limit, True)[:2]
 
 
 def dissociation_number(g: Graph, cap: int = SOLVER_CAP,
@@ -641,7 +642,7 @@ def dissociation_number(g: Graph, cap: int = SOLVER_CAP,
     Vertices that :func:`_forcing_run` allows, every pendant among them,
     are forced before each search, so trees, unicyclic and block graphs
     of 64-70 vertices take a few hundredths of a second."""
-    return _common_neighbour_max(g, True, cap, node_limit)[:2]
+    return _common_neighbour_max(g, True, cap, node_limit, True)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -701,74 +702,43 @@ def psi_uniform(g: Graph, bp: Bipartition) -> tuple[int, int]:
     return ca.bit_count() + cb.bit_count(), ca | cb
 
 
-def _hopcroft_karp(g: Graph, left: int, right: int) -> tuple[list[int], int]:
-    """Match array (by vertex id, -1 if free) and matching size."""
-    INF = 1 << 30
-    match = [-1] * g.n
-    left_list = list(iter_bits(left))
-    size = 0
-    while True:
-        dist = {}
-        queue = []
-        for u in left_list:
-            if match[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-        reachable_free = False
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for v in iter_bits(g.adj[u] & right):
-                w = match[v]
-                if w == -1:
-                    reachable_free = True
-                elif w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        if not reachable_free:
-            return match, size
-
-        def try_augment(u: int) -> bool:
-            for v in iter_bits(g.adj[u] & right):
-                w = match[v]
-                if w == -1 or (dist.get(w) == dist[u] + 1 and try_augment(w)):
-                    match[u] = v
-                    match[v] = u
-                    return True
-            dist[u] = INF
-            return False
-
-        for u in left_list:
-            if match[u] == -1 and try_augment(u):
-                size += 1
+def _augment(adj, left: int, match: list[int], v: int, seen: set[int]) -> bool:
+    """Kuhn's step: match right vertex ``v`` along an augmenting path whose
+    left vertices are outside ``seen``, adding every left vertex it tries to
+    ``seen``.  ``match`` maps each vertex to its partner (-1 if free) and
+    changes only when a path is found."""
+    for u in iter_bits(adj[v] & left):
+        if u not in seen:
+            seen.add(u)
+            if match[u] == -1 or _augment(adj, left, match, match[u], seen):
+                match[u] = v
+                match[v] = u
+                return True
+    return False
 
 
 def deficiency_witness(g: Graph, left: int, right: int) -> tuple[int, int, int]:
     """Maximizer of |J| - |N(J)| over J inside ``right``.
 
-    Returns ``(J, N(J) within left, matching size)``.  J is the set of
-    right-vertices reachable by alternating paths from the free ones; its
-    deficiency equals |right| - (maximum matching size).
+    Returns ``(J, N(J) within left, matching size)``.  Kuhn's search runs
+    in rounds: a round tries every free right vertex once, with one
+    ``seen`` for the whole round, and the rounds stop at one that matches
+    none.  Then no augmenting path is left, so the matching is maximum
+    (Berge), and that round's runs have tried exactly N(J), for J the free
+    right vertices and the partners of N(J): the right vertices that
+    alternating paths reach from the free ones.  J is the same for every
+    maximum matching (Dulmage-Mendelsohn), and its deficiency equals
+    |right| - (maximum matching size).
     """
-    match, size = _hopcroft_karp(g, left, right)
-    frontier = 0
-    for v in iter_bits(right):
-        if match[v] == -1:
-            frontier |= bit(v)
-    j_mask = frontier
-    n_mask = 0
-    while frontier:
-        grow_left = 0
-        for v in iter_bits(frontier):
-            grow_left |= g.adj[v] & left
-        grow_left &= ~n_mask
-        n_mask |= grow_left
-        frontier = 0
-        for u in iter_bits(grow_left):
-            if match[u] != -1 and not j_mask & bit(match[u]):
-                frontier |= bit(match[u])
-        j_mask |= frontier
+    match = [-1] * g.n
+    while True:
+        free = mask_of(v for v in iter_bits(right) if match[v] == -1)
+        seen: set[int] = set()
+        if not sum(_augment(g.adj, left, match, v, seen) for v in iter_bits(free)):
+            break
+    size = right.bit_count() - free.bit_count()
+    n_mask = mask_of(seen)
+    j_mask = free | mask_of(match[u] for u in seen)
     if j_mask.bit_count() - n_mask.bit_count() != right.bit_count() - size:
         raise InternalCheckError("deficiency witness does not match matching size")
     return j_mask, n_mask, size

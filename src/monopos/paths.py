@@ -340,6 +340,8 @@ class IntervalCache:
 
     def row(self, u: int) -> list[int]:
         if u not in self._rows:
+            if not 0 <= u < self._g.n:
+                raise InputError(f"interval endpoint {u} is outside the {self._g.n} vertices")
             row, exp = interval_row(self._g, u)
             self.expansions += exp
             self._rows[u] = row
@@ -349,8 +351,11 @@ class IntervalCache:
         """K[u,v]; equals {u,v} when u and v sit in different components."""
         if u == v:
             raise InputError("interval endpoints must differ")
+        row = self.row(u)
+        if v < 0:
+            raise InputError(f"interval endpoint {v} is outside the {self._g.n} vertices")
         self._g.require_vertices("interval endpoint pair", bit(u) | bit(v))
-        got = self.row(u)[v]
+        got = row[v]
         if got == 0:
             return bit(u) | bit(v)
         return got

@@ -249,11 +249,11 @@ def _position(s: GraphSolver, name: str) -> ParameterReport:
 
 
 def _invariant(method: str, fn):
-    """Report builder for ``fn(g, cap, node_limit) -> (value, witness mask)``,
-    or ``(value, witness mask, search nodes)`` for a search, whose nodes
-    the report counts as ``expansions``."""
+    """Report builder for ``fn(g, cap, node_limit, lexmin) -> (value, witness
+    mask)``, or ``(value, witness mask, search nodes)`` for a search, whose
+    nodes the report counts as ``expansions``."""
     def compute(s: GraphSolver, name: str) -> ParameterReport:
-        value, mask, *nodes = fn(s.g, s.cap, s.node_limit)
+        value, mask, *nodes = fn(s.g, s.cap, s.node_limit, s.lexmin)
         return ParameterReport(name, value, to_tuple(mask), method, sum(nodes), 0.0)
     return compute
 
@@ -292,9 +292,9 @@ PARAMETERS = {
     "diss": _invariant("branch_and_bound",
                        lambda g, *limits: _common_neighbour_max(g, True, *limits)),
     "simplicial": _invariant("closed_form", _simplicial),
-    "L": _invariant("induced_path_walk", lambda g, cap, _: (
+    "L": _invariant("induced_path_walk", lambda g, cap, *_: (
         longest_induced_path_length(g, cap), 0)),
-    "rho": _invariant("partition_search", lambda g, cap, _: (
+    "rho": _invariant("partition_search", lambda g, cap, *_: (
         induced_path_partition(g, cap)[0], 0)),
     **{name: _position for name in POSITION_PARAMS},
     "hm": lambda s, name: hull_number(s.g),

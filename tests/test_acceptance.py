@@ -217,6 +217,27 @@ def test_package_modules_read_every_name_they_import():
     assert not unused, sorted(unused)
 
 
+def test_no_nested_function_calls_itself():
+    """A recursive helper under src/monopos lives at module level: a nested
+    function that calls itself holds its own closure cell, a reference cycle
+    that only the cyclic collector frees."""
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "monopos"
+    recursive = []
+    for path in sorted(src.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, ast.FunctionDef):
+                    continue
+                if any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == inner.name
+                       for call in ast.walk(inner)):
+                    recursive.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert not recursive, sorted(set(recursive))
+
+
 def test_package_definitions_are_named_elsewhere():
     """Every top-level function and class under src/monopos is named somewhere
     besides its own definition, in src/, tests/ or perfbench/: as a name, an

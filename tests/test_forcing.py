@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import monopos.invariants as invariants
 from conftest import connected_graphs, random_connected
 from monopos.bitset import iter_bits, mask_of
-from monopos.families import random_block_graph, random_tree, random_unicyclic
+from monopos.families import random_block_graph, random_graph, random_tree, random_unicyclic
 from monopos.graph import SOLVER_CAP, path_graph
 from monopos.invariants import (BARE_SLACK, NODE_LIMIT, _common_neighbour_max, _forcing_run,
                                 _independent_max, _lexmin, _PositionSearch,
@@ -123,6 +123,19 @@ def test_diss_omega_and_alpha_reports_count_their_search_nodes():
     g = random_tree(30, random.Random(1))
     s = GraphSolver(g, lexmin=True)
     limits = SOLVER_CAP, NODE_LIMIT
-    assert s.report("diss").expansions == _common_neighbour_max(g, True, *limits)[2] > 0
-    assert s.report("omega").expansions == _independent_max(g, True, *limits)[2] > 0
-    assert s.report("alpha").expansions == _independent_max(g, False, *limits)[2] > 0
+    assert s.report("diss").expansions == _common_neighbour_max(g, True, *limits, True)[2] > 0
+    assert s.report("omega").expansions == _independent_max(g, True, *limits, True)[2] > 0
+    assert s.report("alpha").expansions == _independent_max(g, False, *limits, True)[2] > 0
+
+
+def test_solver_lexmin_flag_reaches_omega_alpha_and_diss():
+    """With lexmin off the three reports skip the lexmin pass: the same
+    values from fewer nodes.  With it on the node counts are as before."""
+    g = random_graph(40, random.Random(1), 0.3)
+    counts = {}
+    for lexmin in (False, True):
+        s = GraphSolver(g, lexmin=lexmin)
+        counts[lexmin] = {p: (s.value(p), s.report(p).expansions)
+                          for p in ("omega", "alpha", "diss")}
+    assert counts[False] == {"omega": (5, 35), "alpha": (11, 109), "diss": (14, 21_087)}
+    assert counts[True] == {"omega": (5, 75), "alpha": (11, 245), "diss": (14, 37_623)}

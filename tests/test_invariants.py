@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import monopos.invariants as invariants
 import monopos.solvers as solvers
 from conftest import all_graphs, connected_graphs, graphs, random_connected
-from monopos.bitset import bit, iter_bits, mask_of, to_tuple
+from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
 from monopos.errors import CapExceeded, InputError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, path_graph)
@@ -596,6 +596,68 @@ def test_deficiency_witness(rng):
         for v in iter_bits(j):
             hood |= g.adj[v] & sp.clique
         assert hood == nj
+
+
+def _least_deficiency_maximizer(g, left, right):
+    """``deficiency_witness`` by listing every J inside ``right``: the
+    intersection of the maximizers of |J| - |N(J)|, its neighbourhood and
+    |right| minus the largest deficiency, which is the matching size
+    (Koenig-Ore)."""
+    side = to_tuple(right)
+    best, least = -1, 0
+    for k in range(1 << len(side)):
+        j = mask_of(v for i, v in enumerate(side) if k >> i & 1)
+        hood = mask_of(u for v in iter_bits(j) for u in iter_bits(g.adj[v] & left))
+        deficiency = j.bit_count() - hood.bit_count()
+        if deficiency > best:
+            best, least = deficiency, j
+        elif deficiency == best:
+            least &= j
+    hood = mask_of(u for v in iter_bits(least) for u in iter_bits(g.adj[v] & left))
+    return least, hood, right.bit_count() - best
+
+
+def test_deficiency_witness_is_the_least_maximizer():
+    """J is the smallest set of the largest deficiency, on every split graph
+    of up to 7 vertices and on random bipartite sides, both ways round."""
+    cases = []
+    for g in connected_graphs(7):
+        sp = split_partition(g)
+        if sp is not None:
+            cases.append((g, sp.clique, sp.independent))
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        left = rng.getrandbits(n)
+        right = full_mask(n) & ~left
+        p = rng.random()
+        cases.append((Graph.from_edges(n, [(u, v) for u in iter_bits(left)
+                                           for v in iter_bits(right) if rng.random() < p]),
+                      left, right))
+    assert len(cases) > 400
+    for g, left, right in cases:
+        for a, b in ((left, right), (right, left)):
+            assert deficiency_witness(g, a, b) == _least_deficiency_maximizer(g, a, b), (g.adj, a)
+
+
+def test_deficiency_witness_at_the_order_cap_keeps_the_default_recursion_limit():
+    """The augmenting-path search recurses once per matched pair of a path,
+    at most min(|left|, |right|) + 1 = 257 deep at 512 vertices: inside
+    Python's default limit of 1000."""
+    import sys
+    from monopos.families import random_split_graph
+
+    g = random_split_graph(512, random.Random(3))
+    sp = split_partition(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        forward = deficiency_witness(g, sp.clique, sp.independent)
+        backward = deficiency_witness(g, sp.independent, sp.clique)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert forward == (sp.independent, sp.clique, 122)
+    assert backward == (0, 0, 122)
 
 
 # -- split graphs -------------------------------------------------------------

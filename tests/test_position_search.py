@@ -278,9 +278,9 @@ def test_omega_and_alpha_node_counts_are_pinned():
     so the conflict cover leaves the searches of omega and alpha as they
     were: node counts with the lexmin pass."""
     assert _independent_max(random_graph(64, random.Random(1), 0.1), False, 64,
-                            NODE_LIMIT)[2] == 1_811
+                            NODE_LIMIT, True)[2] == 1_811
     assert _independent_max(random_graph(64, random.Random(1), 0.9), True, 64,
-                            NODE_LIMIT)[2] == 16_342
+                            NODE_LIMIT, True)[2] == 16_342
 
 
 def _clique_twin(g):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -217,25 +218,35 @@ def test_allowed_mask_restriction(monkeypatch):
             max_position_set(c5, allowed=allowed)
 
 
+_OUTSIDE = "has bits outside the 5 vertices:"
 _STRAY_ENTRIES = {
     "max_position_set": (lambda g: max_position_set(
-        build_triple_index(g, PathMode.MONOPHONIC), allowed=0x81), "allowed", 0x80),
-    "convex_hull": (lambda g: convex_hull(g, 0x81), "vertex set", 0x80),
-    "monophonic_closure": (lambda g: monophonic_closure(g, 0x81), "vertex set", 0x80),
-    "monophonic_hull": (lambda g: monophonic_hull(g, 0x81), "vertex set", 0x80),
-    "interior_vertices": (lambda g: interior_vertices(g, 0x81), "vertex set", 0x80),
+        build_triple_index(g, PathMode.MONOPHONIC), allowed=0x81), f"allowed {_OUTSIDE} 0x80"),
+    "convex_hull": (lambda g: convex_hull(g, 0x81), f"vertex set {_OUTSIDE} 0x80"),
+    "monophonic_closure": (lambda g: monophonic_closure(g, 0x81), f"vertex set {_OUTSIDE} 0x80"),
+    "monophonic_hull": (lambda g: monophonic_hull(g, 0x81), f"vertex set {_OUTSIDE} 0x80"),
+    "interior_vertices": (lambda g: interior_vertices(g, 0x81), f"vertex set {_OUTSIDE} 0x80"),
     "is_position_set": (lambda g: is_position_set(
-        build_triple_index(g, PathMode.MONOPHONIC), 0x201), "vertex set", 0x200),
-    "monophonic_interval": (lambda g: monophonic_interval(g, 0, 9), "interval endpoint pair",
-                            0x200),
+        build_triple_index(g, PathMode.MONOPHONIC), 0x201), f"vertex set {_OUTSIDE} 0x200"),
+    "monophonic_interval": (lambda g: monophonic_interval(g, 0, 9),
+                            f"interval endpoint pair {_OUTSIDE} 0x200"),
+    "monophonic_interval-negative": (lambda g: monophonic_interval(g, -1, 2),
+                                     "interval endpoint -1 is outside the 5 vertices"),
+    "monophonic_interval-negative-second": (lambda g: monophonic_interval(g, 2, -1),
+                                            "interval endpoint -1 is outside the 5 vertices"),
+    "IntervalCache.row": (lambda g: IntervalCache(g).row(7),
+                          "interval endpoint 7 is outside the 5 vertices"),
+    "IntervalCache.row-negative": (lambda g: IntervalCache(g).row(-1),
+                                   "interval endpoint -1 is outside the 5 vertices"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_STRAY_ENTRIES))
 def test_a_vertex_outside_the_graph_is_bad_input(entry):
-    """Every entry that takes a vertex mask names the stray bits on C5."""
-    call, what, stray = _STRAY_ENTRIES[entry]
-    with pytest.raises(InputError, match=rf"^{what} has bits outside the 5 vertices: {stray:#x}$"):
+    """Every entry that takes a vertex or a vertex mask refuses a vertex
+    outside C5, naming it."""
+    call, said = _STRAY_ENTRIES[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(said)}$"):
         call(cycle_graph(5))
 
 
