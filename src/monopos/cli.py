@@ -176,20 +176,20 @@ def _cmd_paths(args) -> int:
     if args.closure:
         m = mask_of(args.closure)
         got = sorted(to_tuple(monophonic_closure(g, m, cache)))
-        doc["closure"] = {"set": sorted(args.closure), "vertices": got}
-        lines.append(f"closure({sorted(args.closure)}) = {got}")
+        doc["closure"] = {"set": args.closure, "vertices": got}
+        lines.append(f"closure({args.closure}) = {got}")
     if args.hull:
         m = mask_of(args.hull)
         hull, rounds = monophonic_hull(g, m, cache)
-        doc["hull"] = {"set": sorted(args.hull), "vertices": sorted(to_tuple(hull)),
+        doc["hull"] = {"set": args.hull, "vertices": sorted(to_tuple(hull)),
                        "iterations": rounds}
-        lines.append(f"hull({sorted(args.hull)}) = {sorted(to_tuple(hull))} "
+        lines.append(f"hull({args.hull}) = {sorted(to_tuple(hull))} "
                      f"after {rounds} closure rounds")
     if args.interior:
         m = mask_of(args.interior)
         got = sorted(to_tuple(interior_vertices(g, m, cache)))
-        doc["interior"] = {"set": sorted(args.interior), "vertices": got}
-        lines.append(f"interior({sorted(args.interior)}) = {got}")
+        doc["interior"] = {"set": args.interior, "vertices": got}
+        lines.append(f"interior({args.interior}) = {got}")
     if len(doc) == 1:
         raise InputError("paths: choose at least one of --interval/--closure/--hull/--interior")
     _emit(doc, args, lines)
@@ -261,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paths", help="intervals, closures, hulls, interior vertices")
     p.add_argument("path")
     p.add_argument("--interval", nargs=2, type=int, metavar=("U", "V"))
-    p.add_argument("--closure", type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--hull", type=lambda s: [int(x) for x in s.split(",")])
-    p.add_argument("--interior", type=lambda s: [int(x) for x in s.split(",")])
+    for flag in ("--closure", "--hull", "--interior"):
+        p.add_argument(flag, type=lambda s: sorted({int(x) for x in s.split(",")}))
     common(p)
     p.set_defaults(fn=_cmd_paths)
     return ap

@@ -9,9 +9,10 @@ predicted parameter, the rule it came from and the applicability condition
 that was checked.  :data:`GRAPH_FORMS` holds the closed forms keyed by the
 graph alone, each raising :class:`InputError` outside its class.
 :data:`FAMILIES` maps every family name to its builder and its predictor,
-the graph-keyed ones read from :data:`GRAPH_FORMS`.  ``generate`` (what
-``monopos family`` prints) and the harness's formula runner, which compares
-the predictions with the exact solvers, read both tables.
+the graph-keyed ones read from :data:`GRAPH_FORMS`.  A spec
+``family[:p1,p2,...][:seed=k]`` (any other shape is refused) is read by
+``build``, its graph, and ``predict_for_spec``, its closed forms or ``[]``;
+``generate``, what ``monopos family`` prints, is the two with metadata.
 """
 
 from __future__ import annotations
@@ -86,35 +87,32 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse ``family:p1,p2,...[:seed=k]``; nested specs in parentheses."""
+    """Parse ``family[:p1,p2,...][:seed=k]``, nested specs in parentheses."""
     text = text.strip()
     if not text:
         raise InputError("empty family spec")
-    family, *colon_chunks = _split_top(text, ":")
+    family, *chunks = _split_top(text, ":")
     seed = None
-    param_chunks: list[str] = []
-    for chunk in colon_chunks:
-        if chunk.startswith("seed="):
-            try:
-                seed = int(chunk[5:])
-            except ValueError as exc:
-                raise InputError(f"bad seed in spec {text!r}") from exc
-        else:
-            param_chunks.append(chunk)
+    if chunks and chunks[-1].startswith("seed="):
+        try:
+            seed = int(chunks.pop()[5:])
+        except ValueError as exc:
+            raise InputError(f"bad seed in spec {text!r}") from exc
+    if len(chunks) > 1:
+        raise InputError(f"spec {text!r} is not family:p1,p2,...[:seed=k]")
     params: list[int] = []
     subspecs: list[FamilySpec] = []
-    for chunk in param_chunks:
-        for item in _split_top(chunk, ","):
-            item = item.strip()
-            if not item:
-                raise InputError(f"empty parameter in spec {text!r}")
-            if item.startswith("(") and item.endswith(")"):
-                subspecs.append(parse_family_spec(item[1:-1]))
-            else:
-                try:
-                    params.append(int(item))
-                except ValueError as exc:
-                    raise InputError(f"bad parameter {item!r} in spec {text!r}") from exc
+    for item in _split_top(chunks[0], ",") if chunks else ():
+        item = item.strip()
+        if not item:
+            raise InputError(f"empty parameter in spec {text!r}")
+        if item.startswith("(") and item.endswith(")"):
+            subspecs.append(parse_family_spec(item[1:-1]))
+        else:
+            try:
+                params.append(int(item))
+            except ValueError as exc:
+                raise InputError(f"bad parameter {item!r} in spec {text!r}") from exc
     return FamilySpec(family, tuple(params), seed, tuple(subspecs))
 
 
@@ -423,8 +421,8 @@ class Family(NamedTuple):
     factors: int = 0  # nested specs, built before the graph
 
 
-def _build(spec: FamilySpec) -> tuple[Graph, tuple[Graph, ...]]:
-    """The graph of a spec and the factor graphs it was built from."""
+def build(spec: FamilySpec) -> Graph:
+    """The graph of a spec; its nested specs are built first, as the factors."""
     entry = FAMILIES.get(spec.family)
     if entry is None:
         raise InputError(f"unknown family {spec.family!r}")
@@ -434,25 +432,27 @@ def _build(spec: FamilySpec) -> tuple[Graph, tuple[Graph, ...]]:
         count = "one or more" if entry.arity is None else entry.arity
         raise InputError(f"family {spec.family!r} expects {count} integer parameter(s)"
                          f" and {entry.factors} nested spec(s)")
-    factors = tuple(_build(s)[0] for s in spec.subspecs)
+    factors = (build(s) for s in spec.subspecs)
     extra = (random.Random(spec.seed if spec.seed is not None else 0),) if entry.seeded else ()
-    return entry.build(*factors, *p, *extra), factors
+    return entry.build(*factors, *p, *extra)
 
 
-def _predictions(spec: FamilySpec, g: Graph, factors: tuple[Graph, ...]) -> list[PredictedValue]:
+def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
+    """The closed forms of the graph ``g`` built from ``spec``; empty for a
+    family outside the table or without a predictor, and where no rule
+    applies."""
     entry = FAMILIES.get(spec.family)
     if entry is None or entry.predict is None:
-        raise InputError(f"no closed form for family {spec.family!r}")
-    return entry.predict(g, *factors, *spec.params)
+        return []
+    try:
+        return entry.predict(g, *(build(s) for s in spec.subspecs), *spec.params)
+    except (InputError, CapExceeded):
+        return []
 
 
 def generate(spec: FamilySpec) -> tuple[Graph, dict]:
     """Build the graph for a family spec and attach metadata with predictions."""
-    g, factors = _build(spec)
-    try:
-        predictions = _predictions(spec, g, factors)
-    except (InputError, CapExceeded):
-        predictions = []
+    g = build(spec)
     meta = {
         "spec": spec.text(),
         "family": spec.family,
@@ -460,7 +460,7 @@ def generate(spec: FamilySpec) -> tuple[Graph, dict]:
         "seed": spec.seed,
         "order": g.n,
         "size": g.edge_count(),
-        "predictions": [pv.to_dict() for pv in predictions],
+        "predictions": [pv.to_dict() for pv in predict_for_spec(spec, g)],
     }
     return g, meta
 
@@ -623,21 +623,6 @@ def predict_split(g: Graph) -> list[PredictedValue]:
         raise InputError("not a split graph")
     value, _ = phi_separated(g, sp)
     return [PredictedValue("mp", value, "split-separated", "connected split graph")]
-
-
-def predict_realization(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
-    """The closed forms of the graph ``g`` built from ``spec``, as
-    ``generate`` attaches them; raises :class:`InputError` where no rule
-    applies."""
-    return _predictions(spec, g, tuple(_build(s)[0] for s in spec.subspecs))
-
-
-def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
-    """Predictions for the graph ``g`` built from ``spec``; empty when no rule applies."""
-    try:
-        return predict_realization(spec, g)
-    except (InputError, CapExceeded):
-        return []
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def _shown(args: tuple) -> list:
 def _case(text: str, *pair: int) -> tuple[Graph, tuple]:
     """A realization case: the graph of the spec ``text``, with arguments
     ``(*pair, text)`` for :func:`_realized`."""
-    return fam.generate(fam.parse_family_spec(text))[0], (*pair, text)
+    return fam.build(fam.parse_family_spec(text)), (*pair, text)
 
 
 def _realized(first: str, second: str):
@@ -241,7 +241,7 @@ def _family_instances_small(max_n: int) -> list[Graph]:
              "R_graph:2,2", "P_graph:1,2", "G_abl:2,3,2"]
     out = []
     for text in specs:
-        g, _ = fam.generate(fam.parse_family_spec(text))
+        g = fam.build(fam.parse_family_spec(text))
         if g.n <= max_n:
             out.append(g)
     return out
@@ -269,7 +269,7 @@ def _check_graph6(rng: random.Random, scale: float):
                  "wheel_pendant_W:6", "R_graph:3,4", "P_graph:2,4", "G_abl:3,6,3",
                  "hypercube:4", "grid:4,4", "corona_of:(cycle:4),(complete:2)",
                  "join_of:(cycle:5),(path:3)"):
-        graphs.append(fam.generate(fam.parse_family_spec(text))[0])
+        graphs.append(fam.build(fam.parse_family_spec(text)))
     for _ in range(_count(scale, 10)):
         graphs.append(fam.random_split_graph(rng.randint(2, 14), rng))
         graphs.append(fam.random_bipartite_graph(rng.randint(1, 6), rng.randint(1, 6), rng))
@@ -651,9 +651,9 @@ def _check_cages(rng: random.Random, scale: float):
     notes = {}
     for name in ("petersen", "heawood", "mcgee"):
         spec = fam.parse_family_spec(name)
-        g = fam.generate(spec)[0]
+        g = fam.build(spec)
         s = GraphSolver(g, lexmin=True)
-        for pv in fam.predict_realization(spec, g):
+        for pv in fam.predict_for_spec(spec, g):
             rep = s.report(pv.parameter)
             key = name if pv.parameter == "mp" else f"{name}_{pv.parameter}"
             notes[key] = {"value": rep.value, "witness": list(rep.witness)}
@@ -935,14 +935,19 @@ def run_check(check_id: str, seed: int = 1, profile: str = "default") -> CheckOu
 
 def run_suite(selection: list[str] | None = None, seeds: tuple[int, ...] = (1,),
               profile: str = "default", jobs: int = 1) -> RunReport:
-    """Run the selected checks (all by default) for each seed.
+    """Run the selected checks (all by default, each named once) for each of
+    one or more distinct seeds.
 
     Results merge deterministically by (check id, seed); with multiple
     seeds a check passes only if it passes under every seed.  ``jobs`` is
     the number of worker processes; 1 runs in this process.
     """
     require_positive(jobs=jobs)
+    if not seeds or len(set(seeds)) < len(seeds):
+        raise InputError(f"seeds must be one or more distinct integers, not {list(seeds)}")
     ids = list(_REGISTRY) if selection is None else list(selection)
+    if len(set(ids)) < len(ids):
+        raise InputError(f"check ids must be distinct, not {ids}")
     for cid in ids:
         if cid not in _REGISTRY:
             raise InputError(f"unknown check id {cid!r}")

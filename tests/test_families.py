@@ -4,13 +4,13 @@ from conftest import connected_graphs
 from monopos.errors import InputError
 from monopos.graph import complement, complete_graph, cycle_graph, path_graph
 from monopos.graph6 import emit_graph6
-from monopos.families import (FAMILIES, GRAPH_FORMS, caterpillar_graph, g_abl, generate,
+from monopos.families import (FAMILIES, GRAPH_FORMS, build, caterpillar_graph, g_abl, generate,
                               half_wheel, half_wheel_pendant,
                               heawood_graph, mcgee_graph, p_graph,
                               parse_family_spec, petersen_graph, predict_bipartite_complement,
                               predict_block_graph, predict_corona, predict_grid_complement,
                               predict_hypercube_complement, predict_join, predict_multipartite,
-                              predict_realization, predict_split, predict_tree_complement,
+                              predict_for_spec, predict_split, predict_tree_complement,
                               predict_unicyclic, r_graph, random_bipartite_graph,
                               random_block_graph, random_cubic_graph,
                               random_distance_hereditary, random_split_graph, random_tree,
@@ -33,7 +33,8 @@ def test_spec_text_roundtrip():
 
 def test_spec_parse_errors():
     for bad in ("", "cycle:x", "corona_of:(cycle:5", "cycle:5)", "half_wheel:4:seed=q",
-                "cycle:,"):
+                "cycle:,", "grid:3:4", "path:seed=4:5", "random_tree:5:seed=1:seed=2",
+                "path:5:"):
         with pytest.raises(InputError):
             parse_family_spec(bad)
     with pytest.raises(InputError):
@@ -247,15 +248,14 @@ def test_predict_split(rng):
 def test_predict_realization_values():
     def preds(text):
         spec = parse_family_spec(text)
-        return {p.parameter: p.value for p in predict_realization(spec, generate(spec)[0])}
+        return {p.parameter: p.value for p in predict_for_spec(spec, generate(spec)[0])}
 
     assert preds("half_wheel:5") == {"mp": 2, "gp": 5}
     assert preds("wheel_pendant_W:4") == {"mp": 4, "gp": 5}
     assert preds("half_wheel_pendant:7,3") == {"mp": 3, "gp": 7}
     assert preds("R_graph:2,3") == {"mp": 5, "igp": 3, "diss": 4, "gp2": 5}
     assert preds("P_graph:1,3") == {"mp": 3, "igp": 4}
-    with pytest.raises(InputError):
-        predict_realization(parse_family_spec("half_wheel:3"), half_wheel(3))
+    assert predict_for_spec(parse_family_spec("half_wheel:3"), half_wheel(3)) == []
 
 
 def test_realization_predictions_match_solver():
@@ -299,6 +299,24 @@ SWEEP = (
        "join_of:(cycle:4),(path:3)", "join_of:(complete:1),(complete:4)",
        "join_of:(cycle:5),(cycle:5)", "join_of:(path:2),(corona_of:(path:2),(complete:1))"]
 )
+
+
+def test_generate_is_build_plus_predict_for_spec():
+    for text in SWEEP:
+        spec = parse_family_spec(text)
+        g, meta = generate(spec)
+        assert g == build(spec), text
+        assert meta["predictions"] == [pv.to_dict() for pv in predict_for_spec(spec, g)], text
+
+
+@pytest.mark.parametrize("text", ["gnp:33,12", "grid:3,4", "half_wheel:3",
+                                  "corona_of:(cycle:5),(complete:4)"])
+def test_predict_for_spec_is_empty_where_no_rule_applies(text):
+    """An unknown family, a family without a predictor, a rule outside its
+    domain and a product over the 24-vertex limit all give no predictions."""
+    spec = parse_family_spec(text)
+    g = cycle_graph(33) if spec.family == "gnp" else build(spec)
+    assert predict_for_spec(spec, g) == []
 
 
 def test_family_table_predictions_match_solver():

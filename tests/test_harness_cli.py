@@ -39,6 +39,21 @@ def test_run_suite_refuses_fewer_than_one_job(jobs):
         run_suite(["cages-mp"], jobs=jobs)
 
 
+@pytest.mark.parametrize("ids, seeds, message", [
+    (["cages-mp"], (1, 1), "distinct integers"), (["cages-mp", "cages-mp"], (1,), "distinct"),
+    (["cages-mp"], (), "one or more")], ids=["repeated-seed", "repeated-check", "no-seed"])
+def test_run_suite_refuses_repeats_and_no_seeds(ids, seeds, message):
+    with pytest.raises(InputError, match=message):
+        run_suite(ids, seeds=seeds)
+
+
+@pytest.mark.parametrize("args", [("--check", "cages-mp", "--seed", "1,1"),
+                                  ("--check", "cages-mp,cages-mp")])
+def test_cli_verify_refuses_repeats(capsys, args):
+    code, out, err = run_cli(capsys, "verify", *args)
+    assert code == 2 and out == "" and "distinct" in err
+
+
 def test_run_report_determinism():
     ids = ["cages-mp", "multipartite-formula", "unicyclic-formula", "graph6-roundtrip"]
     a = run_suite(ids, seeds=(7,), profile="quick")
@@ -532,6 +547,16 @@ def test_cli_paths_closure_and_interior(tmp_path, capsys):
     assert code == 0
     assert doc["closure"] == {"set": [0, 2], "vertices": [0, 1, 2]}
     assert doc["interior"] == {"set": [0, 1, 2], "vertices": [1]}
+
+
+@pytest.mark.parametrize("flag", ["--closure", "--hull", "--interior"])
+def test_cli_paths_echoes_a_repeated_vertex_once(tmp_path, capsys, flag):
+    path = tmp_path / "p4.g6"
+    path.write_text(emit_graph6(fam.path_graph(4)) + "\n")
+    code, out, _ = run_cli(capsys, "paths", str(path), flag, "2,0,0")
+    assert code == 0 and out.startswith(f"{flag[2:]}([0, 2]) = ")
+    code, out, _ = run_cli(capsys, "paths", str(path), flag, "2,0,0", "--format", "json")
+    assert code == 0 and json.loads(out)[flag[2:]]["set"] == [0, 2]
 
 
 @pytest.mark.parametrize("flag", [["--interval", "0", "99"], ["--interval", "-1", "2"],

@@ -10,7 +10,7 @@ import monopos.invariants as invariants
 import monopos.solvers as solvers
 from conftest import all_graphs, connected_graphs, graphs, random_connected
 from monopos.bitset import bit, full_mask, iter_bits, mask_of, to_tuple
-from monopos.errors import CapExceeded, InputError
+from monopos.errors import CapExceeded, InputError, InternalCheckError
 from monopos.graph import (Graph, complete_graph, complete_multipartite,
                            cycle_graph, path_graph)
 from monopos.invariants import (DIST_INF, SplitPartition, _lexmin, alpha_omega_number,
@@ -638,6 +638,24 @@ def test_deficiency_witness_is_the_least_maximizer():
     for g, left, right in cases:
         for a, b in ((left, right), (right, left)):
             assert deficiency_witness(g, a, b) == _least_deficiency_maximizer(g, a, b), (g.adj, a)
+
+
+def test_deficiency_witness_check_catches_a_step_that_never_recurses(monkeypatch):
+    """A greedy step stops with 2-0 matched and 3 free, a matching that is not
+    maximum: J = {2, 3} then has N(J) = {0, 1}, but the search saw only 0."""
+    def greedy(adj, left, match, v, seen):
+        for u in iter_bits(adj[v] & left):
+            if u not in seen:
+                seen.add(u)
+                if match[u] == -1:
+                    match[u], match[v] = v, u
+                    return True
+        return False
+
+    monkeypatch.setattr(invariants, "_augment", greedy)
+    g = Graph.from_edges(4, [(2, 0), (2, 1), (3, 0)])
+    with pytest.raises(InternalCheckError):
+        deficiency_witness(g, mask_of([0, 1]), mask_of([2, 3]))
 
 
 def test_deficiency_witness_at_the_order_cap_keeps_the_default_recursion_limit():
