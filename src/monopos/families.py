@@ -421,8 +421,9 @@ class Family(NamedTuple):
     factors: int = 0  # nested specs, built before the graph
 
 
-def build(spec: FamilySpec) -> Graph:
-    """The graph of a spec; its nested specs are built first, as the factors."""
+def _entry(spec: FamilySpec) -> Family:
+    """The table entry of ``spec``, once the spec's parameter and nested
+    spec counts fit it."""
     entry = FAMILIES.get(spec.family)
     if entry is None:
         raise InputError(f"unknown family {spec.family!r}")
@@ -432,17 +433,26 @@ def build(spec: FamilySpec) -> Graph:
         count = "one or more" if entry.arity is None else entry.arity
         raise InputError(f"family {spec.family!r} expects {count} integer parameter(s)"
                          f" and {entry.factors} nested spec(s)")
+    return entry
+
+
+def build(spec: FamilySpec) -> Graph:
+    """The graph of a spec; its nested specs are built first, as the factors."""
+    entry = _entry(spec)
     factors = (build(s) for s in spec.subspecs)
     extra = (random.Random(spec.seed if spec.seed is not None else 0),) if entry.seeded else ()
-    return entry.build(*factors, *p, *extra)
+    return entry.build(*factors, *spec.params, *extra)
 
 
 def predict_for_spec(spec: FamilySpec, g: Graph) -> list[PredictedValue]:
     """The closed forms of the graph ``g`` built from ``spec``; empty for a
     family outside the table or without a predictor, and where no rule
-    applies."""
-    entry = FAMILIES.get(spec.family)
-    if entry is None or entry.predict is None:
+    applies.  A spec whose counts do not fit its family is refused as
+    :func:`build` refuses it."""
+    if spec.family not in FAMILIES:
+        return []
+    entry = _entry(spec)
+    if entry.predict is None:
         return []
     try:
         return entry.predict(g, *(build(s) for s in spec.subspecs), *spec.params)

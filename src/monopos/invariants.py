@@ -398,7 +398,8 @@ class _PositionSearch:
     ``run`` takes and returns order-space masks (see ``_lexmin``);
     ``nodes`` counts every node of every run so far, also after a limit or
     a target stops one, and ``largest`` is the size of the largest set a
-    run has returned.  A node-limit refusal names both.
+    run has returned.  A node-limit refusal names both.  ``add_triple``
+    grows the table between runs, and the next run reads it.
     """
 
     def __init__(self, adj: tuple[int, ...], table: PairTable, independent: bool = False,
@@ -414,6 +415,22 @@ class _PositionSearch:
         self.node_limit = node_limit
         self.nodes = 0
         self.largest = 0
+
+    def add_triple(self, i: int, j: int, k: int) -> None:
+        """Add the triple {order[i], order[j], order[k]}: all six ``pair``
+        entries, in the table that every search over it shares.  An
+        independent search over an all-zero table starts reading conflict
+        rows here."""
+        pair = self.pair
+        pair[i][j] |= 1 << k
+        pair[j][i] |= 1 << k
+        pair[i][k] |= 1 << j
+        pair[k][i] |= 1 << j
+        pair[j][k] |= 1 << i
+        pair[k][j] |= 1 << i
+        if self.independent and not self.grows:
+            self.grows = True
+            self.levels = [[0] * len(pair) for _ in range(len(pair) + 1)]
 
     def run(self, forced: int, box: int, target: int | None) -> tuple[int, int]:
         """Best (size, mask) with forced <= mask <= box; with a target, the

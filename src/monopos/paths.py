@@ -19,14 +19,21 @@ and the induced path partition read.  ``interval_row`` runs the same search
 with its own inline loop, because interval rows dominate the mp cost and a
 generator in between slows them down (see its docstring).
 
-``monophonic_witnesses`` builds the witness system that mp and imp search,
-from narrowed rows: only over the 2-core, each row exact only for the later
-vertices of its core component, and the pendant trees composed on
-afterwards.  Once a row proves costly, random chordless walks seed the
-rows after it with the sub-paths they pass, so most targets are settled
-before any walk of the row; the row's walk stays the exact fallback, and
-the walks are this module's one random walk.  Full rows, from
-``interval_row`` with its defaults, stay its twin in the tests.
+``monophonic_witnesses`` builds the full mono witness system from narrowed
+rows: only over the 2-core, each row exact only for the later vertices of
+its core component, and the pendant trees composed on afterwards.  Once
+the rows have taken ``SEED_AFTER`` expansions in all, random chordless
+walks seed the rows after with the sub-paths they pass, so most targets
+are settled before any walk of the row; the row's walk stays the exact
+fallback, and the walks are this module's one random walk.  Full rows,
+from ``interval_row`` with its defaults, stay its twin in the tests.
+
+mp and imp search a lazy system instead, ``monophonic_subsystem``: the
+same rows stop at ``SEED_AFTER``, and the pairs left get a caller's floor
+(the geodesic witnesses) and the seed-walk sub-paths, which lie inside
+the mono system.  ``LazyWitnesses.check`` walks induced paths from the
+members of a set that the search returns until it meets a triple the
+subsystem misses, and adds it; a walk that finds none proves the set.
 
 Hulls have two routines.  ``convex_hull`` runs Duchet's component test in
 polynomial time and reads no interval row; the hull number uses it.
@@ -46,15 +53,17 @@ from .graph import SOLVER_CAP, Graph
 #: longest-induced-path search, read at call time.
 DEFAULT_BUDGET = 10_000_000
 
-#: A core row of :func:`monophonic_witnesses` that takes more expansions
-#: than this seeds the rows after it from random induced walks.
+#: Once the core rows of :func:`monophonic_witnesses` have taken more
+#: expansions than this in all, the rows after are seeded from random
+#: induced walks; :func:`monophonic_subsystem` stops its rows there.
 SEED_AFTER = 10_000
 #: The seed walks: at most this many from each core vertex, a source
-#: stopping after ``SEED_IDLE`` walks in a row that add nothing, drawn
-#: from ``random.Random(WALK_SEED)``.  The seed moves only the cost.
+#: stopping at its first walk that adds nothing, drawn from
+#: ``random.Random(WALK_SEED)``.  The seed moves only the cost.
 SEED_WALKS = 40
-SEED_IDLE = 3
 WALK_SEED = 0
+#: Expansions of one check walk on its first turn (see ``LazyWitnesses.check``).
+CHECK_QUOTA = 2_000
 
 #: rho's search has no budget and its memo grows with the vertex sets it visits.
 PARTITION_CAP = 16
@@ -66,7 +75,8 @@ PARTITION_CAP = 16
 
 
 def interval_row(g: Graph, u: int, region: int = -1, targets: int | None = None, inner: int = 0,
-                 known: list[list[int]] | None = None) -> tuple[list[int], int]:
+                 known: list[list[int]] | None = None,
+                 budget: int | None = None) -> tuple[list[int], int]:
     """For every w, the union of vertices over induced u,w-paths.
 
     Returns ``(row, expansions)``; ``row[w] == 0`` when w is unreachable
@@ -75,9 +85,10 @@ def interval_row(g: Graph, u: int, region: int = -1, targets: int | None = None,
 
     This is the search of ``walk_induced_paths`` written out inline: read
     through the generator, rows took 1.2-1.5x as long on the benchmark's
-    ``mono-rows`` graphs, where rows are over 95% of the time.  A test keeps
-    the two in step (same rows, one walk node per expansion).  The walk
-    raises :class:`BudgetExceeded` past ``DEFAULT_BUDGET`` expansions.
+    ``mono-rows`` graphs, where full mono indexes spent over 95% of their
+    time in rows.  A test keeps the two in step (same rows, one walk node
+    per expansion).  The walk raises :class:`BudgetExceeded` past
+    ``budget`` expansions, ``DEFAULT_BUDGET`` by default.
 
     With its defaults the walk visits every induced path from u.
     :func:`monophonic_witnesses` narrows it: paths never leave ``region``,
@@ -98,7 +109,8 @@ def interval_row(g: Graph, u: int, region: int = -1, targets: int | None = None,
     """
     adj = g.adj
     n = g.n
-    budget = DEFAULT_BUDGET
+    if budget is None:
+        budget = DEFAULT_BUDGET
     row = [0] * n
     ub = bit(u)
     row[u] = ub
@@ -176,8 +188,8 @@ def monophonic_witnesses(g: Graph) -> list[list[int]]:
     each row, as in :func:`interval_row`, and a refusal names the rows done
     and the expansions spent.
 
-    The first core row that takes more than ``SEED_AFTER`` expansions
-    builds :func:`_seed_walks` once, and every later row reads it as
+    Once the rows have taken more than ``SEED_AFTER`` expansions in all,
+    :func:`_seed_walks` is built once, and every later row reads it as
     ``known``: a target whose seeds already reach its bound costs no
     expansion.  The seeds only add vertices that lie on induced paths, and
     each row still walks every induced path to the targets they leave
@@ -186,9 +198,210 @@ def monophonic_witnesses(g: Graph) -> list[list[int]]:
     Below the threshold nothing is seeded: on the cheapest sparse graphs
     the walks cost more than they save.
     """
+    return _witness_rows(g, None)[0]
+
+
+def monophonic_subsystem(g: Graph, floor) -> LazyWitnesses:
+    """A subsystem of :func:`monophonic_witnesses`, for a lazy search.
+
+    The same rows, in the same order, until they have taken ``SEED_AFTER``
+    expansions in all: the row that would cross the threshold stops there.
+    Each pair the rows leave gets ``floor()[x][z]``, a witness system that
+    lies inside the mono one pair by pair (the geodesic one does), united
+    with the interiors of the :func:`_seed_walks` sub-paths from x to z.
+    The pendant trees are composed on as in :func:`monophonic_witnesses`.
+    A pair so built is *loose* unless it reaches the bound of the rows
+    (every core vertex of the component that can be interior), and
+    ``floor`` is called only if a row stops.  When the rows finish, no
+    pair is loose and the system is exact.
+    """
+    return LazyWitnesses(g.adj, *_witness_rows(g, floor))
+
+
+class LazyWitnesses:
+    """A mono witness subsystem and the check walks that complete it.
+
+    ``witness[x][z]`` lies inside the mono witness of {x, z}, and equals
+    it unless z is in ``loose[x]`` (and x in ``loose[z]``).  ``check``
+    finds a triple of a vertex set that the subsystem misses and adds it.
+    ``clear[x][z]`` holds vertices that no induced x,z-path has inside, as
+    the walks have proved.  Every walk of one system counts against one
+    ``DEFAULT_BUDGET``; ``walks``, ``expansions`` and ``rounds`` (the
+    violations learned) count them.  A plain class: a dataclass took a
+    millisecond of every import.
+    """
+
+    def __init__(self, adj: tuple[int, ...], witness: list[list[int]], loose: list[int],
+                 rows_done: int, rows: int):
+        self.adj = adj
+        self.witness = witness
+        self.loose = loose
+        self.rows_done = rows_done
+        self.rows = rows
+        self.clear = [[0] * len(adj) for _ in adj]
+        self.walks = self.expansions = self.rounds = 0
+
+    def check(self, s: int) -> list[tuple[int, int, int]]:
+        """The triples (a, y, c), y interior to an induced a,c-path, that
+        a violation in ``s`` adds to ``witness``; empty when ``s`` is in
+        monophonic position.
+
+        Only a loose pair inside ``s`` can hold a triple the subsystem
+        misses, so a walk starts from each member x with a loose partner z
+        above it in ``s`` (the targets) unless ``clear[x][z]`` holds the
+        rest of ``s``; a set of fewer than 3 members has no rest, so it
+        takes no walk.  A walk runs the induced paths from x as
+        :func:`interval_row` does, and stops at the first one that holds
+        two more members of ``s``, the later one ending it.  A path is
+        extended only while a target, and, before the first member, two
+        members, lie outside the closed neighbourhoods of its vertices but
+        the last.  A walk that outlasts its first turn also asks that they
+        be reachable inside that set from the next vertices (``_reaches``):
+        a search per extension, which pays only on a walk that must prove a
+        large negative, where it cut the expansions 10-100x on sparse
+        G(n, p) of 50-64 vertices.  The walks take turns, each up to
+        ``CHECK_QUOTA`` expansions on the first turn and four times as many
+        on each next, so that a walk that must prove a negative does not
+        hold up one that finds a violation.  Every sub-path of the path
+        found is induced, and each of its triples that ``witness`` lacks is
+        added and returned.  A walk that ends with none proves ``s`` clear
+        for each of its targets.
+        """
+        clear = self.clear
+        walks = {}
+        for x in iter_bits(s):
+            targets = 0
+            for z in iter_bits(self.loose[x] & s & ~full_mask(x + 1)):
+                if s & ~clear[x][z] & ~(1 << x | 1 << z):
+                    targets |= 1 << z
+            if targets:
+                walk = walks[x, targets] = _check_walk(self.adj, x, s, targets)
+                next(walk)
+        self.walks += len(walks)
+        quota = CHECK_QUOTA
+        budget = DEFAULT_BUDGET
+        if walks:
+            self._spend(0, budget)
+        while walks:
+            for (x, targets), walk in list(walks.items()):
+                try:
+                    self._spend(walk.send(min(quota, budget + 1 - self.expansions)), budget)
+                    continue
+                except StopIteration as stop:
+                    path, done = stop.value
+                self._spend(done, budget)
+                del walks[x, targets]
+                if path:
+                    self.rounds += 1
+                    return self._learn(path)
+                for z in iter_bits(targets):
+                    clear[x][z] |= s
+                    clear[z][x] |= s
+            quota *= 4
+        return []
+
+    def _spend(self, done: int, budget: int) -> None:
+        self.expansions += done
+        if self.expansions > budget:
+            raise BudgetExceeded(f"monophonic check walks: budget {budget} exhausted after "
+                                 f"{self.rows_done} of {self.rows} prefix rows, "
+                                 f"{self.expansions} check-walk expansions, "
+                                 f"{self.rounds} round(s)")
+
+    def _learn(self, path: list[int]) -> list[tuple[int, int, int]]:
+        """Add every triple of every sub-path of the induced ``path``."""
+        witness = self.witness
+        added = []
+        for i, a in enumerate(path[:-2]):
+            wa = witness[a]
+            inside = 0
+            for j in range(i + 1, len(path) - 1):
+                inside |= 1 << path[j]
+                c = path[j + 1]
+                new = inside & ~wa[c]
+                if new:
+                    wa[c] |= new
+                    witness[c][a] |= new
+                    added.extend((a, y, c) for y in iter_bits(new))
+        return added
+
+
+def _check_walk(adj: tuple[int, ...], x: int, s: int, targets: int):
+    """The walk of :meth:`LazyWitnesses.check` from x, as a generator: it
+    takes a quota by ``send`` and yields its expansions when it has spent
+    the quota; it returns ``(path, expansions since its last yield)``:
+    the first induced path from x that it meets with two more members of
+    ``s``, or None when it has shown that no such path ends in
+    ``targets``."""
+    quota = yield 0
+    n = len(adj)
+    others = s & ~(1 << x)
+    path = [x] * (n + 1)
+    frees = [0] * (n + 1)
+    exts = [0] * (n + 1)
+    met = [0] * (n + 1)  # whether the path to level k holds a member past x
+    frees[0], exts[0] = ~(1 << x | adj[x]), adj[x]
+    top = 0
+    done = 0
+    costly = False  # whether the walk has outlasted its first turn
+    while top >= 0:
+        ext = exts[top]
+        if not ext:
+            top -= 1
+            continue
+        b = ext & -ext
+        exts[top] = ext ^ b
+        w = b.bit_length() - 1
+        done += 1
+        if done == quota:
+            quota = yield done
+            done = 0
+            costly = True
+        seen = met[top]
+        if others & b:
+            if seen:
+                return path[:top + 1] + [w], done
+            seen = 1
+        free = frees[top]
+        nxt = adj[w] & free
+        if nxt and targets & free:
+            ahead = others & free
+            if (seen or ahead & (ahead - 1)) and (
+                    not costly or _reaches(adj, nxt, free, targets, others, seen)):
+                top += 1
+                path[top], frees[top], exts[top], met[top] = w, free & ~adj[w], nxt, seen
+    return None, done
+
+
+def _reaches(adj: tuple[int, ...], start: int, free: int, targets: int, others: int,
+             seen: int) -> bool:
+    """Whether the vertices that ``start`` reaches inside ``free`` hold a
+    target and, unless ``seen``, two of ``others``: a breadth-first search
+    that stops as soon as they do."""
+    reach = frontier = start
+    while True:
+        got = others & reach
+        if targets & reach and (seen or got & (got - 1)):
+            return True
+        more = 0
+        while frontier:
+            c = frontier & -frontier
+            frontier ^= c
+            more |= adj[c.bit_length() - 1]
+        frontier = more & free & ~reach
+        if not frontier:
+            return False
+        reach |= frontier
+
+
+def _witness_rows(g: Graph, floor) -> tuple[list[list[int]], list[int], int, int]:
+    """The build that :func:`monophonic_witnesses` (``floor`` None) and
+    :func:`monophonic_subsystem` share: the witnesses, the loose pairs,
+    the rows done and the rows."""
     adj = g.adj
     n = g.n
     witness = [[0] * n for _ in range(n)]
+    loose = [0] * n
     core = full_mask(n)
     deg = [a.bit_count() for a in adj]
     leaves = [v for v in range(n) if deg[v] <= 1]
@@ -215,40 +428,66 @@ def monophonic_witnesses(g: Graph) -> list[list[int]]:
             if rest & ~adj[a.bit_length() - 1]:
                 inner |= 1 << v
                 break
+    rows = max(len(verts) - 1, 0)
     spent = 0
     comp = 0
     known = None
+    stop = rows
     for i, x in enumerate(verts[:-1]):
         if not comp >> x & 1:
             comp = g.component_of(x, within=core)
+        budget = DEFAULT_BUDGET if floor is None else min(DEFAULT_BUDGET, SEED_AFTER - spent)
         try:
-            row, exp = interval_row(g, x, comp, comp & ~full_mask(x + 1), inner & comp, known)
+            row, exp = interval_row(g, x, comp, comp & ~full_mask(x + 1), inner & comp, known,
+                                    budget)
         except BudgetExceeded as exc:
+            if floor is not None:
+                stop = i
+                break
             # the row that ran out made DEFAULT_BUDGET + 1 expansions
             raise BudgetExceeded(f"monophonic witness index: {exc} after {i} of "
-                                 f"{len(verts) - 1} rows, {spent + DEFAULT_BUDGET + 1} "
+                                 f"{rows} rows, {spent + DEFAULT_BUDGET + 1} "
                                  f"expansions so far") from exc
         spent += exp
-        if known is None and exp > SEED_AFTER:
+        if known is None and spent > SEED_AFTER:
             known = _seed_walks(adj, core)
         wx = witness[x]
         xb = 1 << x
         for z in verts[i + 1:]:
             if row[z]:
                 wx[z] = witness[z][x] = row[z] ^ xb ^ 1 << z
+    if stop < rows:
+        known = _seed_walks(adj, core)
+        geo = floor()
+        for x in verts[stop:-1]:
+            if not comp >> x & 1:
+                comp = g.component_of(x, within=core)
+            wx, kx, gx = witness[x], known[x], geo[x]
+            xb = 1 << x
+            for z in iter_bits(comp & ~adj[x] & ~full_mask(x + 1)):
+                zb = 1 << z
+                w = wx[z] = witness[z][x] = gx[z] | (kx[z] | known[z][x]) & ~(xb | zb)
+                if w != inner & comp & ~(xb | zb):
+                    loose[x] |= zb
+                    loose[z] |= xb
     done = list(verts)
     for t, p in reversed(peeled):
         if p >= 0:
             wp = witness[p]
             wt = witness[t]
             pb = 1 << p
+            tb = 1 << t
             near = adj[p]
+            lp = loose[p]
             for z in done:
                 w = wp[z]
                 if w or near >> z & 1 and z != p:  # z is in t's component
                     wt[z] = witness[z][t] = w | pb
+                    if lp >> z & 1:
+                        loose[t] |= 1 << z
+                        loose[z] |= tb
         done.append(t)
-    return witness
+    return witness, loose, stop, rows
 
 
 def _seed_walks(adj: tuple[int, ...], core: int) -> list[list[int]]:
@@ -260,21 +499,20 @@ def _seed_walks(adj: tuple[int, ...], core: int) -> list[list[int]]:
     induced path is induced, so every entry lies inside the interval.
 
     From each core vertex up to ``SEED_WALKS`` walks start; a source stops
-    after ``SEED_IDLE`` walks in a row that add nothing.  The generator is
-    ``random.Random(WALK_SEED)`` and a step takes the k-th set bit of its
-    candidate mask, so no tuple is built per step.
+    at its first walk that adds nothing.  The generator is
+    ``random.Random(WALK_SEED)``, and a step takes the k-th set bit of its
+    candidate mask for k below ``random()`` times their count, so no tuple
+    is built per step.
     """
-    rng = random.Random(WALK_SEED)
-    randrange = rng.randrange
+    rand = random.Random(WALK_SEED).random
     known = [[0] * len(adj) for _ in adj]
     for s in iter_bits(core):
-        idle = 0
         for _ in range(SEED_WALKS):
             path = [s]
             free = core & ~adj[s] & ~(1 << s)
             cand = adj[s] & core
             while cand:
-                for _ in range(randrange(cand.bit_count())):
+                for _ in range(int(rand() * cand.bit_count())):
                     cand &= cand - 1
                 w = (cand & -cand).bit_length() - 1
                 path.append(w)
@@ -286,12 +524,10 @@ def _seed_walks(adj: tuple[int, ...], core: int) -> list[list[int]]:
                 m = 1 << a
                 for b in path[i + 1:]:
                     m |= 1 << b
-                    old = ka[b]
-                    if old | m != old:
-                        ka[b] = old | m
+                    if m & ~ka[b]:
+                        ka[b] |= m
                         added = True
-            idle = 0 if added else idle + 1
-            if idle == SEED_IDLE:
+            if not added:
                 break
     return known
 

@@ -8,12 +8,18 @@ geodesic mode from the distance identity d(x,y) + d(y,z) = d(x,z), read
 off the breadth-first layers of ``Graph.layers``, and the length-two mode
 takes the common neighbours of non-adjacent pairs, which are the geodesics
 of length two.  ``build_triple_index`` is the one derivation of these
-witness systems.  One branch and bound, ``invariants._PositionSearch``,
-serves all modes, diss, omega and alpha (gp2 is alphaomega, computed
-once), with a neighbourhood filter for the independent variants, and
-``invariants._lexmin`` drives its runs to the lexmin witness.  The subset
-oracle ``brute_force_position`` scans the same witness systems with
-neither of the two.
+witness systems.  Its mono index can be lazy, and ``GraphSolver`` gives mp
+and imp one such index: a part of the mono system, from rows up to
+``paths.SEED_AFTER`` expansions and the geo index below the rest, whose
+search checks each set it returns by induced-path walks and learns the
+triples they find (``_checked_run``).  A miss in a part is a miss in the
+whole, so values and witnesses are those of the full index; when the rows
+finish, the lazy index is the full one.  One branch and bound,
+``invariants._PositionSearch``, serves all modes, diss, omega and alpha
+(gp2 is alphaomega, computed once), with a neighbourhood filter for the
+independent variants, and ``invariants._lexmin`` drives its runs to the
+lexmin witness.  The subset oracle ``brute_force_position`` scans the
+same witness systems with neither of the two.
 ``GraphSolver`` is the one front end: every parameter, position type or
 supporting invariant, and every closed form that ``compute`` answers, is
 computed by name through its table, and ``GraphSolver.report`` finishes
@@ -36,15 +42,17 @@ from enum import Enum
 from itertools import combinations
 
 from .bitset import bit, full_mask, iter_bits, mask_of, to_tuple
-from .errors import InputError, InternalCheckError, LimitError, require_cap, require_positive
+from .errors import (BudgetExceeded, InputError, InternalCheckError, LimitError, require_cap,
+                     require_positive)
 from .graph import SOLVER_CAP, Graph
 from .invariants import (NODE_LIMIT, PairTable, _common_neighbour_max, _forcing_run,
                          _independent_max, _lexmin, _PositionSearch, bipartition,
                          clique_separator_atoms, common_neighbour_witnesses, cut_vertices,
                          diameter, is_distance_hereditary, oracle_max_subset, pair_table,
                          phi_separated, psi_uniform, simplicial_vertices, split_partition)
-from .paths import (IntervalCache, cache_for, convex_hull, induced_path_partition,
-                    longest_induced_path_length, monophonic_hull, monophonic_witnesses)
+from .paths import (IntervalCache, LazyWitnesses, cache_for, convex_hull,
+                    induced_path_partition, longest_induced_path_length, monophonic_hull,
+                    monophonic_subsystem, monophonic_witnesses)
 
 
 class PathMode(Enum):
@@ -81,11 +89,14 @@ def _position_name(mode: PathMode, independent: bool) -> str:
 
 @dataclass
 class TripleIndex:
-    """Interior witnesses per unordered vertex pair, for one graph and mode."""
+    """Interior witnesses per unordered vertex pair, for one graph and mode.
+    With ``lazy`` the witnesses are a mono subsystem that its check walks
+    complete (see :func:`build_triple_index`)."""
 
     graph: Graph
     mode: PathMode
     witness: list[list[int]]
+    lazy: LazyWitnesses | None = field(default=None, repr=False)
     _table: PairTable | None = field(default=None, repr=False)
 
     def table(self) -> PairTable:
@@ -97,17 +108,36 @@ class TripleIndex:
 
 
 def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = None,
-                       cap: int = SOLVER_CAP) -> TripleIndex:
+                       cap: int = SOLVER_CAP, floor=None) -> TripleIndex:
     """The witness system of ``mode``.  A ``cache`` is only checked against
-    ``g``: the mono index reads narrowed rows and stores none in it."""
+    ``g``: the mono index reads narrowed rows and stores none in it.
+
+    With ``floor``, a function that returns a witness system inside the
+    mono one pair by pair, the mono index is lazy: the rows of
+    :func:`paths.monophonic_subsystem` up to ``SEED_AFTER`` expansions,
+    and for the pairs they leave ``floor()`` with the seed-walk sub-paths.
+    ``GraphSolver`` passes the geodesic witnesses, which qualify because
+    every geodesic is an induced path.  When the rows finish, the index is
+    the exact one and carries no ``lazy`` part.  Otherwise
+    :func:`max_position_set` checks each set its search returns by the
+    walks of ``LazyWitnesses.check``, and the index keeps the triples they
+    add, so only mp and imp may share it.
+    """
     require_cap("triple index", cap, g.n)
     if mode is PathMode.GEODESIC_LEN2:
         return TripleIndex(g, mode, common_neighbour_witnesses(g, include_adjacent=False))
     if mode is PathMode.MONOPHONIC:
         if cache is not None:
             cache_for(g, cache)
-        return TripleIndex(g, mode, monophonic_witnesses(g))
-    # y lies on a shortest x,z-path iff d(x,y) = k, d(y,z) = d - k, 0 < k < d.
+        if floor is None:
+            return TripleIndex(g, mode, monophonic_witnesses(g))
+        sub = monophonic_subsystem(g, floor)
+        return TripleIndex(g, mode, sub.witness, sub if any(sub.loose) else None)
+    return TripleIndex(g, mode, _geodesic_witnesses(g))
+
+
+def _geodesic_witnesses(g: Graph) -> list[list[int]]:
+    """y lies on a shortest x,z-path iff d(x,y) = k, d(y,z) = d - k, 0 < k < d."""
     n = g.n
     witness = [[0] * n for _ in range(n)]
     layers = [g.layers(v) for v in range(n)]
@@ -120,7 +150,7 @@ def build_triple_index(g: Graph, mode: PathMode, cache: IntervalCache | None = N
                 for k in range(1, d):
                     w |= lx[k] & lz[d - k]
                 witness[x][z] = witness[z][x] = w
-    return TripleIndex(g, mode, witness)
+    return witness
 
 
 def is_position_set(idx: TripleIndex, s: int) -> tuple[bool, tuple[int, int, int] | None]:
@@ -165,7 +195,8 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     allows is forced, every pendant vertex among them, so trees, unicyclic
     and block graphs of 64-70 vertices take under a thousand nodes; the
     other modes search bare, since forcing saves them under 1% of their
-    nodes.
+    nodes.  Over a lazy mono index every run is checked (``_checked_run``),
+    so the final witness is proved by its own check walks.
     """
     t0 = time.perf_counter()
     name = _position_name(idx.mode, independent)
@@ -174,6 +205,8 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     g.require_vertices("allowed", allowed)
     search = _PositionSearch(g.adj, idx.table(), independent, node_limit)
     run = _forcing_run(search) if idx.mode is PathMode.GEODESIC_LEN2 else search.run
+    if idx.lazy is not None:
+        run = _checked_run(search, idx.lazy)
     value, found = _lexmin(search.pos, run, allowed, lexmin)
     ok, _ = is_position_set(idx, found)
     if not ok or (independent and not g.is_independent_mask(found)):
@@ -189,12 +222,43 @@ def max_position_set(idx: TripleIndex, independent: bool = False, node_limit: in
     )
 
 
+def _checked_run(search: _PositionSearch, lazy: LazyWitnesses):
+    """``search.run`` over a lazy mono index, as the ``run`` of ``_lexmin``.
+
+    A run that misses its target in the subsystem misses it in the full
+    system, which only has more triples, so a miss is final.  Any other
+    set that a run returns is checked by ``lazy.check`` (a set of fewer
+    than 3 vertices holds no triple and takes no walk); a violation's
+    triples go into the table, and the search runs again on the same box,
+    until a set passes.  So every run answers as a run over the full
+    system would, and ``_lexmin`` keeps its value and witness.  A
+    check-walk refusal also names the search nodes so far.
+    """
+    order, pos = search.order, search.pos
+
+    def run(forced: int, box: int, target: int | None) -> tuple[int, int]:
+        while True:
+            size, mask = search.run(forced, box, target)
+            if target is not None and size < target:
+                return size, mask
+            try:
+                added = lazy.check(sum(1 << order[i] for i in iter_bits(mask)))
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"{exc}, {search.nodes} search nodes") from exc
+            if not added:
+                return size, mask
+            for a, y, c in added:
+                search.add_triple(pos[a], pos[y], pos[c])
+    return run
+
+
 class GraphSolver:
     """The one front end for every parameter in :data:`PARAMETERS` and
     :data:`CLOSED_FORMS`.
 
     Reports are memoized, and one triple index per mode is shared between
-    them.  ``report`` is the one place a report is finished: it times the
+    them; mp and imp share ``mono_index``, which may be lazy, and so one
+    check-walk budget.  ``report`` is the one place a report is finished: it times the
     builder, so ``ms`` covers any triple index the report built.  ``cap``
     goes unchanged to every exact routine but the polynomial hm, and each
     applies it itself: rho's search never runs past ``PARTITION_CAP``.  A
@@ -211,12 +275,28 @@ class GraphSolver:
         self.lexmin = lexmin
         self.cap = cap
         self._indexes: dict[PathMode, TripleIndex] = {}
+        self._mono: TripleIndex | None = None
         self._reports: dict[str, ParameterReport | LimitError] = {}
 
     def triple_index(self, mode: PathMode) -> TripleIndex:
         if mode not in self._indexes:
             self._indexes[mode] = build_triple_index(self.g, mode, cap=self.cap)
         return self._indexes[mode]
+
+    def mono_index(self) -> TripleIndex:
+        """The one mono system of mp and imp: the exact index if it is
+        built, else a lazy one over the geo index, which is then built
+        once for gp and igp as well.  A lazy index that comes out exact
+        also serves as ``triple_index(MONOPHONIC)``."""
+        if self._mono is None:
+            idx = self._indexes.get(PathMode.MONOPHONIC)
+            if idx is None:
+                idx = build_triple_index(self.g, PathMode.MONOPHONIC, cap=self.cap, floor=lambda:
+                                         self.triple_index(PathMode.GEODESIC).witness)
+                if idx.lazy is None:
+                    self._indexes[PathMode.MONOPHONIC] = idx
+            self._mono = idx
+        return self._mono
 
     def report(self, name: str) -> ParameterReport:
         if name not in self._reports:
@@ -245,7 +325,8 @@ class GraphSolver:
 
 def _position(s: GraphSolver, name: str) -> ParameterReport:
     mode, independent = POSITION_PARAMS[name]
-    return max_position_set(s.triple_index(mode), independent, s.node_limit, lexmin=s.lexmin)
+    idx = s.mono_index() if mode is PathMode.MONOPHONIC else s.triple_index(mode)
+    return max_position_set(idx, independent, s.node_limit, lexmin=s.lexmin)
 
 
 def _invariant(method: str, fn):

@@ -14,7 +14,7 @@ import pytest
 
 from monopos.bitset import iter_bits, mask_of
 from monopos.errors import NodeLimitExceeded
-from monopos.families import grid_graph, petersen_graph
+from monopos.families import grid_graph, hypercube, petersen_graph
 from monopos.graph import complete_graph, corona, cycle_graph
 from monopos.graph6 import emit_graph6, parse_graph6
 from monopos.invariants import _lexmin, alpha_omega_number, common_neighbour_witnesses, pair_table
@@ -105,17 +105,26 @@ def test_gate_call_shapes():
 
 
 def test_gate_accepts_lexmin_answers_for_every_parameter(monkeypatch):
+    """Every parameter on three small graphs, and mp and imp, with lexmin on
+    and off, on two graphs whose mono index is lazy: a lazy answer that the
+    gate's full index rejects fails here before the benchmark sees it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     gate = _load("gate")
+    corpus = _load("corpus")
+    cases = [(g, PARAMETERS, True) for g in (cycle_graph(6), petersen_graph(), grid_graph(3, 5))]
+    for g in (hypercube(5), corpus.build_graph("gnp:34,12:seed=712217")):
+        cases += [(g, ("mp", "imp"), True), (g, ("mp", "imp"), False)]
     checked = 0
-    for g in (cycle_graph(6), petersen_graph(), grid_graph(3, 5)):
-        solver = GraphSolver(g, lexmin=True)
+    for g, names, lexmin in cases:
+        solver = GraphSolver(g, lexmin=lexmin)
         fresh = gate._Fresh(g)
-        for name in PARAMETERS:
+        for name in names:
             rep = solver.report(name)
-            assert gate.witness_ok(fresh, name, rep.value, rep.witness), (g.n, name)
+            assert gate.witness_ok(fresh, name, rep.value, rep.witness), (g.n, name, lexmin)
             checked += 1
-    assert checked == 3 * len(PARAMETERS)
+        if g.n > 16:
+            assert solver.mono_index().lazy is not None
+    assert checked == 3 * len(PARAMETERS) + 8
 
 
 def test_corpus_graphs_and_closed_forms_reproduce():

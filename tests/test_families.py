@@ -258,6 +258,18 @@ def test_predict_realization_values():
     assert predict_for_spec(parse_family_spec("half_wheel:3"), half_wheel(3)) == []
 
 
+@pytest.mark.parametrize("text, message", [
+    ("half_wheel:3,4", r"family 'half_wheel' expects 1 integer parameter\(s\) and 0 nested"),
+    ("corona_of:(cycle:4)", r"family 'corona_of' expects 0 integer parameter\(s\) and 2 nested"),
+    ("cycle", r"family 'cycle' expects 1 integer parameter\(s\) and 0 nested"),
+])
+def test_predict_for_spec_refuses_a_malformed_spec_as_build_does(text, message):
+    spec = parse_family_spec(text)
+    for call in (lambda: build(spec), lambda: predict_for_spec(spec, cycle_graph(4))):
+        with pytest.raises(InputError, match=message):
+            call()
+
+
 def test_realization_predictions_match_solver():
     for text in ("half_wheel:4", "half_wheel:5", "wheel_pendant_W:3", "wheel_pendant_W:4",
                  "half_wheel_pendant:6,3", "R_graph:2,2", "P_graph:1,2", "G_abl:2,4,2"):

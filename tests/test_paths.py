@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -213,12 +214,17 @@ def _traced_witnesses(monkeypatch, g):
 
 
 def test_seeding_at_the_default_threshold_changes_no_witness(monkeypatch):
-    for g in (hypercube(5), random_cubic_graph(40, random.Random(2))):
+    # SEED_AFTER bounds the expansions of all rows so far: Q5 and the cubic
+    # graph cross it in their first row, the 5x5 grid in its tenth, though
+    # none of its rows takes more than 1,432.
+    for g in (hypercube(5), random_cubic_graph(40, random.Random(2)), grid_graph(5, 5)):
         seeded, counts = _traced_witnesses(monkeypatch, g)
-        assert counts[0] > paths.SEED_AFTER  # the rows after the first are seeded
+        crossed = next(i for i, spent in enumerate(accumulate(counts)) if spent > paths.SEED_AFTER)
+        assert crossed == (9 if g.n == 25 else 0)
         with monkeypatch.context() as m:
             m.setattr(paths, "SEED_AFTER", float("inf"))
             unseeded, full_counts = _traced_witnesses(monkeypatch, g)
+        assert counts[:crossed + 1] == full_counts[:crossed + 1]  # the rows after are seeded
         assert unseeded == seeded and sum(full_counts) > sum(counts), g.n
 
 
@@ -235,12 +241,14 @@ def test_walk_seed_moves_cost_not_witnesses_and_counts_repeat(monkeypatch):
 
 def test_seeded_budget_counts_rows_settled_by_seeds(monkeypatch):
     # Row 0, of the C4 on 0..3, takes four expansions and seeds the rest.
-    # The seeds settle rows 1-5 with none; row 6, in Q4, runs out after 21.
+    # The seeds settle row 1 with none (unseeded it takes four, see
+    # test_witness_budget_names_rows_done_and_expansions); row 4, the first
+    # of Q4, runs out after 21.
     monkeypatch.setattr(paths, "SEED_AFTER", 0)
     g = disjoint_union(cycle_graph(4), hypercube(4))
-    assert _traced_witnesses(monkeypatch, g)[1][:7] == [4, 0, 0, 0, 0, 0, 32]
+    assert _traced_witnesses(monkeypatch, g)[1][:5] == [4, 0, 0, 0, 55]
     monkeypatch.setattr(paths, "DEFAULT_BUDGET", 20)
-    with pytest.raises(BudgetExceeded, match=r"at source 6 after 6 of 19 rows, "
+    with pytest.raises(BudgetExceeded, match=r"at source 4 after 4 of 19 rows, "
                                              r"25 expansions so far"):
         monophonic_witnesses(g)
 
