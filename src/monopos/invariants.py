@@ -10,11 +10,12 @@ It also holds the one forbidden-triple branch and bound, ``_PositionSearch``,
 the one search of all nine maxima: the largest vertex set holding no triple
 (x, y, z) with y a witness of the pair {x,z}.  It runs in order space over
 one table per triple system: for each pair of vertices, the mask of the
-third members of their triples.  :func:`pair_table` builds it, ordered by
-witness participation, from interval or geodesic witnesses for the
-position solvers and from common-neighbour witnesses for alphaomega and
-dissociation.  alpha searches the empty system for independent sets, in
-clique-cover order (``_independent_max``); omega is alpha of the complement.
+third members of their triples.  :func:`pair_table` builds it by
+bit-matrix transposes, ordered by witness participation, from interval or
+geodesic witnesses for the position solvers and from common-neighbour
+witnesses for alphaomega and dissociation.  alpha searches the empty
+system for independent sets, in clique-cover order (``_independent_max``);
+omega is alpha of the complement.
 
 Solver conventions
 ------------------
@@ -33,9 +34,11 @@ the lexmin pass together.  The hull number is a minimum and is not lexmin:
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from itertools import chain, islice, repeat
+from operator import itemgetter, or_
 
 from .bitset import bit, full_mask, iter_bits, mask_of
 from .errors import (InputError, InternalCheckError, NodeLimitExceeded, require_cap,
@@ -293,55 +296,142 @@ def common_neighbour_witnesses(g: Graph, include_adjacent: bool) -> list[list[in
 #: ``(order, pos, pair)``, see :func:`pair_table`.
 PairTable = tuple[list[int], list[int], list[list[int]]]
 
+#: ``struct`` code of an element of each width that ``pair_table`` packs as
+#: one cube; wider systems go a slab of planes at a time (``_wide_table``).
+_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+#: Bits of the slab of planes that ``_wide_table`` transposes at a time.
+_SLAB_BITS = 1 << 16
+#: width -> the steps that transpose each plane of a cube of that width,
+#: and those that transpose its planes with its rows (``_swaps``); built on
+#: first use, for widths up to 64 only.
+_CUBE_SWAPS: dict[int, tuple[list[tuple[int, int]], list[tuple[int, int]]]] = {}
+
+
+def _swaps(width: int, unit: int, planes: int) -> list[tuple[int, int]]:
+    """The ``(delta, mask)`` steps that transpose each of ``planes``
+    consecutive width x width matrices of ``unit``-bit elements, stored row
+    major (element (r, c) at bit (r*width + c)*unit of its plane).  Step
+    s = width/2, ..., 1 trades the elements whose row lacks bit s and whose
+    column has it with their mirror images, s*(width - 1) elements up.  The
+    masks are built by repeating bytes."""
+    steps = []
+    s = width >> 1
+    while s:
+        row = sum(((1 << unit) - 1) << c * unit for c in range(width) if c & s)
+        row = row.to_bytes(width * unit // 8, "little")
+        plane = (row * s + bytes(len(row)) * s) * (width // (2 * s))
+        steps.append((s * (width - 1) * unit, int.from_bytes(plane * planes, "little")))
+        s >>= 1
+    return steps
+
+
+def _transpose(x: int, steps: list[tuple[int, int]]) -> int:
+    """``x`` after the delta swaps of ``steps`` (see ``_swaps``)."""
+    for delta, mask in steps:
+        t = (x ^ x >> delta) & mask
+        x ^= t ^ t << delta
+    return x
+
+
+def _by_participation(count: list[int]) -> tuple[list[int], list[int]]:
+    """``(order, pos)``: the vertices by descending ``count``, ties by label
+    (the sort is stable), and the inverse."""
+    order = sorted(range(len(count)), key=[-c for c in count].__getitem__)
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return order, pos
+
 
 def pair_table(witness: list[list[int]]) -> PairTable:
-    """``(order, pos, pair)`` of a symmetric triple system, for ``_PositionSearch``.
+    """``(order, pos, pair)`` of a symmetric triple system with an empty
+    diagonal, for ``_PositionSearch``.
 
     ``order`` lists the vertices by descending witness participation (an
     end of a pair counts its witnesses, a witness counts its pairs), ties
     by label, and ``pos`` inverts it.  In order space bit i stands for
     ``order[i]``, and ``pair[i][j]`` is the mask of every w such that
-    {order[i], order[j], w} holds a triple.  Two passes over the witness
-    masks: the counts, then the table.
+    {order[i], order[j], w} holds a triple.  Each row is a list of its own,
+    which ``_PositionSearch.add_triple`` may grow.
+
+    Built by bit-matrix transposes with delta swaps (Warren, *Hacker's
+    Delight*, 2nd ed., section 7-3; Knuth, TAOCP 4A, section 7.1.3), a few
+    big-integer steps in place of one step per witness bit.  With N the
+    power of two at least max(n, 8), the system is a cube of bits, bit
+    (a*N + b)*N + c set when c is in W[a][b].  Transposing every plane gives
+    D[a][b] = {c : b in W[a][c]}, and transposing the planes with the rows
+    gives E[v][a] = D[a][v].  Then P = W | D | E is the table in label space,
+    and vertex v takes part |W[v][.]| + |E[v][.]|/2 times.  P is symmetric in
+    all three vertices, so once each plane's elements are reordered by
+    ``order``, one more plane transpose leaves at row c of plane a the mask
+    P[a][c] in order space, and ``pair[i]`` is rows ``order`` of plane
+    ``order[i]``.  Widths up to 64 pack the cube whole with
+    ``struct``; wider ones go through ``_wide_table``.
     """
     n = len(witness)
-    count = [sum(w.bit_count() for w in row) for row in witness]
-    for x in range(n):
-        for w in witness[x][x + 1:]:
-            while w:
-                b = w & -w
-                count[b.bit_length() - 1] += 1
-                w ^= b
-    order = sorted(range(n), key=lambda v: (-count[v], v))
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    pair = [[0] * n for _ in range(n)]
-    for x in range(n):
-        wx = witness[x]
-        px = pos[x]
-        bx = 1 << px
-        for z in range(x + 1, n):
-            w = wx[z]
-            if not w:
-                continue
-            pz = pos[z]
-            bz = 1 << pz
-            m = 0
-            while w:
-                b = w & -w
-                py = pos[b.bit_length() - 1]
-                m |= 1 << py
-                row = pair[py]
-                row[px] |= bz
-                row[pz] |= bx
-                w ^= b
-            pair[px][pz] |= m
-    for i in range(n):
-        row = pair[i]
-        for j in range(i + 1, n):
-            row[j] = pair[j][i] = row[j] | pair[j][i]
-    return order, pos, pair
+    if n < 2:
+        return list(range(n)), list(range(n)), [[0] * n for _ in range(n)]
+    width = max(8, 1 << (n - 1).bit_length())
+    if width > 64:
+        return _wide_table(witness, width)
+    if width not in _CUBE_SWAPS:
+        _CUBE_SWAPS[width] = _swaps(width, 1, width), _swaps(width, width, 1)
+    within, across = _CUBE_SWAPS[width]
+    row = f"{n}{_CODES[width]}{(width - n) * width // 8}x"  # an element row, zero padded
+    cube, plane = "<" + row * n, "<" + row
+    step = width * width // 8
+    size = n * step
+    data = struct.pack(cube, *chain.from_iterable(witness))
+    w = int.from_bytes(data, "little")
+    d = _transpose(w, within)
+    e = _transpose(d, across)
+    ebytes = e.to_bytes(size, "little")
+    order, pos = _by_participation(
+        [2 * int.from_bytes(data[o:o + step], "little").bit_count()
+         + int.from_bytes(ebytes[o:o + step], "little").bit_count() for o in range(0, size, step)])
+    get = itemgetter(*order)
+    p = struct.iter_unpack(plane, (w | d | e).to_bytes(size, "little"))
+    m = int.from_bytes(struct.pack(cube, *chain.from_iterable(map(get, p))), "little")
+    t = list(struct.iter_unpack(plane, _transpose(m, within).to_bytes(size, "little")))
+    return order, pos, [list(get(t[a])) for a in order]
+
+
+def _wide_table(witness: list[list[int]], width: int) -> PairTable:
+    """``pair_table`` above width 64, where ``struct`` has no element: the
+    same plane transposes a slab at a time, each element coded as bytes.
+    E is an element reorder instead, done in place so that
+    P[a][b] and P[b][a] share one int, and each row of P goes once its
+    plane is out.  No cube is held, and no mask outlives the call."""
+    n = len(witness)
+    nbytes = width // 8
+    pad = bytes(nbytes * (width - n))
+    slab = max(1, _SLAB_BITS // (width * width))
+    planes = _swaps(width, 1, slab)
+    split = struct.Struct(f"{nbytes}s" * width).iter_unpack
+    little, lengths = repeat("little"), repeat(nbytes)
+
+    def transposed(rows):
+        """The plane of each row of elements, transposed, as element bytes."""
+        rows = iter(rows)
+        while part := list(islice(rows, slab)):
+            data = b"".join(b"".join(map(int.to_bytes, row, lengths, little)) + pad for row in part)
+            yield from split(_transpose(int.from_bytes(data, "little"), planes)
+                             .to_bytes(len(data), "little"))
+
+    p = [list(map(int.from_bytes, t[:n], little)) for t in transposed(witness)]  # D, then P
+    order, pos = _by_participation([2 * sum(map(int.bit_count, row)) + sum(map(int.bit_count, col))
+                                    for row, col in zip(witness, zip(*p))])
+    for a in range(n):
+        wa, pa = witness[a], p[a]
+        for b in range(a + 1, n):
+            pa[b] = p[b][a] = wa[b] | pa[b] | p[b][a]
+    get = itemgetter(*order)
+
+    def reordered():
+        for a in order:
+            row, p[a] = p[a], None
+            yield get(row)
+    return order, pos, [list(map(int.from_bytes, get(t), little)) for t in transposed(reordered())]
 
 
 def _cover(rows: list[int], cand: int, classes: list[int] | None = None,

@@ -22,7 +22,7 @@ from monopos.paths import (IntervalCache, convex_hull, induced_path_partition,
                            longest_induced_path_length, monophonic_hull)
 from monopos.solvers import (PARAMETERS, GraphSolver, PathMode, TripleIndex, _PositionSearch,
                              build_triple_index, max_position_set)
-from test_position_search import _invert_witnesses, _LabelSpaceSearch
+from test_position_search import _invert_witnesses, _LabelSpaceSearch, _pair_table_twin
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -142,6 +142,22 @@ def test_corpus_graphs_and_closed_forms_reproduce():
                     assert values[name] == want, (req["spec"], name)
                     compared += 1
     assert compared > 0
+
+
+def test_pair_table_equals_its_twin_on_the_corpus_systems():
+    """The tables that ``mono-rows`` and ``geo-search`` requests build: for
+    every graph of the two workloads, the solver's mono index (lazy where
+    its rows stop), its geo index and its geo2 index."""
+    corpus = _load("corpus")
+    checked = 0
+    for workload in ("mono-rows", "geo-search"):
+        for line in (corpus.CORPUS / f"{workload}.g6").read_text().splitlines():
+            solver = GraphSolver(parse_graph6(line))
+            for idx in (solver.mono_index(), solver.triple_index(PathMode.GEODESIC),
+                        solver.triple_index(PathMode.GEODESIC_LEN2)):
+                assert idx.table() == _pair_table_twin(idx.witness), (line, idx.mode)
+                checked += 1
+    assert checked == 3 * (14 + 15)
 
 
 def test_suite_small_path_invariants_reproduce():

@@ -10,9 +10,14 @@ each position.  Both must give the same value, witness and node count.
 
 omega and alpha, the position search over the empty triple system, have a
 second twin: the greedy-colouring clique search that computed them before,
-on the graph and on its complement, with the same value and witness."""
+on the graph and on its complement, with the same value and witness.
+
+``pair_table`` has a twin too, ``_pair_table_twin``: two passes over every
+witness bit, which must give the same ``(order, pos, pair)`` at every
+width the transposes take."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +32,49 @@ from monopos.invariants import (NODE_LIMIT, _cover, _Found, _independent_max, _l
                                 _PositionSearch, clique_number, common_neighbour_witnesses,
                                 independence_number, pair_table)
 from monopos.solvers import POSITION_PARAMS, PathMode, brute_force_position, build_triple_index
+
+
+def _pair_table_twin(witness):
+    """``pair_table`` one witness bit at a time: the participation counts,
+    then the table in order space, then one symmetrising sweep."""
+    n = len(witness)
+    count = [sum(w.bit_count() for w in row) for row in witness]
+    for x in range(n):
+        for w in witness[x][x + 1:]:
+            while w:
+                b = w & -w
+                count[b.bit_length() - 1] += 1
+                w ^= b
+    order = sorted(range(n), key=lambda v: (-count[v], v))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    pair = [[0] * n for _ in range(n)]
+    for x in range(n):
+        wx = witness[x]
+        px = pos[x]
+        bx = 1 << px
+        for z in range(x + 1, n):
+            w = wx[z]
+            if not w:
+                continue
+            pz = pos[z]
+            bz = 1 << pz
+            m = 0
+            while w:
+                b = w & -w
+                py = pos[b.bit_length() - 1]
+                m |= 1 << py
+                row = pair[py]
+                row[px] |= bz
+                row[pz] |= bx
+                w ^= b
+            pair[px][pz] |= m
+    for i in range(n):
+        row = pair[i]
+        for j in range(i + 1, n):
+            row[j] = pair[j][i] = row[j] | pair[j][i]
+    return order, pos, pair
 
 
 def _invert_witnesses(witness):
@@ -158,9 +206,12 @@ def _answers(g, search, pos):
 
 def _diff_against_twin(g):
     """The twin runs in label space, so ``_lexmin`` drives it with the
-    identity order."""
+    identity order.  Each table (mono, geo, geo2, the diss system and the
+    empty one) also equals the loop twin's."""
     for name, witness, ind in _systems(g):
-        fast = _PositionSearch(g.adj, pair_table(witness), ind)
+        table = pair_table(witness)
+        assert table == _pair_table_twin(witness), (g.adj, name)
+        fast = _PositionSearch(g.adj, table, ind)
         slow = _LabelSpaceSearch(g.adj, witness, _invert_witnesses(witness), ind)
         assert _answers(g, fast, fast.pos) == _answers(g, slow, list(range(g.n))), (g.adj, name)
 
@@ -371,8 +422,11 @@ def test_alpha_search_order_by_clique_cover_classes_bounds_early():
 def test_pair_table_equals_its_definition():
     """order by descending participation (ties by label), pos its inverse,
     and pair[i][j] the order-space mask of the third members of the
-    triples through order[i] and order[j], from an explicit triple list."""
-    cases = list(connected_graphs(5)) + [cycle_graph(7), path_graph(6), complete_graph(4)]
+    triples through order[i] and order[j], from an explicit triple list;
+    at n = 9, 17 and 33 too, the first orders of widths 16, 32 and 64."""
+    cases = list(connected_graphs(5)) + [cycle_graph(7), path_graph(6), complete_graph(4),
+                                         grid_graph(3, 3), random_tree(17, random.Random(1)),
+                                         cycle_graph(33)]
     checked = 0
     for g in cases:
         for _, witness, _ in _systems(g):
@@ -392,3 +446,89 @@ def test_pair_table_equals_its_definition():
                     assert pair[i][j] == want, (g.adj, i, j)
             checked += 1
     assert checked > 100
+
+
+def _random_system(n, seed, density):
+    """A symmetric system with an empty diagonal: each mask holds each
+    vertex, the pair's own ends too, with probability 0, 1/8, 1/2 or 3/4
+    (``density`` 0 to 3)."""
+    rng = random.Random(seed)
+    witness = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for z in range(x + 1, n):
+            m = rng.getrandbits(n) if density else 0
+            if density == 1:
+                m &= rng.getrandbits(n) & rng.getrandbits(n)
+            elif density == 3:
+                m |= rng.getrandbits(n)
+            witness[x][z] = witness[z][x] = m
+    return witness
+
+
+#: The orders on both sides of every width the transposes take up to 64
+#: and of 65, the first order past it, the smallest ones and a few between.
+ORDERS = (0, 1, 2, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 48, 63, 64, 65, 70)
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), density=st.integers(0, 3))
+def test_pair_table_equals_its_twin_on_random_systems(n, seed, density):
+    witness = _random_system(n, seed, density)
+    assert pair_table(witness) == _pair_table_twin(witness)
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_pair_table_equals_its_twin_past_width_128(n):
+    for density in (1, 2):
+        witness = _random_system(n, n, density)
+        assert pair_table(witness) == _pair_table_twin(witness), density
+
+
+def test_pair_table_pins_the_smallest_orders():
+    assert pair_table([]) == ([], [], [])
+    assert pair_table([[0]]) == ([0], [0], [[0]])
+    assert pair_table([[0, 0], [0, 0]]) == ([0, 1], [0, 1], [[0, 0], [0, 0]])
+    ends = [[0, 0b11], [0b11, 0]]  # each end witnesses the pair
+    assert pair_table(ends) == _pair_table_twin(ends) == ([0, 1], [0, 1], [[2, 3], [3, 1]])
+    for _, _, pair in (pair_table(_empty(n)) for n in (1, 2)):
+        assert all(type(row) is list for row in pair)
+        assert len({id(row) for row in pair}) == len(pair)
+
+
+@pytest.mark.parametrize("n", [9, 70])
+def test_add_triple_grows_exactly_its_six_entries_of_a_table(n):
+    """``_PositionSearch.add_triple`` ORs into the rows of the table in
+    place, so every row must be a list of its own."""
+    table = pair_table(_random_system(n, n, 1))
+    pair = table[2]
+    assert all(type(row) is list for row in pair)
+    assert len({id(row) for row in pair}) == n
+    i, j, k = next((i, j, k) for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+                   if not pair[i][j] >> k & 1)
+    before = [row[:] for row in pair]
+    _PositionSearch((0,) * n, table).add_triple(i, j, k)
+    grown = {(i, j): k, (j, i): k, (i, k): j, (k, i): j, (j, k): i, (k, j): i}
+    for a in range(n):
+        for b in range(n):
+            want = before[a][b] | (1 << grown[a, b] if (a, b) in grown else 0)
+            assert pair[a][b] == want, (a, b)
+
+
+def _peak_bytes(f, *args):
+    """The most memory that ``f(*args)`` holds at once, its answer included."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", [PathMode.GEODESIC, PathMode.GEODESIC_LEN2])
+def test_pair_table_past_width_64_holds_at_most_three_times_the_twins_memory(mode):
+    """Past width 64 the transposes go a slab of planes at a time, and
+    the label-space table shrinks row by row as the answer grows: on
+    G(130, 0.1), whose geo system is dense and geo2 system sparse."""
+    witness = build_triple_index(random_graph(130, random.Random(1), 0.1), mode, cap=130).witness
+    assert _peak_bytes(pair_table, witness) <= 3 * _peak_bytes(_pair_table_twin, witness)
